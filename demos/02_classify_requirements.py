@@ -17,7 +17,6 @@ from safereq import (
     catalog_from_mapping,
     chunk,
     load_requirements,
-    parse_results_json,
     send,
     validate_records,
 )
@@ -61,9 +60,9 @@ def main():
         for line in prompt.splitlines()[:3]:
             print(" ", line)
 
-        result = send(prompt, params, backend)
+        result = send(prompt, params, backend, schema=CLASSIFICATION_RESULT_SCHEMA)
         print("response status:", result.status)
-        records.extend(parse_results_json(result.raw_text, CLASSIFICATION_RESULT_SCHEMA).records)
+        records.extend(result.records)
 
     outcome = validate_records(records, requirements, catalog)
     print("\nclassified rows:")

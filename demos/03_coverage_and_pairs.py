@@ -23,7 +23,6 @@ from safereq import (
     detect_duplicates,
     gap_ranking,
     load_requirements,
-    parse_results_json,
     send,
     validate_records,
 )
@@ -52,8 +51,10 @@ def classify(backend, params, catalog, resources):
             dataset_name="Drone Safety Requirements",
             rows=tuple((req.req_id, req.text) for req in piece.rows),
         )
-        result = send(assemble_prompt(envelope), params, backend)
-        records.extend(parse_results_json(result.raw_text, CLASSIFICATION_RESULT_SCHEMA).records)
+        result = send(
+            assemble_prompt(envelope), params, backend, schema=CLASSIFICATION_RESULT_SCHEMA
+        )
+        records.extend(result.records)
     return validate_records(records, requirements, catalog).rows
 
 

@@ -9,7 +9,7 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .errors import MismatchedIdSetsError
@@ -20,7 +20,7 @@ from .gateway import (
     PromptResource,
     RecordSchema,
     assemble_prompt,
-    parse_results_json,
+    render_resource,
     send,
 )
 from .requirements import Requirement, RequirementChunk
@@ -114,6 +114,7 @@ def validate_records(
     quarantined; confidence below the threshold flags LowConfidence.
     """
     known = {req.req_id: req for req in inputs}
+    aliases = set(catalog.aliases)
     returned: dict[str, dict] = {}
     quarantined: list[tuple[dict, str]] = []
 
@@ -146,7 +147,7 @@ def validate_records(
 
         flags: list[str] = []
         function = str(record.get("Function", "")).strip()
-        if not catalog.has_alias(function):
+        if function not in aliases:
             function = CATCH_ALL_ALIAS
             flags.append(FLAG_REMAPPED)
 
@@ -195,14 +196,23 @@ def classify(
     """Classify every chunk through the backend and validate the union."""
     records: list[dict] = []
     quarantined: list[tuple[dict, str]] = []
+    # Render the resources once; each chunk only swaps in its rows.
+    template = build_classification_prompt(
+        RequirementChunk(index=0, rows=()), catalog, instructions_text, dataset_name
+    )
+    template = replace(
+        template,
+        resources=tuple(
+            replace(res, body=render_resource(res.body)) for res in template.resources
+        ),
+    )
     for chunk in chunks:
-        envelope = build_classification_prompt(
-            chunk, catalog, instructions_text, dataset_name=dataset_name
+        envelope = replace(template, rows=tuple((req.req_id, req.text) for req in chunk.rows))
+        result = send(
+            assemble_prompt(envelope), params, backend, schema=CLASSIFICATION_RESULT_SCHEMA
         )
-        result = send(assemble_prompt(envelope), params, backend)
-        parsed = parse_results_json(result.raw_text, schema=CLASSIFICATION_RESULT_SCHEMA)
-        records.extend(parsed.records)
-        quarantined.extend(parsed.rejected)
+        records.extend(result.records)
+        quarantined.extend(result.rejected)
 
     inputs = [req for chunk in chunks for req in chunk.rows]
     outcome = validate_records(records, inputs, catalog)

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Lock
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Mapping
 
 import requests
 
@@ -77,39 +77,65 @@ class LlmResult:
     usage: dict = field(default_factory=dict)
     status: str = "ok"  # ok | empty | parse_error
     prompt_sha256: str = ""
+    rejected: list[tuple[dict, str]] = field(default_factory=list)
+
+
+# One shared encoder for dataset rows; json.dumps would build a new one per row.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def _encode_row(row: tuple[str, str]) -> str:
+    return _ROW_ENCODER.encode({"ReqID": row[0], "Requirement": row[1]})
+
+
+def encode_rows(rows: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
+    """Dataset lines of rows that many prompts share, keyed by (req_id, text).
+
+    Pass the result to assemble_prompt(..., encoded_rows=...) so each
+    shared row is encoded once rather than once per prompt.
+    """
+    return {row: _encode_row(row) for row in rows}
 
 
 def _tagify(name: str) -> str:
     return re.sub(r"[^0-9A-Za-z_]+", "_", name).strip("_") or "DATASET"
 
 
-def _render_body(body: Any) -> str:
+def render_resource(body: Any) -> str:
+    """Render one resource body as it appears in a prompt.
+
+    A str is used verbatim (stripped); anything else is rendered as
+    indented JSON. The result is idempotent, so a body rendered once per
+    task and passed as a str yields the same prompt bytes as the raw body.
+    """
     if isinstance(body, str):
         return body.strip()
     return json.dumps(body, indent=2, ensure_ascii=False)
 
 
-def assemble_prompt(envelope: PromptEnvelope) -> str:
+def assemble_prompt(
+    envelope: PromptEnvelope,
+    encoded_rows: Mapping[tuple[str, str], str] | None = None,
+) -> str:
     """Render an envelope to the exact prompt text.
 
     Layout: instructions, then each resource wrapped in its tag inside a
     RESOURCES block, then dataset rows as one JSON object per line
     ({"ReqID": ..., "Requirement": ...}) inside a tag named after the
     dataset. Pure function: equal envelopes render byte-identically.
+    Rows found in encoded_rows (from encode_rows) reuse their line.
     """
     parts = [envelope.instructions.strip()]
     if envelope.resources:
         blocks = []
         for res in envelope.resources:
             tag = _tagify(res.tag)
-            blocks.append(f"<{tag}>\n{_render_body(res.body)}\n</{tag}>")
+            blocks.append(f"<{tag}>\n{render_resource(res.body)}\n</{tag}>")
         parts.append("<RESOURCES>\n" + "\n".join(blocks) + "\n</RESOURCES>")
     if envelope.rows:
         tag = _tagify(envelope.dataset_name)
-        lines = [
-            json.dumps({"ReqID": req_id, "Requirement": text}, ensure_ascii=False)
-            for req_id, text in envelope.rows
-        ]
+        encoded = encoded_rows or {}
+        lines = [encoded.get(row) or _encode_row(row) for row in envelope.rows]
         parts.append(f"<{tag}>\n" + "\n".join(lines) + f"\n</{tag}>")
     return "\n\n".join(parts) + "\n"
 
@@ -165,11 +191,14 @@ def extract_results_root(raw: str) -> Any:
         MissingResultsRootError: JSON found but no "results" key.
     """
     text = _strip_fences(raw)
-    candidates = [_decode_first_json(text), _decode_first_json(_repair(text))]
-    for value in candidates:
-        if isinstance(value, dict) and "results" in value:
-            return value["results"]
-    if all(value is None for value in candidates):
+    first = _decode_first_json(text)
+    if isinstance(first, dict) and "results" in first:
+        return first["results"]
+    # Repair only when the text as it stands has no results root.
+    repaired = _decode_first_json(_repair(text))
+    if isinstance(repaired, dict) and "results" in repaired:
+        return repaired["results"]
+    if first is None and repaired is None:
         raise NoJsonFoundError("response contains no parsable JSON value")
     raise MissingResultsRootError("response JSON has no 'results' root key")
 
@@ -313,6 +342,7 @@ class HttpBackend:
         self.api_key_file = Path(api_key_file) if api_key_file else None
         self.api_key_env = api_key_env
         self.call_count = 0
+        self._lock = Lock()
 
     def _api_key(self) -> str:
         if self.api_key_file is not None and self.api_key_file.exists():
@@ -329,7 +359,8 @@ class HttpBackend:
         )
 
     def complete(self, prompt: str, params: LlmRequestParams) -> tuple[str, dict]:
-        self.call_count += 1
+        with self._lock:
+            self.call_count += 1
         payload = {
             "model": params.model_id,
             "temperature": params.temperature,
@@ -386,14 +417,22 @@ def send(
     params: LlmRequestParams,
     backend: Backend,
     sleep: Callable[[float], None] = time.sleep,
+    *,
+    schema: RecordSchema | None = None,
 ) -> LlmResult:
     """Send one prompt, retrying transport failures and rate limits.
 
     Retries max_retries times with exponential backoff starting at
     backoff_start seconds. Other errors (missing fixture, auth, oversized
-    chunk) surface immediately. The returned result carries best-effort
-    parsed records; parse failures yield status "parse_error" rather than
-    an exception so the caller can decide.
+    chunk) surface immediately. The response is parsed exactly once.
+
+    Without a schema the result carries best-effort parsed records; parse
+    failures yield status "parse_error" rather than an exception so the
+    caller can decide. With a schema, each record is checked against it:
+    valid ones land in .records, invalid ones in .rejected with a reason,
+    and a response with no usable results root raises the parse error
+    (NoJsonFoundError, MissingResultsRootError or SchemaViolationError)
+    just as parse_results_json(raw, schema) would.
     """
     attempts = params.max_retries + 1
     last: Exception | None = None
@@ -414,13 +453,17 @@ def send(
         raise TransportError(base, attempts=attempts) from last
 
     result = LlmResult(raw_text=raw, usage=usage, prompt_sha256=prompt_sha256(prompt))
-    try:
-        result.records = parse_results_json(raw).records
-        result.status = "ok" if result.records else "empty"
-    except (NoJsonFoundError, MissingResultsRootError, SchemaViolationError) as exc:
-        result.status = "parse_error"
-        result.records = []
-        result.usage.setdefault("parse_error", str(exc))
+    if schema is not None:
+        parsed = parse_results_json(raw, schema)
+    else:
+        try:
+            parsed = parse_results_json(raw)
+        except (NoJsonFoundError, MissingResultsRootError, SchemaViolationError) as exc:
+            result.status = "parse_error"
+            result.usage.setdefault("parse_error", str(exc))
+            return result
+    result.records, result.rejected = parsed.records, parsed.rejected
+    result.status = "ok" if result.records else "empty"
     return result
 
 

@@ -52,7 +52,8 @@ from .gateway import (
     PromptEnvelope,
     PromptResource,
     assemble_prompt,
-    parse_results_json,
+    parse_results_json,  # noqa: F401  bound here for perfbench/tracer.py
+    render_resource,
     send,
 )
 from .pairwise import (
@@ -413,7 +414,11 @@ def _resources_payload(ctx: PipelineContext, task: TaskConfig) -> dict:
 
 
 def _prompt_resources(payload: dict) -> tuple[PromptResource, ...]:
-    return tuple(PromptResource(tag=key, body=value) for key, value in payload.items())
+    """Tagged resources rendered once, so every chunk prompt reuses the text."""
+    return tuple(
+        PromptResource(tag=key, body=render_resource(value))
+        for key, value in payload.items()
+    )
 
 
 def _catalog_for(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog | None:
@@ -632,12 +637,14 @@ def _task_completeness(
                 dataset_name=task.dataset_name,
                 rows=tuple((req.req_id, req.text) for req in piece.rows),
             )
-            response = send(assemble_prompt(envelope), ctx.params, ctx.backend)
-            parsed = parse_results_json(
-                response.raw_text, schema=CLASSIFICATION_RESULT_SCHEMA
+            response = send(
+                assemble_prompt(envelope),
+                ctx.params,
+                ctx.backend,
+                schema=CLASSIFICATION_RESULT_SCHEMA,
             )
-            records.extend(parsed.records)
-            rejected.extend(parsed.rejected)
+            records.extend(response.records)
+            rejected.extend(response.rejected)
         outcome = validate_records(records, inputs, catalog)
         rows = outcome.rows
         quarantined = rejected + outcome.quarantined

@@ -25,7 +25,8 @@ from .gateway import (
     PromptEnvelope,
     RecordSchema,
     assemble_prompt,
-    parse_results_json,
+    encode_rows,
+    parse_results_json,  # noqa: F401  bound here for perfbench/tracer.py
     send,
 )
 from .rounding import percentage
@@ -134,9 +135,10 @@ def cluster_by_function(
     Every requirement lands in exactly one cluster. Empty clusters are
     omitted. Without a catalog, clusters keep first-seen alias order.
     """
+    known = set(catalog.aliases) if catalog is not None else None
     grouped: dict[str, list[ClassifiedRequirement]] = {}
     for row in classified:
-        if catalog is not None and not catalog.has_alias(row.function):
+        if known is not None and row.function not in known:
             raise AliasClosureViolationError(
                 f"requirement {row.req_id} names unknown alias {row.function!r}"
             )
@@ -197,6 +199,9 @@ def detect_duplicates(
         row.req_id: alias for alias, rows in clusters.items() for row in rows
     }
     of_rows = clusters.get(CATCH_ALL_ALIAS, []) if prompt_version == "V3" else []
+    # The _OF_ rows ride along in every prompt; encode their lines once.
+    of_ids = {row.req_id for row in of_rows}
+    of_lines = encode_rows((row.req_id, _row_text(row)) for row in of_rows)
 
     result = DetectionResult(findings=[])
     seen: dict[tuple[str, str], str] = {}
@@ -205,16 +210,17 @@ def detect_duplicates(
     for alias, rows in clusters.items():
         if prompt_version == "V3" and alias == CATCH_ALL_ALIAS:
             continue  # rides along with every function cluster instead
-        submitted = rows + [r for r in of_rows if r not in rows]
+        own_ids = {row.req_id for row in rows}
+        submitted = rows + [r for r in of_rows if r.req_id not in own_ids]
         if len(submitted) < 2:
             continue
+        submitted_ids = own_ids | of_ids
         envelope = _pair_envelope(instructions, alias, submitted)
-        response = send(assemble_prompt(envelope), params, backend)
-        parsed = parse_results_json(response.raw_text, schema=_PAIR_SCHEMA)
-        result.rejected.extend(parsed.rejected)
-        submitted_ids = {row.req_id for row in submitted}
+        prompt = assemble_prompt(envelope, encoded_rows=of_lines)
+        response = send(prompt, params, backend, schema=_PAIR_SCHEMA)
+        result.rejected.extend(response.rejected)
 
-        for record in parsed.records:
+        for record in response.records:
             finding = _record_to_finding(
                 record, submitted_ids, allowed, alias, result.notes
             )
@@ -326,11 +332,10 @@ def detect_contradictions(
         if len(rows) < 2:
             continue
         envelope = _pair_envelope(CONTRADICTION_PROMPT, alias, rows)
-        response = send(assemble_prompt(envelope), params, backend)
-        parsed = parse_results_json(response.raw_text, schema=_PAIR_SCHEMA)
-        result.rejected.extend(parsed.rejected)
+        response = send(assemble_prompt(envelope), params, backend, schema=_PAIR_SCHEMA)
+        result.rejected.extend(response.rejected)
         submitted_ids = {row.req_id for row in rows}
-        for record in parsed.records:
+        for record in response.records:
             finding = _record_to_finding(
                 record, submitted_ids, {KIND_CONTRADICTION}, alias, result.notes
             )

@@ -1,10 +1,15 @@
 """Prompt assembly, tolerant result parsing, backends, and retry logic."""
 
 import json
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safereq import (
+    HttpBackend,
     LlmRequestParams,
     MockBackend,
     PromptEnvelope,
@@ -25,6 +30,7 @@ from safereq.errors import (
     SchemaViolationError,
     TransportError,
 )
+from safereq import gateway
 from safereq.gateway import RecordSchema
 
 # The malformed payload shape a model actually returned: a brace where
@@ -312,3 +318,220 @@ def test_send_many_preserves_order():
     )
     results = send_many(["p1", "p2"], LlmRequestParams(), backend)
     assert [r.records[0]["ReqID"] for r in results] == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# Prompt bytes: pre-rendered resources and the shared row encoder
+# ---------------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+RESOURCE_BODIES = {
+    "ARCHITECTURE": {"NAV": "Drohne/Navigation", "ÉN": "Système/Énergie", "_OF_": "Other"},
+    "nested": {"a": [1, 2.5, None, True, {"b": ["ü", "日本"]}], "c": {}},
+    "listed": ["x", ["y", {"z": "–"}]],
+    "padded": "\n\t  Verbatim text, ünïcode ✓  \n\n",
+}
+
+
+def _prerendered(resources):
+    return tuple(
+        PromptResource(tag=r.tag, body=gateway.render_resource(r.body)) for r in resources
+    )
+
+
+def test_prerendered_resources_give_the_same_prompt_bytes():
+    resources = tuple(PromptResource(tag=k, body=v) for k, v in RESOURCE_BODIES.items())
+    envelope = PromptEnvelope(
+        instructions="Classify.",
+        resources=resources,
+        dataset_name="Anforderungen",
+        rows=(("1", "Das System muss sicher landen."), ("2", "naïve ✓")),
+    )
+    prerendered = PromptEnvelope(
+        instructions=envelope.instructions,
+        resources=_prerendered(resources),
+        dataset_name=envelope.dataset_name,
+        rows=envelope.rows,
+    )
+    assert assemble_prompt(prerendered).encode() == assemble_prompt(envelope).encode()
+    assert "<padded>\nVerbatim text, ünïcode ✓\n</padded>" in assemble_prompt(prerendered)
+
+
+@given(st.dictionaries(st.text(min_size=1, max_size=8), json_values, max_size=4))
+def test_prerendering_any_resource_bodies_keeps_prompt_bytes(bodies):
+    resources = tuple(PromptResource(tag=k, body=v) for k, v in bodies.items())
+    assert assemble_prompt(
+        PromptEnvelope(instructions="i", resources=_prerendered(resources))
+    ) == assemble_prompt(PromptEnvelope(instructions="i", resources=resources))
+
+
+@given(st.lists(st.tuples(st.text(), st.text()), max_size=5))
+def test_row_encoder_matches_json_dumps(rows):
+    for row in rows:
+        expected = json.dumps({"ReqID": row[0], "Requirement": row[1]}, ensure_ascii=False)
+        assert gateway._encode_row(row) == expected
+    assert gateway.encode_rows(rows) == {
+        row: json.dumps({"ReqID": row[0], "Requirement": row[1]}, ensure_ascii=False)
+        for row in rows
+    }
+
+
+@given(st.lists(st.tuples(st.text(), st.text()), min_size=1, max_size=6), st.data())
+def test_pre_encoded_rows_give_the_same_prompt_bytes(rows, data):
+    shared = data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    envelope = PromptEnvelope(instructions="i", dataset_name="DS", rows=tuple(rows))
+    assert assemble_prompt(envelope, encoded_rows=gateway.encode_rows(shared)) == (
+        assemble_prompt(envelope)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Lazy repair in extract_results_root
+# ---------------------------------------------------------------------------
+
+
+def _eager_extract_results_root(raw):
+    """The former implementation: always decodes the repaired text too."""
+    text = gateway._strip_fences(raw)
+    candidates = [
+        gateway._decode_first_json(text),
+        gateway._decode_first_json(gateway._repair(text)),
+    ]
+    for value in candidates:
+        if isinstance(value, dict) and "results" in value:
+            return value["results"]
+    if all(value is None for value in candidates):
+        raise NoJsonFoundError("response contains no parsable JSON value")
+    raise MissingResultsRootError("response JSON has no 'results' root key")
+
+
+@st.composite
+def response_texts(draw):
+    """JSON documents, some under "results", with a few random edits."""
+    value = draw(json_values)
+    if draw(st.booleans()):
+        value = {"results": value}
+    text = json.dumps(value, indent=draw(st.sampled_from([None, 2])), ensure_ascii=False)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["", ",", "{", "[", "}", "]", '"', "\n", "```"]))
+        text = text[:at] + edit + text[at + draw(st.integers(0, 1)) :]
+    return draw(st.text(max_size=5)) + text + draw(st.text(max_size=5))
+
+
+def _outcome(extract, text):
+    try:
+        return "ok", json.dumps(extract(text), sort_keys=True)
+    except Exception as exc:  # the error class is part of the contract
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), response_texts()))
+def test_lazy_repair_matches_the_eager_oracle(text):
+    assert _outcome(extract_results_root, text) == _outcome(_eager_extract_results_root, text)
+
+
+def test_lazy_repair_still_repairs_malformed_text():
+    assert _outcome(extract_results_root, MALFORMED_RESPONSE) == _outcome(
+        _eager_extract_results_root, MALFORMED_RESPONSE
+    )
+
+
+def test_repair_is_skipped_on_clean_json(monkeypatch):
+    def refuse(text):
+        raise AssertionError("_repair ran on clean JSON")
+
+    monkeypatch.setattr(gateway, "_repair", refuse)
+    assert extract_results_root('prose {"results": [1]} prose') == [1]
+    clean = render_results([{"ReqID": "1", "Confidence": 90}])
+    assert parse_results_json(clean, RecordSchema(required=("ReqID",))).records == [
+        {"ReqID": "1", "Confidence": 90}
+    ]
+
+
+# ---------------------------------------------------------------------------
+# send with a schema: one parse per response
+# ---------------------------------------------------------------------------
+
+
+def test_send_with_schema_splits_records_and_rejected():
+    backend = FakeBackend(['{"results": [{"ReqID": "1"}, {"Other": 2}, 3]}'])
+    result = send("p", LlmRequestParams(), backend, schema=RecordSchema(required=("ReqID",)))
+    assert result.status == "ok"
+    assert result.records == [{"ReqID": "1"}]
+    assert result.rejected == [
+        ({"Other": 2}, "missing required field 'ReqID'"),
+        ({"value": 3}, "record is not a JSON object"),
+    ]
+
+
+def test_send_with_schema_raises_the_parse_error(monkeypatch):
+    backend = FakeBackend(["total garbage", '{"other": 1}'])
+    with pytest.raises(NoJsonFoundError, match="^response contains no parsable JSON value$"):
+        send("p", LlmRequestParams(), backend, schema=RecordSchema())
+    with pytest.raises(MissingResultsRootError, match="no 'results' root key"):
+        send("p", LlmRequestParams(), backend, schema=RecordSchema())
+
+
+@pytest.mark.parametrize("schema", [None, RecordSchema(required=("ReqID",))])
+def test_send_parses_each_response_once(monkeypatch, schema):
+    calls = []
+    original = gateway.parse_results_json
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gateway, "parse_results_json", counting)
+    backend = FakeBackend([MALFORMED_RESPONSE])
+    result = send("p", LlmRequestParams(), backend, schema=schema)
+    assert len(calls) == 1
+    assert [r["ReqID"] for r in result.records] == ["1_1", "86_0"]
+
+
+# ---------------------------------------------------------------------------
+# HttpBackend under concurrent dispatch
+# ---------------------------------------------------------------------------
+
+
+class _OkResponse:
+    status_code = 200
+    text = ""
+
+    def json(self):
+        return {"choices": [{"message": {"content": '{"results": []}'}}]}
+
+
+class _YieldingInt(int):
+    """An int whose addition lets other threads run mid read-modify-write."""
+
+    def __add__(self, other):
+        time.sleep(0)
+        return _YieldingInt(int(self) + other)
+
+
+def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
+    monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
+    monkeypatch.setattr(gateway.requests, "post", lambda *args, **kwargs: _OkResponse())
+    backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
+    backend.call_count = _YieldingInt(0)
+    prompts = [f"p{i}" for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = send_many(prompts, LlmRequestParams(), backend, max_concurrency=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.call_count == len(prompts)
+    assert [r.status for r in results] == ["empty"] * len(prompts)

@@ -1,0 +1,180 @@
+"""Prompt bytes, response parsing and failures on the sample project.
+
+Mock fixtures and recorded outputs depend on the exact prompt text, so
+the prompts the sample project sends are pinned by sha256 here. Each
+backend response is parsed once, and a garbage response still fails its
+task with the parser's message.
+"""
+
+import importlib
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from safereq import (
+    MockBackend,
+    catalog_from_mapping,
+    chunk,
+    gateway,
+    load_requirements,
+    orchestrator,
+    pairwise,
+    run_all,
+)
+from safereq.classify import build_classification_prompt, classify
+from safereq.gateway import LlmRequestParams
+
+# The package exports a function named classify, which hides the module.
+classify_module = importlib.import_module("safereq.classify")
+
+SAMPLE_PROJECT = Path(__file__).resolve().parent.parent / "sample_project"
+
+# sha256 of each prompt the sample project sends, in order: one
+# classification chunk, four V3 duplicate clusters, three contradiction
+# clusters.
+SAMPLE_PROMPT_SHA256 = [
+    "7bc37e7ade8ce9e379c28b9e20d816b4ae8f0a5bd62808f70780ca55789c0ed1",
+    "62904a04bdb854642928639bfc6a82f90648cff64f1c1bc69bc1122524a517b1",
+    "111ef28b21cd2e3e7f7fd56ee472267798a63ffce8a1cf54f9eb2696a0188e95",
+    "0e843989d853103788b3b8b727658c76c82f6dece7fcc72cda674bccf1b70cfb",
+    "a5909742ec4943d45203a8592ed79877c428c2314517a57321ad772905898dfc",
+    "5c0f2b8283328d5e34853edaced42d096538c07b6b12ca3940d908507bef35b2",
+    "8c0c3bd277227c90c2f691727c6a5144045bc977e97c0326974bf7bd4fe44d6e",
+    "721f7b2a48e45c433b137f98a7f818aa29a6f075633efb2da99999f77518d97f",
+]
+
+DUPLICATE_KEY = "mark the duplicate requirements"
+
+
+class RecordingBackend(MockBackend):
+    """Mock backend that keeps every prompt; garbage for chosen prompts."""
+
+    def __init__(self, fixture_dir, garbage_key=None):
+        super().__init__(fixture_dir)
+        self.prompts = []
+        self.garbage_key = garbage_key
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        raw, usage = super().complete(prompt, params)
+        if self.garbage_key and self.garbage_key in prompt:
+            return "total garbage", usage
+        return raw, usage
+
+
+@pytest.fixture
+def project(tmp_path):
+    target = tmp_path / "project"
+    shutil.copytree(SAMPLE_PROJECT, target, ignore=shutil.ignore_patterns("results"))
+    return target
+
+
+def run_sample(project, **kwargs):
+    backend = RecordingBackend(project / "fixtures", **kwargs)
+    report = run_all(project / "params.json", backend=backend, version_tag="T")
+    return report, backend
+
+
+def dataset_ids(prompt):
+    return [
+        json.loads(line)["ReqID"]
+        for line in prompt.splitlines()
+        if line.startswith('{"ReqID": ')
+    ]
+
+
+def test_sample_prompt_bytes_are_pinned(project):
+    report, backend = run_sample(project)
+    assert not report.failed
+    assert [gateway.prompt_sha256(p) for p in backend.prompts] == SAMPLE_PROMPT_SHA256
+
+
+def test_each_backend_response_is_parsed_once(project, monkeypatch):
+    calls = []
+    original = gateway.parse_results_json
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (gateway, orchestrator, pairwise):
+        monkeypatch.setattr(module, "parse_results_json", counting)
+    report, backend = run_sample(project)
+    assert not report.failed
+    assert backend.call_count == len(SAMPLE_PROMPT_SHA256)
+    assert len(calls) == backend.call_count
+
+
+@pytest.mark.parametrize(
+    "garbage_key, task",
+    [
+        ("Classify each one of the requirements", "b_classify_requirements"),
+        (DUPLICATE_KEY, "d_identify_duplicates"),
+        ("mark the contradicting requirements", "e_identify_contradictions"),
+    ],
+)
+def test_garbage_response_fails_its_task_with_the_parse_error(project, garbage_key, task):
+    report, _ = run_sample(project, garbage_key=garbage_key)
+    by_name = {r.name: r for r in report.results}
+    assert by_name[task].status == orchestrator.STATUS_FAILED
+    assert by_name[task].detail == "response contains no parsable JSON value"
+    partial = json.loads(by_name[task].files[0].read_text(encoding="utf-8"))
+    assert partial == {"task": task, "error": "response contains no parsable JSON value"}
+
+
+def test_v3_duplicate_prompt_lists_cluster_rows_then_each_of_row_once(project):
+    report, backend = run_sample(project)
+    assert not report.failed
+    listed = [dataset_ids(p) for p in backend.prompts if DUPLICATE_KEY in p]
+    # Function clusters of the replayed classification; 1006 is the _OF_ row.
+    assert sorted(listed) == sorted(
+        [
+            ["1000", "1001", "1006"],
+            ["1002", "1003", "1006"],
+            ["1004", "1005", "1008", "1009", "1006"],
+            ["1007", "1006"],
+        ]
+    )
+
+
+class EchoBackend:
+    """Backend stand-in that keeps every prompt and returns no records."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return '{"results": []}', {}
+
+
+def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
+    resources = json.loads(
+        (SAMPLE_PROJECT / "B_Requirements" / "data_dictionary.json").read_text("utf-8")
+    )
+    catalog = catalog_from_mapping(resources["ARCHITECTURE"])
+    requirements = load_requirements(
+        SAMPLE_PROJECT / "B_Requirements" / "input" / "safety_requirements.csv",
+        "ReqID",
+        ["Requirements"],
+    )
+    pieces = chunk(requirements, 4)
+    expected = [
+        gateway.assemble_prompt(build_classification_prompt(piece, catalog, "Classify.", "DS"))
+        for piece in pieces
+    ]
+    renders = []
+    original = classify_module.render_resource
+
+    def counting(body):
+        renders.append(body)
+        return original(body)
+
+    monkeypatch.setattr(classify_module, "render_resource", counting)
+    backend = EchoBackend()
+    classify(pieces, catalog, LlmRequestParams(model_id="m"), backend, "Classify.", "DS")
+    assert len(pieces) > 1
+    assert backend.prompts == expected
+    assert len(renders) == 2  # ARCHITECTURE and safety_function_type, once each
