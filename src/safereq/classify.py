@@ -21,7 +21,7 @@ from .gateway import (
     RecordSchema,
     assemble_prompt,
     render_resource,
-    send,
+    send_many,
 )
 from .requirements import Requirement, RequirementChunk
 from .rounding import percentage
@@ -206,11 +206,11 @@ def classify(
             replace(res, body=render_resource(res.body)) for res in template.resources
         ),
     )
-    for chunk in chunks:
-        envelope = replace(template, rows=tuple((req.req_id, req.text) for req in chunk.rows))
-        result = send(
-            assemble_prompt(envelope), params, backend, schema=CLASSIFICATION_RESULT_SCHEMA
-        )
+    prompts = (
+        assemble_prompt(replace(template, rows=tuple((req.req_id, req.text) for req in chunk.rows)))
+        for chunk in chunks
+    )
+    for result in send_many(prompts, params, backend, schema=CLASSIFICATION_RESULT_SCHEMA):
         records.extend(result.records)
         quarantined.extend(result.rejected)
 

@@ -90,7 +90,15 @@ class TransportError(SafereqError):
 
 
 class RateLimitedError(SafereqError):
-    """The backend kept answering 429 past the retry budget."""
+    """The backend kept answering 429 past the retry budget.
+
+    retry_after holds the seconds the backend asked to wait (its
+    Retry-After header), or None when it named none.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        self.retry_after = retry_after
+        super().__init__(message)
 
 
 class NotFixturedError(SafereqError):

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Lock
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import requests
 
@@ -68,6 +70,7 @@ class LlmRequestParams:
     backoff_start: float = 1.0  # seconds; doubles per retry
     timeout: float = 60.0
     system_context: str = DEFAULT_SYSTEM_CONTEXT
+    max_concurrency: int = 8  # in-flight calls per send_many; 1 is sequential
 
 
 @dataclass
@@ -296,17 +299,20 @@ class MockBackend:
         self._rules: list[tuple[str, str]] | None = None
 
     def _load_rules(self) -> list[tuple[str, str]]:
-        if self._rules is None:
-            self._rules = []
-            rules_path = self.fixture_dir / "rules.tsv"
-            if rules_path.exists():
-                for line in rules_path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip() or line.lstrip().startswith("#"):
-                        continue
-                    keyword, sep, filename = line.partition("\t")
-                    if sep:
-                        self._rules.append((keyword, filename.strip()))
-        return self._rules
+        # Under the lock, so a concurrent caller never sees a half-built list.
+        with self._lock:
+            if self._rules is None:
+                rules = []
+                rules_path = self.fixture_dir / "rules.tsv"
+                if rules_path.exists():
+                    for line in rules_path.read_text(encoding="utf-8").splitlines():
+                        if not line.strip() or line.lstrip().startswith("#"):
+                            continue
+                        keyword, sep, filename = line.partition("\t")
+                        if sep:
+                            rules.append((keyword, filename.strip()))
+                self._rules = rules
+            return self._rules
 
     def complete(self, prompt: str, params: LlmRequestParams) -> tuple[str, dict]:
         with self._lock:
@@ -381,7 +387,10 @@ class HttpBackend:
             raise TransportError(f"request failed: {exc}") from exc
 
         if response.status_code == 429:
-            raise RateLimitedError("backend answered 429 Too Many Requests")
+            raise RateLimitedError(
+                "backend answered 429 Too Many Requests",
+                retry_after=_retry_after_seconds(response.headers.get("Retry-After")),
+            )
         if response.status_code >= 500:
             raise TransportError(f"backend answered {response.status_code}")
         if response.status_code == 413 or (
@@ -400,6 +409,15 @@ class HttpBackend:
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise SchemaViolationError(f"unexpected completion body: {exc}") from exc
         return raw, body.get("usage", {}) or {}
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """Seconds named by a Retry-After header; None for absent or HTTP-date values."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 Backend = MockBackend | HttpBackend
@@ -423,7 +441,8 @@ def send(
     """Send one prompt, retrying transport failures and rate limits.
 
     Retries max_retries times with exponential backoff starting at
-    backoff_start seconds. Other errors (missing fixture, auth, oversized
+    backoff_start seconds; a 429 that names a longer Retry-After waits
+    that long instead. Other errors (missing fixture, auth, oversized
     chunk) surface immediately. The response is parsed exactly once.
 
     Without a schema the result carries best-effort parsed records; parse
@@ -445,7 +464,10 @@ def send(
         except _RETRYABLE as exc:
             last = exc
             if attempt + 1 < attempts:
-                sleep(params.backoff_start * (2**attempt))
+                delay = params.backoff_start * (2**attempt)
+                if isinstance(exc, RateLimitedError) and exc.retry_after is not None:
+                    delay = max(delay, exc.retry_after)
+                sleep(delay)
     if last is not None:
         if isinstance(last, RateLimitedError):
             raise RateLimitedError(f"{last} (after {attempts} attempt(s))") from last
@@ -467,20 +489,58 @@ def send(
     return result
 
 
+# The first call of send_many must wait at least this long off-CPU, and
+# longer than it computed, before the rest go to worker threads.
+PROBE_MIN_WAIT_S = 0.001
+
+
 def send_many(
-    prompts: list[str],
+    prompts: Iterable[str],
     params: LlmRequestParams,
     backend: Backend,
-    max_concurrency: int = 1,
+    *,
+    schema: RecordSchema | None = None,
+    max_concurrency: int | None = None,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[LlmResult]:
-    """Send several prompts, preserving input order in the result list.
+) -> Iterator[LlmResult]:
+    """Send each prompt as send() would and yield the results in input order.
 
-    max_concurrency bounds in-flight requests; the default of 1 keeps
-    execution strictly sequential for reproducibility.
+    prompts is consumed lazily: at most 2 * max_concurrency prompts or
+    results are alive at once. max_concurrency (params.max_concurrency
+    when None) bounds the calls in flight; 1 is strictly sequential.
+
+    The first prompt is sent inline and timed. The rest go to a thread
+    pool only when that call waited (wall time minus thread CPU time) at
+    least PROBE_MIN_WAIT_S and longer than it computed, as a network
+    call does; a backend that never blocks stays sequential, because
+    threads would only add GIL handoffs. The first failing prompt's
+    exception propagates; queued prompts are cancelled and every worker
+    thread has ended by the time it does.
     """
-    if max_concurrency <= 1 or len(prompts) <= 1:
-        return [send(p, params, backend, sleep=sleep) for p in prompts]
-    with ThreadPoolExecutor(max_workers=max_concurrency) as pool:
-        futures = [pool.submit(send, p, params, backend, sleep) for p in prompts]
-        return [f.result() for f in futures]
+    limit = params.max_concurrency if max_concurrency is None else max_concurrency
+    prompts = iter(prompts)
+    first = next(prompts, None)
+    if first is None:
+        return
+    started, cpu_started = time.perf_counter(), time.thread_time()
+    result = send(first, params, backend, sleep, schema=schema)
+    cpu = time.thread_time() - cpu_started
+    waited = time.perf_counter() - started - cpu
+    yield result
+
+    if limit <= 1 or waited < PROBE_MIN_WAIT_S or waited <= cpu:
+        for prompt in prompts:
+            yield send(prompt, params, backend, sleep, schema=schema)
+        return
+
+    window: deque[Future] = deque()
+    pool = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="safereq-send")
+    try:
+        for prompt in prompts:
+            window.append(pool.submit(send, prompt, params, backend, sleep, schema=schema))
+            if len(window) == 2 * limit:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

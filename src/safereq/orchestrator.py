@@ -54,7 +54,7 @@ from .gateway import (
     assemble_prompt,
     parse_results_json,  # noqa: F401  bound here for perfbench/tracer.py
     render_resource,
-    send,
+    send_many,
 )
 from .pairwise import (
     KIND_CONTRADICTION,
@@ -212,6 +212,24 @@ def _validate_task(t: TaskConfig) -> list[tuple[str, str, str]]:
     return problems
 
 
+_LLM_PARAMS = tuple(f.name for f in dataclasses.fields(LlmRequestParams))
+_LLM_KEYS = frozenset(
+    {*_LLM_PARAMS, "backend", "fixture_dir", "endpoint_url", "api_key_file", "api_key_env"}
+)
+
+
+def _validate_llm(llm: dict) -> list[tuple[str, str, str]]:
+    problems = [
+        ("llm", key, "unknown key; expected one of " + ", ".join(sorted(_LLM_KEYS)))
+        for key in llm
+        if key not in _LLM_KEYS
+    ]
+    limit = llm.get("max_concurrency", 1)
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
+        problems.append(("llm", "max_concurrency", "must be a positive integer"))
+    return problems
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a pipeline config file.
 
@@ -238,6 +256,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not isinstance(llm, dict):
         problems.append(("llm", "", "must be a JSON object"))
         llm = {}
+    problems.extend(_validate_llm(llm))
     thresholds_raw = raw.get("thresholds", {})
     thresholds: dict[str, float] = {}
     if not isinstance(thresholds_raw, dict):
@@ -277,14 +296,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def params_from_llm_config(llm: dict) -> LlmRequestParams:
     params = LlmRequestParams()
-    for name in (
-        "model_id",
-        "temperature",
-        "max_retries",
-        "backoff_start",
-        "timeout",
-        "system_context",
-    ):
+    for name in _LLM_PARAMS:
         if name in llm:
             setattr(params, name, llm[name])
     return params
@@ -630,19 +642,20 @@ def _task_completeness(
         rejected: list[tuple[dict, str]] = []
         instructions = _read_instructions(ctx, task)
         resources = _prompt_resources(_resources_payload(ctx, task))
-        for piece in chunks:
-            envelope = PromptEnvelope(
-                instructions=instructions,
-                resources=resources,
-                dataset_name=task.dataset_name,
-                rows=tuple((req.req_id, req.text) for req in piece.rows),
+        prompts = (
+            assemble_prompt(
+                PromptEnvelope(
+                    instructions=instructions,
+                    resources=resources,
+                    dataset_name=task.dataset_name,
+                    rows=tuple((req.req_id, req.text) for req in piece.rows),
+                )
             )
-            response = send(
-                assemble_prompt(envelope),
-                ctx.params,
-                ctx.backend,
-                schema=CLASSIFICATION_RESULT_SCHEMA,
-            )
+            for piece in chunks
+        )
+        for response in send_many(
+            prompts, ctx.params, ctx.backend, schema=CLASSIFICATION_RESULT_SCHEMA
+        ):
             records.extend(response.records)
             rejected.extend(response.rejected)
         outcome = validate_records(records, inputs, catalog)

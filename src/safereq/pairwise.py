@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import tee
 from pathlib import Path
+from typing import Iterator
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .classify import ClassifiedRequirement
@@ -27,7 +29,7 @@ from .gateway import (
     assemble_prompt,
     encode_rows,
     parse_results_json,  # noqa: F401  bound here for perfbench/tracer.py
-    send,
+    send_many,
 )
 from .rounding import percentage
 
@@ -200,26 +202,23 @@ def detect_duplicates(
     }
     of_rows = clusters.get(CATCH_ALL_ALIAS, []) if prompt_version == "V3" else []
     # The _OF_ rows ride along in every prompt; encode their lines once.
-    of_ids = {row.req_id for row in of_rows}
     of_lines = encode_rows((row.req_id, _row_text(row)) for row in of_rows)
+
+    # Each job's row list is built when the job is rendered, and tee keeps
+    # it only until its result is folded.
+    jobs, to_render = tee(_duplicate_jobs(clusters, of_rows, prompt_version))
+    prompts = (
+        assemble_prompt(_pair_envelope(instructions, alias, submitted), encoded_rows=of_lines)
+        for alias, submitted in to_render
+    )
+    responses = send_many(prompts, params, backend, schema=_PAIR_SCHEMA)
 
     result = DetectionResult(findings=[])
     seen: dict[tuple[str, str], str] = {}
     conflicts: list[tuple[str, str]] = []
-
-    for alias, rows in clusters.items():
-        if prompt_version == "V3" and alias == CATCH_ALL_ALIAS:
-            continue  # rides along with every function cluster instead
-        own_ids = {row.req_id for row in rows}
-        submitted = rows + [r for r in of_rows if r.req_id not in own_ids]
-        if len(submitted) < 2:
-            continue
-        submitted_ids = own_ids | of_ids
-        envelope = _pair_envelope(instructions, alias, submitted)
-        prompt = assemble_prompt(envelope, encoded_rows=of_lines)
-        response = send(prompt, params, backend, schema=_PAIR_SCHEMA)
+    for response, (alias, submitted) in zip(responses, jobs):
         result.rejected.extend(response.rejected)
-
+        submitted_ids = {row.req_id for row in submitted}
         for record in response.records:
             finding = _record_to_finding(
                 record, submitted_ids, allowed, alias, result.notes
@@ -251,6 +250,21 @@ def detect_duplicates(
     if conflicts:
         raise FindingConflictError(sorted(set(conflicts)))
     return result
+
+
+def _duplicate_jobs(
+    clusters: dict[str, list[ClassifiedRequirement]],
+    of_rows: list[ClassifiedRequirement],
+    prompt_version: str,
+) -> Iterator[tuple[str, list[ClassifiedRequirement]]]:
+    """(alias, submitted rows) per cluster call: its rows, then the _OF_ ride-along."""
+    for alias, rows in clusters.items():
+        if prompt_version == "V3" and alias == CATCH_ALL_ALIAS:
+            continue  # rides along with every function cluster instead
+        own_ids = {row.req_id for row in rows}
+        submitted = rows + [r for r in of_rows if r.req_id not in own_ids]
+        if len(submitted) >= 2:
+            yield alias, submitted
 
 
 def _record_to_finding(
@@ -325,14 +339,16 @@ def detect_contradictions(
 ) -> DetectionResult:
     """Find contradicting pairs within each function's consolidated list."""
     consolidated = consolidate(clusters, list(duplicates))
+    jobs = [(alias, rows) for alias, rows in consolidated.items() if len(rows) >= 2]
+    prompts = (
+        assemble_prompt(_pair_envelope(CONTRADICTION_PROMPT, alias, rows))
+        for alias, rows in jobs
+    )
+    responses = send_many(prompts, params, backend, schema=_PAIR_SCHEMA)
+
     result = DetectionResult(findings=[])
     seen: set[tuple[str, str]] = set()
-
-    for alias, rows in consolidated.items():
-        if len(rows) < 2:
-            continue
-        envelope = _pair_envelope(CONTRADICTION_PROMPT, alias, rows)
-        response = send(assemble_prompt(envelope), params, backend, schema=_PAIR_SCHEMA)
+    for response, (alias, rows) in zip(responses, jobs):
         result.rejected.extend(response.rejected)
         submitted_ids = {row.req_id for row in rows}
         for record in response.records:

@@ -173,8 +173,9 @@ def test_classify_sends_one_prompt_per_chunk_and_merges():
             render_results([record("3", function="ZZZ")]),
         ]
     )
+    # ScriptedBackend answers by call order, so calls must stay sequential.
     outcome = classify(
-        chunks, small_catalog(), LlmRequestParams(), backend, "Classify these."
+        chunks, small_catalog(), LlmRequestParams(max_concurrency=1), backend, "Classify these."
     )
     assert backend.call_count == 2
     assert [r.req_id for r in outcome.rows] == ["1", "2", "3"]

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 import time
 
 import pytest
@@ -316,8 +317,39 @@ def test_send_many_preserves_order():
     backend = FakeBackend(
         ['{"results": [{"ReqID": "a"}]}', '{"results": [{"ReqID": "b"}]}']
     )
-    results = send_many(["p1", "p2"], LlmRequestParams(), backend)
+    results = send_many(["p1", "p2"], LlmRequestParams(max_concurrency=1), backend)
     assert [r.records[0]["ReqID"] for r in results] == ["a", "b"]
+
+
+class _RateLimitedResponse:
+    status_code = 429
+    text = ""
+
+    def __init__(self, headers):
+        self.headers = headers
+
+
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("7", [7.0]),  # longer than the backoff: the backend's wait wins
+        ("0.5", [1.0]),  # shorter: the backoff wins
+        (None, [1.0]),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", [1.0]),  # HTTP-date form is not read
+        ("-3", [1.0]),
+    ],
+)
+def test_send_waits_for_retry_after_on_429(monkeypatch, retry_after, slept):
+    monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    responses = [_RateLimitedResponse(headers), _OkResponse()]
+    monkeypatch.setattr(gateway.requests, "post", lambda *args, **kwargs: responses.pop(0))
+    backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
+    sleeps = []
+    result = send("p", LlmRequestParams(backoff_start=1.0), backend, sleep=sleeps.append)
+    assert sleeps == slept
+    assert result.status == "empty"
+    assert backend.call_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +553,179 @@ class _YieldingInt(int):
         return _YieldingInt(int(self) + other)
 
 
+class _InFlight:
+    """Context manager counting the calls inside it and their peak."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.now = 0
+        self.peak = 0
+
+    def __enter__(self):
+        with self._lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self.now -= 1
+
+
 def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
+    in_flight = _InFlight()
+
+    def post(*args, **kwargs):
+        # Blocks like a network call, so send_many dispatches to threads.
+        with in_flight:
+            time.sleep(0.001)
+        return _OkResponse()
+
     monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
-    monkeypatch.setattr(gateway.requests, "post", lambda *args, **kwargs: _OkResponse())
+    monkeypatch.setattr(gateway.requests, "post", post)
     backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
     backend.call_count = _YieldingInt(0)
     prompts = [f"p{i}" for i in range(400)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        results = send_many(prompts, LlmRequestParams(), backend, max_concurrency=8)
+        results = list(send_many(prompts, LlmRequestParams(), backend, max_concurrency=8))
     finally:
         sys.setswitchinterval(interval)
     assert backend.call_count == len(prompts)
     assert [r.status for r in results] == ["empty"] * len(prompts)
+    assert 1 < in_flight.peak <= 8
+
+
+# ---------------------------------------------------------------------------
+# send_many: bounded, in-order dispatch
+# ---------------------------------------------------------------------------
+
+
+class SleepyBackend:
+    """Answers each prompt from its own text, after the delay it names.
+
+    A prompt "<id>:<delay>" returns one record {"ReqID": <id>} after
+    sleeping <delay> seconds; ids listed in fail raise NotFixturedError.
+    """
+
+    def __init__(self, fail=()):
+        self.in_flight = _InFlight()
+        self.fail = set(fail)
+        self.threads = set()
+        self.call_count = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.call_count += 1
+            self.threads.add(threading.get_ident())
+        req_id, _, delay = prompt.partition(":")
+        with self.in_flight:
+            time.sleep(float(delay or 0))
+        if req_id in self.fail:
+            raise NotFixturedError(req_id)
+        return json.dumps({"results": [{"ReqID": req_id}]}), {"total_tokens": 1}
+
+
+def _send_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("safereq-send")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    delays=st.lists(st.sampled_from([0.0, 0.0005, 0.002, 0.004]), max_size=24),
+    limit=st.integers(min_value=1, max_value=16),
+)
+def test_send_many_equals_sequential_send_in_order(delays, limit):
+    prompts = [f"r{i}:{delay}" for i, delay in enumerate(delays)]
+    params = LlmRequestParams()
+    expected = [send(p, params, SleepyBackend()) for p in prompts]
+    backend = SleepyBackend()
+    assert list(send_many(prompts, params, backend, max_concurrency=limit)) == expected
+    assert backend.in_flight.peak <= limit
+    assert not _send_threads()
+
+
+@pytest.mark.parametrize("limit", [1, 3, 8])
+def test_send_many_bounds_calls_in_flight_and_prompts_alive(limit):
+    drawn = []
+
+    def prompts():
+        for i in range(60):
+            drawn.append(i)
+            yield f"r{i}:0.002"
+
+    backend = SleepyBackend()
+    consumed = 0
+    for result in send_many(prompts(), LlmRequestParams(max_concurrency=limit), backend):
+        assert result.records == [{"ReqID": f"r{consumed}"}]
+        consumed += 1
+        # Drawn but not yet consumed: queued, in flight or done, never more than 2c.
+        assert len(drawn) - consumed <= 2 * limit
+    assert consumed == 60
+    assert backend.in_flight.peak <= limit
+    if limit > 1:
+        assert backend.in_flight.peak > 1  # the blocking calls did overlap
+
+
+def test_send_many_raises_the_first_failing_prompt_and_cancels_the_rest():
+    # r4 fails at once, r3 only after a wait: r3 comes first in input order.
+    prompts = [f"r{i}:0.002" for i in range(3)] + ["r3:0.02", "r4:0"]
+    prompts += [f"r{i}:0.002" for i in range(5, 200)]
+    backend = SleepyBackend(fail={"r3", "r4"})
+    results = []
+    with pytest.raises(NotFixturedError) as exc:
+        for result in send_many(prompts, LlmRequestParams(), backend, max_concurrency=4):
+            results.append(result)
+    assert exc.value.prompt_sha == "r3"
+    assert [r.records[0]["ReqID"] for r in results] == ["r0", "r1", "r2"]
+    assert backend.call_count < 20  # queued prompts were never sent
+    assert not _send_threads()
+
+
+def test_send_many_leaves_no_worker_thread_behind():
+    backend = SleepyBackend()
+    results = list(send_many([f"r{i}:0.002" for i in range(30)], LlmRequestParams(), backend))
+    assert len(results) == 30
+    assert len(backend.threads) > 1  # the pool did run
+    assert not _send_threads()
+
+
+def test_send_many_keeps_a_computing_backend_on_the_calling_thread():
+    class Spinning(SleepyBackend):
+        def complete(self, prompt, params):
+            start = time.thread_time()
+            while time.thread_time() - start < 0.01:
+                pass
+            return super().complete(prompt, params)
+
+    backend = Spinning()
+    results = list(send_many([f"r{i}:0" for i in range(10)], LlmRequestParams(), backend))
+    assert len(results) == 10
+    assert backend.threads == {threading.get_ident()}
+
+
+def test_send_many_of_nothing_sends_nothing():
+    backend = SleepyBackend()
+    assert list(send_many([], LlmRequestParams(), backend)) == []
+    assert backend.call_count == 0
+
+
+class _SlowMock(MockBackend):
+    def complete(self, prompt, params):
+        time.sleep(0.002)
+        return super().complete(prompt, params)
+
+
+def test_mock_backend_rules_load_safely_under_concurrent_calls(tmp_path):
+    first = "fixtured by sha"
+    (tmp_path / f"{prompt_sha256(first)}.json").write_text('{"results": []}', "utf-8")
+    (tmp_path / "hit.json").write_text('{"results": [{"ReqID": "1"}]}', "utf-8")
+    # A long rules file keeps the first loader busy while others arrive.
+    (tmp_path / "rules.tsv").write_text("# pad\n" * 200_000 + "rule-key\thit.json\n", "utf-8")
+    # The first prompt resolves by sha, so the rules load inside the pool.
+    prompts = [first] + [f"rule-key {i}" for i in range(32)]
+    backend = _SlowMock(tmp_path)
+    results = list(send_many(prompts, LlmRequestParams(), backend, max_concurrency=8))
+    assert [r.status for r in results] == ["empty"] + ["ok"] * 32
+    assert backend.call_count == len(prompts)

@@ -311,6 +311,32 @@ def test_load_config_collects_every_problem(tmp_path):
     assert ("e_contradictions", "type") in found
 
 
+def test_load_config_rejects_unknown_llm_key(tmp_path):
+    config = base_config()
+    config["llm"]["max_concurency"] = 4
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, config))
+    assert problems_of(err) == [("llm", "max_concurency")]
+    assert "max_concurrency" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [0, -2, True, 2.5, "4", None])
+def test_load_config_rejects_non_positive_int_max_concurrency(tmp_path, value):
+    config = base_config()
+    config["llm"]["max_concurrency"] = value
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, config))
+    assert problems_of(err) == [("llm", "max_concurrency")]
+
+
+def test_max_concurrency_reaches_the_request_params(tmp_path):
+    config = base_config()
+    config["llm"]["max_concurrency"] = 3
+    cfg = load_config(make_project(tmp_path, config))
+    assert params_from_llm_config(cfg.llm).max_concurrency == 3
+    assert params_from_llm_config({}).max_concurrency == 8
+
+
 # ---------------------------------------------------------------------------
 # Backend and request parameter construction
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from safereq.errors import (
     FindingConflictError,
 )
 
-PARAMS = LlmRequestParams()
+# CaptureBackend answers by call order, so calls must stay sequential.
+PARAMS = LlmRequestParams(max_concurrency=1)
 
 
 def crow(rid, alias, text=None):

@@ -6,9 +6,13 @@ backend response is parsed once, and a garbage response still fails its
 task with the parser's message.
 """
 
+import hashlib
 import importlib
 import json
 import shutil
+import threading
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,15 +53,23 @@ DUPLICATE_KEY = "mark the duplicate requirements"
 
 
 class RecordingBackend(MockBackend):
-    """Mock backend that keeps every prompt; garbage for chosen prompts."""
+    """Mock backend that keeps every prompt; garbage for chosen prompts.
 
-    def __init__(self, fixture_dir, garbage_key=None):
+    With a delay, each call first sleeps that long, as a network call
+    waits, so send_many dispatches the calls to worker threads.
+    """
+
+    def __init__(self, fixture_dir, garbage_key=None, delay=0.0):
         super().__init__(fixture_dir)
         self.prompts = []
+        self.threads = set()
         self.garbage_key = garbage_key
+        self.delay = delay
 
     def complete(self, prompt, params):
         self.prompts.append(prompt)
+        self.threads.add(threading.get_ident())
+        time.sleep(self.delay)
         raw, usage = super().complete(prompt, params)
         if self.garbage_key and self.garbage_key in prompt:
             return "total garbage", usage
@@ -77,6 +89,21 @@ def run_sample(project, **kwargs):
     return report, backend
 
 
+def set_max_concurrency(project, value):
+    config_path = project / "params.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["llm"]["max_concurrency"] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+
+def report_digests(project):
+    reports = project / "B_Requirements" / "results" / "reports"
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(reports.iterdir())
+    }
+
+
 def dataset_ids(prompt):
     return [
         json.loads(line)["ReqID"]
@@ -86,9 +113,25 @@ def dataset_ids(prompt):
 
 
 def test_sample_prompt_bytes_are_pinned(project):
+    set_max_concurrency(project, 1)  # the pinned list is in send order
     report, backend = run_sample(project)
     assert not report.failed
     assert [gateway.prompt_sha256(p) for p in backend.prompts] == SAMPLE_PROMPT_SHA256
+
+
+def test_sample_project_is_identical_at_the_default_concurrency(tmp_path):
+    sequential, concurrent = tmp_path / "sequential", tmp_path / "concurrent"
+    for target in (sequential, concurrent):
+        shutil.copytree(SAMPLE_PROJECT, target, ignore=shutil.ignore_patterns("results"))
+    set_max_concurrency(sequential, 1)
+    assert not run_sample(sequential)[0].failed
+    report, backend = run_sample(concurrent, delay=0.005)
+    assert not report.failed
+    assert len(backend.threads) > 1  # the blocking calls went to worker threads
+    assert Counter(gateway.prompt_sha256(p) for p in backend.prompts) == Counter(
+        SAMPLE_PROMPT_SHA256
+    )
+    assert report_digests(concurrent) == report_digests(sequential)
 
 
 def test_each_backend_response_is_parsed_once(project, monkeypatch):
@@ -174,7 +217,8 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
 
     monkeypatch.setattr(classify_module, "render_resource", counting)
     backend = EchoBackend()
-    classify(pieces, catalog, LlmRequestParams(model_id="m"), backend, "Classify.", "DS")
+    params = LlmRequestParams(model_id="m", max_concurrency=1)  # prompts in send order
+    classify(pieces, catalog, params, backend, "Classify.", "DS")
     assert len(pieces) > 1
     assert backend.prompts == expected
     assert len(renders) == 2  # ARCHITECTURE and safety_function_type, once each
