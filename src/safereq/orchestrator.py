@@ -12,7 +12,9 @@ Each successful task writes its primary output to
 is skipped (zero backend calls) when that file already exists; its
 artifacts are rehydrated from the file so downstream tasks and the final
 report set behave exactly as on the first run. Failures leave a
-.partial file beside the missing output instead.
+.partial file beside the missing output instead; the next success
+removes it. Every file is written to a temp file beside it and moved
+into place, so a crash never leaves a truncated file a later run trusts.
 """
 
 from __future__ import annotations
@@ -67,7 +69,15 @@ from .pairwise import (
     load_gold_pairs,
     score,
 )
-from .reporting import DEFAULT_THRESHOLDS, ReportInputs, ReportSet, emit_report_set
+from .reporting import (
+    DEFAULT_THRESHOLDS,
+    ReportInputs,
+    ReportSet,
+    _replacing,
+    _write_json,
+    _write_text,
+    emit_report_set,
+)
 from .requirements import Requirement, load_requirements
 from .requirements import chunk as chunk_requirements
 
@@ -135,6 +145,11 @@ class PipelineConfig:
 _TASK_FIELDS = {
     f.name for f in dataclasses.fields(TaskConfig) if f.name not in ("name", "extra")
 }
+# Task keys kept in TaskConfig.extra; any other unknown key is a config error.
+_TASK_EXTRA_KEYS = frozenset({"gold_file", "metric", "prompt_version", "gold_include_type"})
+_UNKNOWN_TASK_KEY = "unknown key; expected a task field or one of " + ", ".join(
+    sorted(_TASK_EXTRA_KEYS)
+)
 
 _RESULT_GETTERS = {
     "Function": lambda r: r.function,
@@ -278,6 +293,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         merged = {**defaults, **body}
         known = {k: v for k, v in merged.items() if k in _TASK_FIELDS}
         extra = {k: v for k, v in merged.items() if k not in _TASK_FIELDS}
+        problems.extend(
+            (name, key, _UNKNOWN_TASK_KEY) for key in extra if key not in _TASK_EXTRA_KEYS
+        )
         task = TaskConfig(name=name, extra=extra, **known)
         problems.extend(_validate_task(task))
         metric = task.extra.get("metric")
@@ -388,13 +406,6 @@ def _raw_path(cfg: PipelineConfig, task: TaskConfig, tag: str) -> Path:
 
 def _joined_path(cfg: PipelineConfig, task: TaskConfig) -> Path:
     return _out_dir(cfg, task) / "joined" / f"{task.name}_joined.csv"
-
-
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
 
 
 def _under_some_output(cfg: PipelineConfig, path: Path) -> bool:
@@ -682,9 +693,8 @@ def _task_completeness(
     gold_value = None
     if task.analyze:
         joined_path = _joined_path(ctx.config, task)
-        joined_path.parent.mkdir(parents=True, exist_ok=True)
         header = [task.dataset_id_column, *task.dataset_columns, *task.result_columns]
-        with open(joined_path, "w", encoding="utf-8", newline="") as handle:
+        with _replacing(joined_path, newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             for req, row in zip(inputs, rows):
@@ -884,11 +894,13 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
     """Run (or skip) one task and return its outcome.
 
     Failures never raise; they come back as a Failed result and leave a
-    .partial marker beside the raw output the task did not produce.
+    .partial marker beside the raw output the task did not produce. A
+    task that succeeds removes a marker left by an earlier failure.
     """
     if task.analysis_function not in BUILTIN_FUNCTIONS:
         raise UnknownAnalysisFunctionError(task.analysis_function)
     raw_path = _raw_path(ctx.config, task, ctx.version_tag)
+    partial = Path(str(raw_path) + ".partial")
     if not task.run:
         return TaskResult(task.name, STATUS_SKIPPED, "run is false")
 
@@ -916,12 +928,10 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
                 ctx, task, raw_path
             )
             result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=files)
+            partial.unlink(missing_ok=True)
     except (SafereqError, ValueError, KeyError, OSError) as exc:
-        partial = Path(str(raw_path) + ".partial")
-        partial.parent.mkdir(parents=True, exist_ok=True)
-        partial.write_text(
-            json.dumps({"task": task.name, "error": str(exc)}, indent=2) + "\n",
-            encoding="utf-8",
+        _write_text(
+            partial, json.dumps({"task": task.name, "error": str(exc)}, indent=2) + "\n"
         )
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
 

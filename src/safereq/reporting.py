@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
@@ -64,24 +67,80 @@ class ReportSet:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """Write path through a temp file beside it, moved into place on success.
+
+    A write that raises, or a process that dies, midway leaves the old
+    file, if any, untouched. An exception also removes the temp file; a
+    killed process leaves it, under a dot name no reader looks for.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    with _replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-
-
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with _replacing(path) as handle:
+        handle.write(text)
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+
+
+# Any indent sends json.dumps through the pure-Python encoder; a flat list
+# takes the C one. With "\n" between items the output splits back into
+# one token per cell, as every newline inside a string is escaped.
+_CELL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=("\n", ": "))
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _encoded_items(items: list) -> list[str]:
+    text = _CELL_ENCODER.encode(items)
+    return text[1:-1].split("\n") if items else []
+
+
+def _write_table_json(path: Path, header: list[str], table: list[list]) -> None:
+    """Write table as a JSON list of {header: cell} objects.
+
+    For a header of distinct str keys, byte-identical to _write_json of
+    one dict per row at a fraction of the cost: one C encoder call for
+    all cells, one % format for the whole document.
+
+    Raises:
+        TypeError: a cell is not a str, int, float, bool or None.
+        ValueError: a row is not as wide as the header.
+    """
+    cells = list(chain.from_iterable(table))
+    odd = [t for t in set(map(type, cells)) if not issubclass(t, _SCALARS)]
+    if odd:
+        raise TypeError(f"table JSON cells must be scalars, not {odd}")
+    if set(map(len, table)) - {len(header)}:
+        raise ValueError("every table row must be as wide as the header")
+    if not table:
+        document = "[]\n"
+    else:
+        fields = ",\n".join(
+            f"    {key.replace('%', '%%')}: %s" for key in _encoded_items(header)
+        )
+        row = "  {\n" + fields + "\n  }" if header else "  {}"
+        template = "[\n" + ",\n".join([row] * len(table)) + "\n]\n"
+        document = template % tuple(_encoded_items(cells))
+    _write_text(path, document)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +177,7 @@ def write_classification_report(
     csv_path = out_dir / f"classification_{tag}.csv"
     json_path = out_dir / f"classification_{tag}.json"
     _write_csv(csv_path, header, table)
-    _write_json(json_path, [dict(zip(header, row)) for row in table])
+    _write_table_json(json_path, header, table)
     return [csv_path, json_path]
 
 
@@ -137,7 +196,7 @@ def write_allocation_report(
     csv_path = out_dir / f"allocation_{tag}.csv"
     json_path = out_dir / f"allocation_{tag}.json"
     _write_csv(csv_path, header, table)
-    _write_json(json_path, [dict(zip(header, row)) for row in table])
+    _write_table_json(json_path, header, table)
     return [csv_path, json_path]
 
 
@@ -149,7 +208,7 @@ def write_pair_report(
     csv_path = out_dir / f"{stem}_{tag}.csv"
     json_path = out_dir / f"{stem}_{tag}.json"
     _write_csv(csv_path, header, table)
-    _write_json(json_path, [dict(zip(header, row)) for row in table])
+    _write_table_json(json_path, header, table)
     return [csv_path, json_path]
 
 

@@ -2,6 +2,7 @@
 
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,10 @@ from safereq import (
     run_task,
 )
 from safereq.errors import InvalidConfigError, UnknownAnalysisFunctionError
+from safereq import orchestrator
 from safereq.orchestrator import params_from_llm_config
+
+SAMPLE_PROJECT = Path(__file__).resolve().parent.parent / "sample_project"
 
 CLASSIFY_KEY = "Assign each requirement to exactly one function alias"
 
@@ -329,6 +333,45 @@ def test_load_config_rejects_non_positive_int_max_concurrency(tmp_path, value):
     assert problems_of(err) == [("llm", "max_concurrency")]
 
 
+def test_load_config_rejects_unknown_task_key(tmp_path):
+    config = base_config()
+    config["d_duplicates"]["detla"] = True  # typo of "delta"
+    config["defaults"]["gold_fil"] = "gold.csv"  # reported for every task
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, config))
+    assert sorted(problems_of(err)) == [
+        ("b_classify", "gold_fil"),
+        ("c_coverage", "gold_fil"),
+        ("d_duplicates", "detla"),
+        ("d_duplicates", "gold_fil"),
+        ("e_contradictions", "gold_fil"),
+    ]
+    assert "gold_include_type" in str(err.value)
+
+
+def test_load_config_keeps_the_allowed_extra_keys(tmp_path):
+    config = base_config()
+    config["b_classify"].update(
+        gold_file="gold.csv", metric="classification", gold_include_type=False
+    )
+    cfg = load_config(make_project(tmp_path, config))
+    assert cfg.task("b_classify").extra == {
+        "gold_file": "gold.csv",
+        "metric": "classification",
+        "gold_include_type": False,
+    }
+
+
+def test_sample_project_config_loads():
+    cfg = load_config(SAMPLE_PROJECT / "params.json")
+    assert [t.name for t in cfg.tasks] == [
+        "b_classify_requirements",
+        "c_identify_coverage_gaps",
+        "d_identify_duplicates",
+        "e_identify_contradictions",
+    ]
+
+
 def test_max_concurrency_reaches_the_request_params(tmp_path):
     config = base_config()
     config["llm"]["max_concurrency"] = 3
@@ -587,6 +630,60 @@ def test_partial_marker_does_not_trigger_delta(tmp_path):
     report = run_all(tmp_path / "params.json", backend=backend, version_tag="TEST")
     assert report.failed == []
     assert backend.call_count == 4
+
+
+def test_success_removes_a_stale_partial_marker(tmp_path):
+    config = base_config()
+    config["b_classify"]["input_file"] = "input/absent.csv"
+    run_project(tmp_path, config=config)
+    raw = tmp_path / "results" / "raw"
+    assert (raw / "b_classify_TEST.json.partial").exists()
+    (tmp_path / "params.json").write_text(json.dumps(base_config()), encoding="utf-8")
+    report = run_all(tmp_path / "params.json", version_tag="TEST")
+    assert report.failed == []
+    assert sorted(p.name for p in raw.iterdir()) == [
+        "b_classify_TEST.json",
+        "c_coverage_TEST.json",
+        "d_duplicates_TEST.json",
+        "e_contradictions_TEST.json",
+    ]
+
+
+def test_failed_joined_write_keeps_the_earlier_table(tmp_path, monkeypatch):
+    run_project(tmp_path)
+    joined = tmp_path / "results" / "joined" / "b_classify_joined.csv"
+    before = joined.read_bytes()
+    rows_written = []
+
+    def fail_on_third_row(row):
+        rows_written.append(row)
+        if len(rows_written) == 3:
+            raise ValueError("encoder failed mid-table")
+        return row.function
+
+    monkeypatch.setitem(orchestrator._RESULT_GETTERS, "Function", fail_on_third_row)
+    report = run_all(
+        tmp_path / "params.json", version_tag="TEST", force=True, only_task="b_classify"
+    )
+    assert report.results[0].detail == "encoder failed mid-table"
+    assert joined.read_bytes() == before
+    assert [p.name for p in joined.parent.iterdir()] == [joined.name]
+
+
+def test_failed_raw_write_keeps_the_earlier_raw_file(tmp_path, monkeypatch):
+    run_project(tmp_path)
+    raw = tmp_path / "results" / "raw" / "b_classify_TEST.json"
+    before = raw.read_bytes()
+    row_dict = orchestrator._row_dict
+    monkeypatch.setattr(
+        orchestrator, "_row_dict", lambda row: {**row_dict(row), "Flags": object()}
+    )
+    with pytest.raises(TypeError):
+        run_all(
+            tmp_path / "params.json", version_tag="TEST", force=True, only_task="b_classify"
+        )
+    assert raw.read_bytes() == before
+    assert not list(raw.parent.glob(".*"))
 
 
 def test_unknown_records_are_quarantined_and_never_joined(tmp_path):

@@ -1,8 +1,11 @@
 """Tests for report emission, the metric gate, and the Markdown summary."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from safereq import (
     ClassifiedRequirement,
@@ -14,6 +17,7 @@ from safereq import (
     metrics_summary,
     render_summary,
 )
+from safereq import reporting
 from safereq.errors import SafereqError
 
 
@@ -265,6 +269,118 @@ def test_metrics_report_payload(tmp_path):
             },
         ]
     }
+
+
+# ---------------------------------------------------------------------------
+# Table JSON writer and crash-safe writes
+# ---------------------------------------------------------------------------
+
+# Pieces the encoder escapes or the writer's % template must survive.
+FRAGMENTS = ["%", "%s", "%%", '"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+             "\u2028", "\u2029", "é", "中", "😀", ": ", ",\n"]
+tricky_text = st.lists(
+    st.sampled_from(FRAGMENTS) | st.characters(blacklist_categories=("Cs",)), max_size=8
+).map("".join)
+scalar_cells = (
+    tricky_text
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+def oracle_bytes(header, table):
+    rows = [dict(zip(header, row)) for row in table]
+    return (json.dumps(rows, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(tricky_text, unique=True, max_size=6).flatmap(
+        lambda header: st.tuples(
+            st.just(header),
+            st.lists(
+                st.lists(scalar_cells, min_size=len(header), max_size=len(header)),
+                max_size=5,
+            ),
+        )
+    )
+)
+def test_table_json_matches_the_indented_dumps(tmp_path, header_and_table):
+    header, table = header_and_table
+    path = tmp_path / "table.json"
+    reporting._write_table_json(path, header, table)
+    assert path.read_bytes() == oracle_bytes(header, table)
+
+
+@pytest.mark.parametrize(
+    "header, table",
+    [
+        ([], []),
+        (["a"], []),
+        ([], [[], []]),
+        (["100%", "%s"], [["%s", "%%"], ["x\ny", float("nan")]]),
+        (["k"], [[math.inf], [-math.inf], [-0.0], [10**30], [True], [None]]),
+    ],
+)
+def test_table_json_edge_cases_match_the_indented_dumps(tmp_path, header, table):
+    path = tmp_path / "table.json"
+    reporting._write_table_json(path, header, table)
+    assert path.read_bytes() == oracle_bytes(header, table)
+
+
+@pytest.mark.parametrize("cell", [["one"], [], {"a": 1}, {}, ("t",), b"bytes", object()])
+def test_table_json_rejects_non_scalar_cells(tmp_path, cell):
+    with pytest.raises(TypeError):
+        reporting._write_table_json(tmp_path / "t.json", ["a", "b"], [["x", 1], ["y", cell]])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("table", [[[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1]]])
+def test_table_json_rejects_rows_not_as_wide_as_the_header(tmp_path, table):
+    with pytest.raises(ValueError):
+        reporting._write_table_json(tmp_path / "t.json", ["a", "b"], table)
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell failed to render")
+
+
+def test_csv_write_failing_midway_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "report.csv"
+    reporting._write_csv(path, ["a"], [["old"]])
+    before = path.read_bytes()
+    rows = [[f"row {i}"] for i in range(5000)] + [[Unprintable()]]
+    with pytest.raises(RuntimeError):
+        reporting._write_csv(path, ["a"], rows)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_json_encoder_failing_midway_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "raw.json"
+    reporting._write_json(path, {"rows": [1, 2]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        reporting._write_json(path, {"rows": ["x" * 1000] * 100 + [object()]})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["raw.json"]
+
+
+def test_interrupted_replace_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "summary.md"
+    reporting._write_text(path, "old\n")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(reporting.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        reporting._write_text(path, "new\n")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.md"]
 
 
 # ---------------------------------------------------------------------------

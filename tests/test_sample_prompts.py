@@ -1,9 +1,10 @@
-"""Prompt bytes, response parsing and failures on the sample project.
+"""Prompt bytes, output bytes, response parsing and failures on the sample project.
 
 Mock fixtures and recorded outputs depend on the exact prompt text, so
-the prompts the sample project sends are pinned by sha256 here. Each
-backend response is parsed once, and a garbage response still fails its
-task with the parser's message.
+the prompts the sample project sends are pinned by sha256 here, and so
+are the report, raw and joined files it writes. Each backend response is
+parsed once, and a garbage response still fails its task with the
+parser's message.
 """
 
 import hashlib
@@ -48,6 +49,26 @@ SAMPLE_PROMPT_SHA256 = [
     "8c0c3bd277227c90c2f691727c6a5144045bc977e97c0326974bf7bd4fe44d6e",
     "721f7b2a48e45c433b137f98a7f818aa29a6f075633efb2da99999f77518d97f",
 ]
+
+# sha256 of every file the sample project writes under
+# B_Requirements/results with version tag "T".
+SAMPLE_OUTPUT_SHA256 = {
+    "joined/b_classify_requirements_joined.csv": "85b5e8b7c47e4f0bf8a9010d0e002a03cca84f742b4ebd26a4c4fa34f3090a25",
+    "raw/b_classify_requirements_T.json": "35c0968135d0eafed02db82c917104e7f1cd51c371217f47a11800291440228a",
+    "raw/c_identify_coverage_gaps_T.json": "4e30a792535bb196fb392471f6f0a9e9287e38a95e5222f16ed76ce2bf364144",
+    "raw/d_identify_duplicates_T.json": "674766606d1a418a31347304733cc02cfc004a440c579bac1e273f1163b19865",
+    "raw/e_identify_contradictions_T.json": "cd5da64bbcca5706572c933eb62995088f9c246d63d2df34547f2ba6d4b14a8f",
+    "reports/allocation_T.csv": "7a439d3ad075450e657fd464375c4bf0c71d392706c950ee1270ce5d08ab81f7",
+    "reports/allocation_T.json": "a89852250080165635f1ab283771d888c325fbdc34ba6bb0efa33153d697a64c",
+    "reports/classification_T.csv": "9ef52023771cf352dccf824a80c4d1212ab876f795f6057958f79caaafdccbe0",
+    "reports/classification_T.json": "da6ae8df412ccde5c72b6c96be2b0d566ba03770a583f19c05665931774f4abb",
+    "reports/contradictions_T.csv": "4a719b17b3cf7cd8cc94cbdef028aa943853a47623f293ab193c34315e672566",
+    "reports/contradictions_T.json": "8e47075c7bde5670ebf4dcbf30273e9b0b89a6bb29e2f0a099dbe09ba9ee1c60",
+    "reports/coverage_T.csv": "21c616f498ac4acb3e69e3783d738da5a8cd5b452603e59f8b1c7540ea2848d8",
+    "reports/duplicates_T.csv": "e7b047d1dc3b056ed14a88591fa54ad8e4c9ff05e50f6a52238f839f861fb196",
+    "reports/duplicates_T.json": "d9b18c926606b38587c5a1f4fd375a1be4ff367b2e4d833107ecb893fb4b9360",
+    "reports/summary_T.md": "ee7ed0489d931d7e700f32392986b295a7218f959fb4a6325490d314bb540a83",
+}
 
 DUPLICATE_KEY = "mark the duplicate requirements"
 
@@ -117,6 +138,18 @@ def test_sample_prompt_bytes_are_pinned(project):
     report, backend = run_sample(project)
     assert not report.failed
     assert [gateway.prompt_sha256(p) for p in backend.prompts] == SAMPLE_PROMPT_SHA256
+
+
+def test_sample_output_bytes_are_pinned(project):
+    report, _ = run_sample(project)
+    assert not report.failed
+    results = project / "B_Requirements" / "results"
+    written = {
+        path.relative_to(results).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(results.rglob("*"))
+        if path.is_file()
+    }
+    assert written == SAMPLE_OUTPUT_SHA256
 
 
 def test_sample_project_is_identical_at_the_default_concurrency(tmp_path):
