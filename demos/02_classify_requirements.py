@@ -1,8 +1,8 @@
 """Classifying stakeholder requirements through the gateway.
 
-Loads the sample project's requirement CSV, assembles the exact prompt
-the pipeline would send, replays the canned mock response, and validates
-the returned records against the inputs and the function catalog.
+Loads the sample project's requirement CSV, builds the prompt template
+the pipeline would use, classifies every chunk through classify(), which
+replays the canned mock responses, and shows the validated rows.
 """
 
 import json
@@ -16,11 +16,9 @@ from safereq import (
     assemble_prompt,
     catalog_from_mapping,
     chunk,
+    classify,
     load_requirements,
-    send,
-    validate_records,
 )
-from safereq.classify import CLASSIFICATION_RESULT_SCHEMA
 
 REPO = Path(__file__).resolve().parent.parent
 PROJECT = REPO / "sample_project"
@@ -45,26 +43,17 @@ def main():
     backend = MockBackend(PROJECT / "fixtures")
     params = LlmRequestParams(model_id="gpt-4")
 
-    records = []
-    for piece in chunk(requirements, 10):
-        envelope = PromptEnvelope(
-            instructions=instructions,
-            resources=tuple(
-                PromptResource(tag=key, body=body) for key, body in resources.items()
-            ),
-            dataset_name="Drone Safety Requirements",
-            rows=tuple((req.req_id, req.text) for req in piece.rows),
-        )
-        prompt = assemble_prompt(envelope)
-        print("\nprompt head:")
-        for line in prompt.splitlines()[:3]:
-            print(" ", line)
+    template = PromptEnvelope(
+        instructions=instructions,
+        resources=tuple(PromptResource(tag=key, body=body) for key, body in resources.items()),
+        dataset_name="Drone Safety Requirements",
+    )
+    print("\nprompt head:")
+    for line in assemble_prompt(template).splitlines()[:3]:
+        print(" ", line)
 
-        result = send(prompt, params, backend, schema=CLASSIFICATION_RESULT_SCHEMA)
-        print("response status:", result.status)
-        records.extend(result.records)
-
-    outcome = validate_records(records, requirements, catalog)
+    outcome = classify(chunk(requirements, 10), template, catalog, params, backend)
+    print("backend calls:", backend.call_count)
     print("\nclassified rows:")
     print(f"  {'ReqID':6} {'Function':9} {'Type':5} {'Conf':4} flags")
     for row in outcome.rows:

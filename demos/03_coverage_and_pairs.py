@@ -14,48 +14,35 @@ from safereq import (
     MockBackend,
     PromptEnvelope,
     PromptResource,
-    assemble_prompt,
     build_matrix,
     catalog_from_mapping,
     chunk,
+    classify,
     cluster_by_function,
     detect_contradictions,
     detect_duplicates,
     gap_ranking,
     load_requirements,
-    send,
-    validate_records,
 )
-from safereq.classify import CLASSIFICATION_RESULT_SCHEMA
 
 REPO = Path(__file__).resolve().parent.parent
 PROJECT = REPO / "sample_project"
 
 
-def classify(backend, params, catalog, resources):
+def classify_sample(backend, params, catalog, resources):
     requirements = load_requirements(
         PROJECT / "B_Requirements" / "input" / "safety_requirements.csv",
         "ReqID",
         ["Requirements"],
     )
-    instructions = (PROJECT / "B_Requirements" / "instructions.txt").read_text(
-        encoding="utf-8"
+    template = PromptEnvelope(
+        instructions=(PROJECT / "B_Requirements" / "instructions.txt").read_text(
+            encoding="utf-8"
+        ),
+        resources=tuple(PromptResource(tag=key, body=body) for key, body in resources.items()),
+        dataset_name="Drone Safety Requirements",
     )
-    records = []
-    for piece in chunk(requirements, 10):
-        envelope = PromptEnvelope(
-            instructions=instructions,
-            resources=tuple(
-                PromptResource(tag=key, body=body) for key, body in resources.items()
-            ),
-            dataset_name="Drone Safety Requirements",
-            rows=tuple((req.req_id, req.text) for req in piece.rows),
-        )
-        result = send(
-            assemble_prompt(envelope), params, backend, schema=CLASSIFICATION_RESULT_SCHEMA
-        )
-        records.extend(result.records)
-    return validate_records(records, requirements, catalog).rows
+    return classify(chunk(requirements, 10), template, catalog, params, backend).rows
 
 
 def main():
@@ -66,7 +53,7 @@ def main():
     backend = MockBackend(PROJECT / "fixtures")
     params = LlmRequestParams(model_id="gpt-4")
 
-    classified = classify(backend, params, catalog, resources)
+    classified = classify_sample(backend, params, catalog, resources)
     print("classified", len(classified), "requirements")
 
     matrix = build_matrix(classified, catalog)

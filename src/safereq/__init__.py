@@ -100,7 +100,6 @@ from .pairwise import (
     detect_contradictions,
     detect_duplicates,
     load_gold_pairs,
-    merge_findings,
     score,
 )
 from .reporting import (
@@ -198,7 +197,6 @@ __all__ = [
     "detect_contradictions",
     "detect_duplicates",
     "load_gold_pairs",
-    "merge_findings",
     "score",
     # reporting
     "DEFAULT_THRESHOLDS",

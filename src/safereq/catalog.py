@@ -23,7 +23,7 @@ from .gateway import (
     extract_results_root,
     send,
 )
-from .opl import ArchitectureGraph, RelationKind, ThingKind
+from .opl import ArchitectureGraph, RelationKind
 
 CATCH_ALL_ALIAS = "_OF_"
 CATCH_ALL_LINEAGE = "Other Function"

@@ -9,6 +9,7 @@ returned.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
@@ -20,6 +21,7 @@ from .gateway import (
     PromptResource,
     RecordSchema,
     assemble_prompt,
+    parse_results_json,
     render_resource,
     send_many,
 )
@@ -79,12 +81,11 @@ class ClassifyOutcome:
 
 
 def build_classification_prompt(
-    chunk: RequirementChunk,
     catalog: FunctionCatalog,
     instructions_text: str,
     dataset_name: str = "Requirements",
 ) -> PromptEnvelope:
-    """Envelope with the catalog and type definitions as tagged resources."""
+    """Row-less template with the catalog and type definitions as tagged resources."""
     return PromptEnvelope(
         instructions=instructions_text,
         resources=(
@@ -92,7 +93,6 @@ def build_classification_prompt(
             PromptResource(tag="safety_function_type", body=SAFETY_TYPE_DEFINITIONS),
         ),
         dataset_name=dataset_name,
-        rows=tuple((req.req_id, req.text) for req in chunk.rows),
     )
 
 
@@ -187,19 +187,19 @@ def validate_records(
 
 def classify(
     chunks: list[RequirementChunk],
+    template: PromptEnvelope,
     catalog: FunctionCatalog,
     params: LlmRequestParams,
     backend: Backend,
-    instructions_text: str,
-    dataset_name: str = "Requirements",
 ) -> ClassifyOutcome:
-    """Classify every chunk through the backend and validate the union."""
-    records: list[dict] = []
-    quarantined: list[tuple[dict, str]] = []
+    """Classify every chunk through the backend and validate the union.
+
+    template is a row-less envelope (build_classification_prompt, or a
+    task's own instructions and resources); each chunk's prompt is the
+    template with the chunk's rows. Records the schema rejects are
+    quarantined ahead of those validate_records quarantines.
+    """
     # Render the resources once; each chunk only swaps in its rows.
-    template = build_classification_prompt(
-        RequirementChunk(index=0, rows=()), catalog, instructions_text, dataset_name
-    )
     template = replace(
         template,
         resources=tuple(
@@ -210,9 +210,14 @@ def classify(
         assemble_prompt(replace(template, rows=tuple((req.req_id, req.text) for req in chunk.rows)))
         for chunk in chunks
     )
-    for result in send_many(prompts, params, backend, schema=CLASSIFICATION_RESULT_SCHEMA):
-        records.extend(result.records)
-        quarantined.extend(result.rejected)
+    records: list[dict] = []
+    quarantined: list[tuple[dict, str]] = []
+    # closing: a parse error here still shuts send_many's worker threads down.
+    with closing(send_many(prompts, params, backend)) as responses:
+        for response in responses:
+            parsed = parse_results_json(response.raw_text, CLASSIFICATION_RESULT_SCHEMA)
+            records.extend(parsed.records)
+            quarantined.extend(parsed.rejected)
 
     inputs = [req for chunk in chunks for req in chunk.rows]
     outcome = validate_records(records, inputs, catalog)

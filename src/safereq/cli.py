@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import InvalidConfigError, SafereqError
-from .orchestrator import STATUS_FAILED, build_backend, load_config, run_all
+from .orchestrator import build_backend, load_config, run_all
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -20,8 +20,6 @@ from pathlib import Path
 from threading import Lock
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-import requests
-
 from .errors import (
     AuthMissingError,
     ChunkTooLargeError,
@@ -75,12 +73,11 @@ class LlmRequestParams:
 
 @dataclass
 class LlmResult:
+    """One backend response, unparsed; callers parse raw_text themselves."""
+
     raw_text: str
-    records: list[dict] = field(default_factory=list)
     usage: dict = field(default_factory=dict)
-    status: str = "ok"  # ok | empty | parse_error
     prompt_sha256: str = ""
-    rejected: list[tuple[dict, str]] = field(default_factory=list)
 
 
 # One shared encoder for dataset rows; json.dumps would build a new one per row.
@@ -179,6 +176,9 @@ def _decode_first_json(text: str) -> Any | None:
                 return value
             except json.JSONDecodeError:
                 continue
+            except RecursionError as exc:
+                # Retrying at each nested opener would cost O(n * depth).
+                raise NoJsonFoundError("response JSON is nested too deeply to parse") from exc
     return None
 
 
@@ -190,7 +190,8 @@ def extract_results_root(raw: str) -> Any:
     next key, and trailing commas.
 
     Raises:
-        NoJsonFoundError: no JSON value anywhere in the text.
+        NoJsonFoundError: no JSON value anywhere in the text, or one
+            nested too deeply to decode.
         MissingResultsRootError: JSON found but no "results" key.
     """
     text = _strip_fences(raw)
@@ -267,7 +268,7 @@ def _check_schema(record: dict, schema: RecordSchema) -> str | None:
         if name in record:
             try:
                 int(float(str(record[name])))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return f"field {name!r} is not numeric"
     return None
 
@@ -365,6 +366,9 @@ class HttpBackend:
         )
 
     def complete(self, prompt: str, params: LlmRequestParams) -> tuple[str, dict]:
+        # Imported here: only this backend needs it, and it is slow to import.
+        import requests
+
         with self._lock:
             self.call_count += 1
         payload = {
@@ -435,23 +439,14 @@ def send(
     params: LlmRequestParams,
     backend: Backend,
     sleep: Callable[[float], None] = time.sleep,
-    *,
-    schema: RecordSchema | None = None,
 ) -> LlmResult:
     """Send one prompt, retrying transport failures and rate limits.
 
     Retries max_retries times with exponential backoff starting at
     backoff_start seconds; a 429 that names a longer Retry-After waits
     that long instead. Other errors (missing fixture, auth, oversized
-    chunk) surface immediately. The response is parsed exactly once.
-
-    Without a schema the result carries best-effort parsed records; parse
-    failures yield status "parse_error" rather than an exception so the
-    caller can decide. With a schema, each record is checked against it:
-    valid ones land in .records, invalid ones in .rejected with a reason,
-    and a response with no usable results root raises the parse error
-    (NoJsonFoundError, MissingResultsRootError or SchemaViolationError)
-    just as parse_results_json(raw, schema) would.
+    chunk) surface immediately. The response text comes back unparsed:
+    each caller parses it once, with parse_results_json and its schema.
     """
     attempts = params.max_retries + 1
     last: Exception | None = None
@@ -474,19 +469,7 @@ def send(
         base = getattr(last, "base_message", str(last))
         raise TransportError(base, attempts=attempts) from last
 
-    result = LlmResult(raw_text=raw, usage=usage, prompt_sha256=prompt_sha256(prompt))
-    if schema is not None:
-        parsed = parse_results_json(raw, schema)
-    else:
-        try:
-            parsed = parse_results_json(raw)
-        except (NoJsonFoundError, MissingResultsRootError, SchemaViolationError) as exc:
-            result.status = "parse_error"
-            result.usage.setdefault("parse_error", str(exc))
-            return result
-    result.records, result.rejected = parsed.records, parsed.rejected
-    result.status = "ok" if result.records else "empty"
-    return result
+    return LlmResult(raw_text=raw, usage=usage, prompt_sha256=prompt_sha256(prompt))
 
 
 # The first call of send_many must wait at least this long off-CPU, and
@@ -499,7 +482,6 @@ def send_many(
     params: LlmRequestParams,
     backend: Backend,
     *,
-    schema: RecordSchema | None = None,
     max_concurrency: int | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Iterator[LlmResult]:
@@ -523,21 +505,21 @@ def send_many(
     if first is None:
         return
     started, cpu_started = time.perf_counter(), time.thread_time()
-    result = send(first, params, backend, sleep, schema=schema)
+    result = send(first, params, backend, sleep)
     cpu = time.thread_time() - cpu_started
     waited = time.perf_counter() - started - cpu
     yield result
 
     if limit <= 1 or waited < PROBE_MIN_WAIT_S or waited <= cpu:
         for prompt in prompts:
-            yield send(prompt, params, backend, sleep, schema=schema)
+            yield send(prompt, params, backend, sleep)
         return
 
     window: deque[Future] = deque()
     pool = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="safereq-send")
     try:
         for prompt in prompts:
-            window.append(pool.submit(send, prompt, params, backend, sleep, schema=schema))
+            window.append(pool.submit(send, prompt, params, backend, sleep))
             if len(window) == 2 * limit:
                 yield window.popleft().result()
         while window:

@@ -25,18 +25,14 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 from .catalog import (
     FunctionCatalog,
     catalog_from_alias_map,
     catalog_from_mapping,
 )
-from .classify import (
-    CLASSIFICATION_RESULT_SCHEMA,
-    ClassifiedRequirement,
-    accuracy,
-    validate_records,
-)
+from .classify import ClassifiedRequirement, accuracy, classify
 from .coverage import CoverageMatrix, build_matrix, gap_ranking
 from .errors import (
     EmptyDatasetError,
@@ -53,14 +49,11 @@ from .gateway import (
     MockBackend,
     PromptEnvelope,
     PromptResource,
-    assemble_prompt,
-    parse_results_json,  # noqa: F401  bound here for perfbench/tracer.py
-    render_resource,
-    send_many,
 )
 from .pairwise import (
     KIND_CONTRADICTION,
     KIND_DUPLICATE,
+    DetectionResult,
     PairFinding,
     PairScore,
     cluster_by_function,
@@ -78,7 +71,7 @@ from .reporting import (
     _write_text,
     emit_report_set,
 )
-from .requirements import Requirement, load_requirements
+from .requirements import load_requirements
 from .requirements import chunk as chunk_requirements
 
 TASK_TYPE = "GENERATIVE_ANALYSIS_TASK"
@@ -436,14 +429,6 @@ def _resources_payload(ctx: PipelineContext, task: TaskConfig) -> dict:
     return payload
 
 
-def _prompt_resources(payload: dict) -> tuple[PromptResource, ...]:
-    """Tagged resources rendered once, so every chunk prompt reuses the text."""
-    return tuple(
-        PromptResource(tag=key, body=render_resource(value))
-        for key, value in payload.items()
-    )
-
-
 def _catalog_for(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog | None:
     """Catalog from the task's ARCHITECTURE resource, if one is configured.
 
@@ -612,18 +597,16 @@ def _score_classification(
     return value
 
 
-def _score_pairs(
-    ctx: PipelineContext,
-    task: TaskConfig,
-    findings: list[PairFinding],
-    kind: str,
-    default_metric: str,
+def _take_findings(
+    ctx: PipelineContext, task: TaskConfig, spec: _PairSpec, findings: list[PairFinding]
 ) -> PairScore | None:
+    """Publish findings to the spec's context slot and score them against gold."""
+    setattr(ctx, spec.slot, findings)
     gold_file = task.extra.get("gold_file")
     if not gold_file:
         return None
-    gold = load_gold_pairs(_resolve(ctx.config, task, gold_file), kind)
-    metric = task.extra.get("metric", default_metric)
+    gold = load_gold_pairs(_resolve(ctx.config, task, gold_file), spec.kind)
+    metric = task.extra.get("metric", spec.slot)
     threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(metric, 80.0)
     pair_score = score(findings, gold, threshold=threshold)
     ctx.scores[metric] = pair_score.rate
@@ -631,8 +614,15 @@ def _score_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Task bodies, one per analysis function
+# Task bodies
 # ---------------------------------------------------------------------------
+
+
+def _previous_raw(raw_path: Path) -> Path:
+    """The raw output a task with execute false analyzes again."""
+    if not raw_path.exists():
+        raise SafereqError("execute is false and no previous raw output exists")
+    return raw_path
 
 
 def _task_completeness(
@@ -649,33 +639,18 @@ def _task_completeness(
     inputs = [req for piece in chunks for req in piece.rows]
 
     if task.execute:
-        records: list[dict] = []
-        rejected: list[tuple[dict, str]] = []
-        instructions = _read_instructions(ctx, task)
-        resources = _prompt_resources(_resources_payload(ctx, task))
-        prompts = (
-            assemble_prompt(
-                PromptEnvelope(
-                    instructions=instructions,
-                    resources=resources,
-                    dataset_name=task.dataset_name,
-                    rows=tuple((req.req_id, req.text) for req in piece.rows),
-                )
-            )
-            for piece in chunks
+        template = PromptEnvelope(
+            instructions=_read_instructions(ctx, task),
+            resources=tuple(
+                PromptResource(tag=key, body=value)
+                for key, value in _resources_payload(ctx, task).items()
+            ),
+            dataset_name=task.dataset_name,
         )
-        for response in send_many(
-            prompts, ctx.params, ctx.backend, schema=CLASSIFICATION_RESULT_SCHEMA
-        ):
-            records.extend(response.records)
-            rejected.extend(response.rejected)
-        outcome = validate_records(records, inputs, catalog)
-        rows = outcome.rows
-        quarantined = rejected + outcome.quarantined
-    elif raw_path.exists():
-        rows, quarantined = _rows_from_raw(raw_path)
+        outcome = classify(chunks, template, catalog, ctx.params, ctx.backend)
+        rows, quarantined = outcome.rows, outcome.quarantined
     else:
-        raise SafereqError("execute is false and no previous raw output exists")
+        rows, quarantined = _rows_from_raw(_previous_raw(raw_path))
 
     files: list[Path] = []
     if quarantined:
@@ -763,75 +738,64 @@ def _task_coverage(
     return [raw_path], detail
 
 
-def _task_duplicates(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path
-) -> tuple[list[Path], str]:
-    classified = _classified_for(ctx, task)
-    catalog = ctx.catalog or _catalog_for(ctx, task)
-    clusters = cluster_by_function(classified, catalog)
-    prompt_version = str(task.extra.get("prompt_version", "V3"))
+@dataclass(frozen=True)
+class _PairSpec:
+    """What the one pair-task body needs to know about a pair analysis."""
 
-    if task.execute:
-        detection = detect_duplicates(
-            clusters, ctx.params, ctx.backend, prompt_version=prompt_version
-        )
-        findings, notes = detection.findings, detection.notes
-    elif raw_path.exists():
-        findings, notes = _findings_from_raw(raw_path)
-    else:
-        raise SafereqError("execute is false and no previous raw output exists")
-
-    pair_score = None
-    if task.analyze:
-        ctx.duplicates = findings
-        pair_score = _score_pairs(ctx, task, findings, KIND_DUPLICATE, "duplicates")
-
-    _write_json(
-        raw_path,
-        {
-            "task": task.name,
-            "analysis_function": task.analysis_function,
-            "prompt_version": prompt_version,
-            "findings": [_finding_dict(f) for f in findings],
-            "notes": notes,
-            "score": _score_dict(pair_score) if pair_score else None,
-        },
-    )
-    detail = f"{len(findings)} findings across {len(clusters)} function clusters"
-    if pair_score:
-        detail += f", detection rate {pair_score.rate:.2f}"
-    return [raw_path], detail
+    detect: Callable[[PipelineContext, TaskConfig, dict], DetectionResult]
+    kind: str  # the gold kind findings are scored as
+    slot: str  # PipelineContext field for the findings; also the default metric
+    versioned: bool  # the raw file records prompt_version
 
 
-def _task_contradictions(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path
-) -> tuple[list[Path], str]:
-    classified = _classified_for(ctx, task)
-    catalog = ctx.catalog or _catalog_for(ctx, task)
-    clusters = cluster_by_function(classified, catalog)
+def _prompt_version(task: TaskConfig) -> str:
+    return str(task.extra.get("prompt_version", "V3"))
 
-    if task.execute:
-        detection = detect_contradictions(
+
+# The detectors are looked up when called, so wrapping the module-level
+# names (as a tracer does) still takes effect.
+_PAIR_SPECS = {
+    ANALYSIS_DUPLICATES: _PairSpec(
+        detect=lambda ctx, task, clusters: detect_duplicates(
+            clusters, ctx.params, ctx.backend, prompt_version=_prompt_version(task)
+        ),
+        kind=KIND_DUPLICATE,
+        slot="duplicates",
+        versioned=True,
+    ),
+    ANALYSIS_CONTRADICTIONS: _PairSpec(
+        detect=lambda ctx, task, clusters: detect_contradictions(
             clusters, ctx.params, ctx.backend, duplicates=ctx.duplicates or []
-        )
+        ),
+        kind=KIND_CONTRADICTION,
+        slot="contradictions",
+        versioned=False,
+    ),
+}
+
+
+def _task_pairs(
+    ctx: PipelineContext, task: TaskConfig, raw_path: Path
+) -> tuple[list[Path], str]:
+    spec = _PAIR_SPECS[task.analysis_function]
+    classified = _classified_for(ctx, task)
+    catalog = ctx.catalog or _catalog_for(ctx, task)
+    clusters = cluster_by_function(classified, catalog)
+
+    if task.execute:
+        detection = spec.detect(ctx, task, clusters)
         findings, notes = detection.findings, detection.notes
-    elif raw_path.exists():
-        findings, notes = _findings_from_raw(raw_path)
     else:
-        raise SafereqError("execute is false and no previous raw output exists")
+        findings, notes = _findings_from_raw(_previous_raw(raw_path))
 
-    pair_score = None
-    if task.analyze:
-        ctx.contradictions = findings
-        pair_score = _score_pairs(
-            ctx, task, findings, KIND_CONTRADICTION, "contradictions"
-        )
-
+    pair_score = _take_findings(ctx, task, spec, findings) if task.analyze else None
+    version = {"prompt_version": _prompt_version(task)} if spec.versioned else {}
     _write_json(
         raw_path,
         {
             "task": task.name,
             "analysis_function": task.analysis_function,
+            **version,
             "findings": [_finding_dict(f) for f in findings],
             "notes": notes,
             "score": _score_dict(pair_score) if pair_score else None,
@@ -846,8 +810,8 @@ def _task_contradictions(
 BUILTIN_FUNCTIONS = {
     ANALYSIS_COMPLETENESS: _task_completeness,
     ANALYSIS_COVERAGE: _task_coverage,
-    ANALYSIS_DUPLICATES: _task_duplicates,
-    ANALYSIS_CONTRADICTIONS: _task_contradictions,
+    ANALYSIS_DUPLICATES: _task_pairs,
+    ANALYSIS_CONTRADICTIONS: _task_pairs,
 }
 
 
@@ -862,27 +826,18 @@ def _hydrate_task(ctx: PipelineContext, task: TaskConfig, raw_path: Path) -> str
     Keeps downstream tasks and the final report set identical to a full
     run, without any backend calls.
     """
-    func = task.analysis_function
-    if func == ANALYSIS_COMPLETENESS:
+    if task.analysis_function == ANALYSIS_COMPLETENESS:
         rows, _ = _rows_from_raw(raw_path)
         if task.analyze:
             ctx.catalog = ctx.catalog or _require_catalog(ctx, task)
             ctx.classified = rows
             _score_classification(ctx, task, rows)
         return f"reused {len(rows)} classified rows"
-    if func == ANALYSIS_DUPLICATES:
-        findings, _ = _findings_from_raw(raw_path)
-        if task.analyze:
-            ctx.duplicates = findings
-            _score_pairs(ctx, task, findings, KIND_DUPLICATE, "duplicates")
-        return f"reused {len(findings)} findings"
-    if func == ANALYSIS_CONTRADICTIONS:
-        findings, _ = _findings_from_raw(raw_path)
-        if task.analyze:
-            ctx.contradictions = findings
-            _score_pairs(ctx, task, findings, KIND_CONTRADICTION, "contradictions")
-        return f"reused {len(findings)} findings"
-    raise UnknownAnalysisFunctionError(func)
+    spec = _PAIR_SPECS[task.analysis_function]
+    findings, _ = _findings_from_raw(raw_path)
+    if task.analyze:
+        _take_findings(ctx, task, spec, findings)
+    return f"reused {len(findings)} findings"
 
 
 # ---------------------------------------------------------------------------

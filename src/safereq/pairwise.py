@@ -9,10 +9,11 @@ consolidated list so duplicate groups are argued once.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 from itertools import tee
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .classify import ClassifiedRequirement
@@ -28,7 +29,7 @@ from .gateway import (
     RecordSchema,
     assemble_prompt,
     encode_rows,
-    parse_results_json,  # noqa: F401  bound here for perfbench/tracer.py
+    parse_results_json,
     send_many,
 )
 from .rounding import percentage
@@ -197,59 +198,24 @@ def detect_duplicates(
         else {KIND_DUPLICATE}
     )
 
-    function_of = {
-        row.req_id: alias for alias, rows in clusters.items() for row in rows
-    }
+    function_of = (
+        {row.req_id: alias for alias, rows in clusters.items() for row in rows}
+        if prompt_version in ("V2", "V3")
+        else None
+    )
     of_rows = clusters.get(CATCH_ALL_ALIAS, []) if prompt_version == "V3" else []
     # The _OF_ rows ride along in every prompt; encode their lines once.
     of_lines = encode_rows((row.req_id, _row_text(row)) for row in of_rows)
 
-    # Each job's row list is built when the job is rendered, and tee keeps
-    # it only until its result is folded.
-    jobs, to_render = tee(_duplicate_jobs(clusters, of_rows, prompt_version))
-    prompts = (
-        assemble_prompt(_pair_envelope(instructions, alias, submitted), encoded_rows=of_lines)
-        for alias, submitted in to_render
+    return _detect(
+        _duplicate_jobs(clusters, of_rows, prompt_version),
+        instructions,
+        allowed,
+        params,
+        backend,
+        encoded_rows=of_lines,
+        function_of=function_of,
     )
-    responses = send_many(prompts, params, backend, schema=_PAIR_SCHEMA)
-
-    result = DetectionResult(findings=[])
-    seen: dict[tuple[str, str], str] = {}
-    conflicts: list[tuple[str, str]] = []
-    for response, (alias, submitted) in zip(responses, jobs):
-        result.rejected.extend(response.rejected)
-        submitted_ids = {row.req_id for row in submitted}
-        for record in response.records:
-            finding = _record_to_finding(
-                record, submitted_ids, allowed, alias, result.notes
-            )
-            if finding is None:
-                continue
-            if prompt_version in ("V2", "V3") and finding.kind == KIND_DUPLICATE:
-                fa = function_of.get(finding.req_a, "")
-                fb = function_of.get(finding.req_b, "")
-                if fa != fb:
-                    result.notes.append(
-                        f"downgraded cross-function duplicate ({finding.req_a}, "
-                        f"{finding.req_b}): {fa} vs {fb}"
-                    )
-                    finding = PairFinding(
-                        req_a=finding.req_a,
-                        req_b=finding.req_b,
-                        kind=KIND_COMPLEMENTARY,
-                        function=finding.function,
-                        rationale=finding.rationale,
-                    )
-            previous = seen.get(finding.pair)
-            if previous is None:
-                seen[finding.pair] = finding.kind
-                result.findings.append(finding)
-            elif previous != finding.kind:
-                conflicts.append(finding.pair)
-
-    if conflicts:
-        raise FindingConflictError(sorted(set(conflicts)))
-    return result
 
 
 def _duplicate_jobs(
@@ -290,6 +256,64 @@ def _record_to_finding(
         function=alias,
         rationale=str(record.get("Rationale", "")).strip(),
     )
+
+
+def _detect(
+    jobs: Iterable[tuple[str, list[ClassifiedRequirement]]],
+    instructions: str,
+    allowed: set[str],
+    params: LlmRequestParams,
+    backend: Backend,
+    encoded_rows: dict[tuple[str, str], str] | None = None,
+    function_of: dict[str, str] | None = None,
+) -> DetectionResult:
+    """Send one prompt per (alias, rows) job and fold the findings in job order.
+
+    Each response is parsed once. A pair keeps its first finding, and two
+    kinds for one pair raise FindingConflictError. With function_of (req_id
+    to cluster alias), a duplicate across two clusters becomes complementary.
+    """
+    # Each job's row list is built when the job is rendered, and tee keeps
+    # it only until its result is folded.
+    jobs, to_render = tee(jobs)
+    prompts = (
+        assemble_prompt(_pair_envelope(instructions, alias, rows), encoded_rows=encoded_rows)
+        for alias, rows in to_render
+    )
+    result = DetectionResult(findings=[])
+    seen: dict[tuple[str, str], str] = {}
+    conflicts: list[tuple[str, str]] = []
+    # closing: a parse error here still shuts send_many's worker threads down.
+    with closing(send_many(prompts, params, backend)) as responses:
+        for response, (alias, rows) in zip(responses, jobs):
+            parsed = parse_results_json(response.raw_text, _PAIR_SCHEMA)
+            result.rejected.extend(parsed.rejected)
+            submitted_ids = {row.req_id for row in rows}
+            for record in parsed.records:
+                finding = _record_to_finding(
+                    record, submitted_ids, allowed, alias, result.notes
+                )
+                if finding is None:
+                    continue
+                if function_of is not None and finding.kind == KIND_DUPLICATE:
+                    fa = function_of.get(finding.req_a, "")
+                    fb = function_of.get(finding.req_b, "")
+                    if fa != fb:
+                        result.notes.append(
+                            f"downgraded cross-function duplicate ({finding.req_a}, "
+                            f"{finding.req_b}): {fa} vs {fb}"
+                        )
+                        finding = replace(finding, kind=KIND_COMPLEMENTARY)
+                previous = seen.get(finding.pair)
+                if previous is None:
+                    seen[finding.pair] = finding.kind
+                    result.findings.append(finding)
+                elif previous != finding.kind:
+                    conflicts.append(finding.pair)
+
+    if conflicts:
+        raise FindingConflictError(sorted(set(conflicts)))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -340,53 +364,12 @@ def detect_contradictions(
     """Find contradicting pairs within each function's consolidated list."""
     consolidated = consolidate(clusters, list(duplicates))
     jobs = [(alias, rows) for alias, rows in consolidated.items() if len(rows) >= 2]
-    prompts = (
-        assemble_prompt(_pair_envelope(CONTRADICTION_PROMPT, alias, rows))
-        for alias, rows in jobs
-    )
-    responses = send_many(prompts, params, backend, schema=_PAIR_SCHEMA)
-
-    result = DetectionResult(findings=[])
-    seen: set[tuple[str, str]] = set()
-    for response, (alias, rows) in zip(responses, jobs):
-        result.rejected.extend(response.rejected)
-        submitted_ids = {row.req_id for row in rows}
-        for record in response.records:
-            finding = _record_to_finding(
-                record, submitted_ids, {KIND_CONTRADICTION}, alias, result.notes
-            )
-            if finding is None or finding.pair in seen:
-                continue
-            seen.add(finding.pair)
-            result.findings.append(finding)
-    return result
+    return _detect(jobs, CONTRADICTION_PROMPT, {KIND_CONTRADICTION}, params, backend)
 
 
 # ---------------------------------------------------------------------------
-# Merging and scoring
+# Gold pairs and scoring
 # ---------------------------------------------------------------------------
-
-
-def merge_findings(*finding_lists: list[PairFinding]) -> list[PairFinding]:
-    """Merge findings, enforcing one kind per pair.
-
-    Raises:
-        FindingConflictError: some pair appears with two different kinds.
-    """
-    kind_of: dict[tuple[str, str], str] = {}
-    merged: list[PairFinding] = []
-    conflicts: list[tuple[str, str]] = []
-    for findings in finding_lists:
-        for finding in findings:
-            previous = kind_of.get(finding.pair)
-            if previous is None:
-                kind_of[finding.pair] = finding.kind
-                merged.append(finding)
-            elif previous != finding.kind:
-                conflicts.append(finding.pair)
-    if conflicts:
-        raise FindingConflictError(sorted(set(conflicts)))
-    return sorted(merged, key=lambda f: (f.req_a, f.req_b, f.kind))
 
 
 def load_gold_pairs(path: str | Path, kind: str) -> GoldPairs:

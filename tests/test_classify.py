@@ -1,8 +1,11 @@
 """Classification record validation and self-scoring metrics."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safereq import (
     CATCH_ALL_ALIAS,
@@ -14,6 +17,7 @@ from safereq import (
     LlmRequestParams,
     Requirement,
     accuracy,
+    build_classification_prompt,
     catalog_from_alias_map,
     chunk,
     classify,
@@ -173,13 +177,62 @@ def test_classify_sends_one_prompt_per_chunk_and_merges():
             render_results([record("3", function="ZZZ")]),
         ]
     )
+    catalog = small_catalog()
+    template = build_classification_prompt(catalog, "Classify these.")
     # ScriptedBackend answers by call order, so calls must stay sequential.
-    outcome = classify(
-        chunks, small_catalog(), LlmRequestParams(max_concurrency=1), backend, "Classify these."
-    )
+    outcome = classify(chunks, template, catalog, LlmRequestParams(max_concurrency=1), backend)
     assert backend.call_count == 2
     assert [r.req_id for r in outcome.rows] == ["1", "2", "3"]
     assert outcome.rows[2].function == CATCH_ALL_ALIAS
+
+
+class RowEchoBackend:
+    """Answers each prompt from its own dataset rows.
+
+    Each row's text names what comes back for it, so the answers depend
+    on the rows alone and not on how they were chunked.
+    """
+
+    def complete(self, prompt, params):
+        records = []
+        for line in prompt.splitlines():
+            if not line.startswith('{"ReqID": '):
+                continue
+            row = json.loads(line)
+            rid, how = row["ReqID"], row["Requirement"]
+            good = record(rid)
+            records += {
+                "ok": [good],
+                "remapped": [record(rid, function="ZZZ")],
+                "omitted": [],
+                "repeated": [good, record(rid, rtype="PROB")],
+                "stray": [good, record(rid + "x")],
+                "no_id": [record("")],
+                "bad_confidence": [record(rid, confidence="high")],
+            }[how]
+        return render_results(records), {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["ok", "remapped", "omitted", "repeated", "stray", "no_id", "bad_confidence"]
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=13),
+)
+def test_classify_gives_the_same_rows_and_quarantine_for_any_chunk_size(behaviours, size):
+    inputs = [Requirement(req_id=str(i), text=how) for i, how in enumerate(behaviours)]
+    catalog = small_catalog()
+    template = build_classification_prompt(catalog, "Classify these.")
+    params = LlmRequestParams(max_concurrency=1)
+    whole = classify(chunk(inputs, len(inputs)), template, catalog, params, RowEchoBackend())
+    chunked = classify(chunk(inputs, size), template, catalog, params, RowEchoBackend())
+    assert chunked == whole
+    assert [r.req_id for r in whole.rows] == [req.req_id for req in inputs]
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,24 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+import requests
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safereq import (
+    ClassifiedRequirement,
     HttpBackend,
     LlmRequestParams,
     MockBackend,
     PromptEnvelope,
     PromptResource,
+    Requirement,
     assemble_prompt,
+    build_classification_prompt,
+    catalog_from_alias_map,
+    chunk,
+    classify,
+    detect_duplicates,
     extract_results_root,
     parse_results_json,
     prompt_sha256,
@@ -28,6 +36,7 @@ from safereq.errors import (
     NoJsonFoundError,
     NotFixturedError,
     RateLimitedError,
+    SafereqError,
     SchemaViolationError,
     TransportError,
 )
@@ -256,24 +265,13 @@ def test_mock_backend_unfixtured_prompt_raises_with_sha(tmp_path):
 
 
 def test_send_parses_records_and_hashes_prompt():
-    backend = FakeBackend(['{"results": [{"ReqID": "1"}]}'])
+    # send returns the text unparsed, garbage included; the caller parses it.
+    backend = FakeBackend(['{"results": [{"ReqID": "1"}]}', "total garbage"])
     result = send("p", LlmRequestParams(), backend)
-    assert result.status == "ok"
-    assert result.records == [{"ReqID": "1"}]
+    assert result.raw_text == '{"results": [{"ReqID": "1"}]}'
+    assert parse_results_json(result.raw_text).records == [{"ReqID": "1"}]
     assert result.prompt_sha256 == prompt_sha256("p")
-
-
-def test_send_empty_results_flagged_not_raised():
-    backend = FakeBackend(['{"results": []}'])
-    assert send("p", LlmRequestParams(), backend).status == "empty"
-
-
-def test_send_parse_failure_flagged_not_raised():
-    backend = FakeBackend(["total garbage"])
-    result = send("p", LlmRequestParams(), backend)
-    assert result.status == "parse_error"
-    assert result.records == []
-    assert result.raw_text == "total garbage"
+    assert send("p", LlmRequestParams(), backend).raw_text == "total garbage"
 
 
 def test_send_retries_transport_errors_with_exponential_backoff():
@@ -289,7 +287,7 @@ def test_send_retries_transport_errors_with_exponential_backoff():
     )
     assert backend.call_count == 3
     assert sleeps == [1.5, 3.0]
-    assert result.status == "empty"
+    assert result.raw_text == '{"results": []}'
 
 
 def test_send_exhausted_retries_reraise():
@@ -318,7 +316,10 @@ def test_send_many_preserves_order():
         ['{"results": [{"ReqID": "a"}]}', '{"results": [{"ReqID": "b"}]}']
     )
     results = send_many(["p1", "p2"], LlmRequestParams(max_concurrency=1), backend)
-    assert [r.records[0]["ReqID"] for r in results] == ["a", "b"]
+    assert [r.raw_text for r in results] == [
+        '{"results": [{"ReqID": "a"}]}',
+        '{"results": [{"ReqID": "b"}]}',
+    ]
 
 
 class _RateLimitedResponse:
@@ -343,12 +344,12 @@ def test_send_waits_for_retry_after_on_429(monkeypatch, retry_after, slept):
     monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
     headers = {} if retry_after is None else {"Retry-After": retry_after}
     responses = [_RateLimitedResponse(headers), _OkResponse()]
-    monkeypatch.setattr(gateway.requests, "post", lambda *args, **kwargs: responses.pop(0))
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: responses.pop(0))
     backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
     sleeps = []
     result = send("p", LlmRequestParams(backoff_start=1.0), backend, sleep=sleeps.append)
     assert sleeps == slept
-    assert result.status == "empty"
+    assert result.raw_text == '{"results": []}'
     assert backend.call_count == 2
 
 
@@ -480,6 +481,40 @@ def test_lazy_repair_still_repairs_malformed_text():
     )
 
 
+@st.composite
+def results_documents(draw):
+    """A results root of records whose fields hold any JSON, inf and NaN included."""
+    field_values = st.floats() | json_values
+    record = st.fixed_dictionaries(
+        {"ReqID": st.text(min_size=1, max_size=3) | field_values, "Confidence": st.floats()},
+        optional={"Function": field_values},
+    )
+    root = draw(
+        st.lists(record | json_values, max_size=4)
+        | st.dictionaries(st.text(max_size=4), record | json_values, max_size=3)
+        | json_values
+    )
+    return json.dumps({"results": root})
+
+
+CONFIDENCE_SCHEMA = RecordSchema(required=("ReqID",), int_fields=("Confidence",))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.text(), response_texts(), results_documents()),
+    st.sampled_from([None, CONFIDENCE_SCHEMA]),
+)
+@example(text='{"results": [{"ReqID": "1", "Confidence": 1e999}]}', schema=CONFIDENCE_SCHEMA)
+@example(text="[" * 100_000, schema=None)
+def test_parse_results_json_raises_only_its_three_parse_errors(text, schema):
+    # All three are SafereqErrors, which run_task reports as a failed task.
+    try:
+        parse_results_json(text, schema)
+    except (NoJsonFoundError, MissingResultsRootError, SchemaViolationError) as exc:
+        assert isinstance(exc, SafereqError)
+
+
 def test_repair_is_skipped_on_clean_json(monkeypatch):
     def refuse(text):
         raise AssertionError("_repair ran on clean JSON")
@@ -490,46 +525,6 @@ def test_repair_is_skipped_on_clean_json(monkeypatch):
     assert parse_results_json(clean, RecordSchema(required=("ReqID",))).records == [
         {"ReqID": "1", "Confidence": 90}
     ]
-
-
-# ---------------------------------------------------------------------------
-# send with a schema: one parse per response
-# ---------------------------------------------------------------------------
-
-
-def test_send_with_schema_splits_records_and_rejected():
-    backend = FakeBackend(['{"results": [{"ReqID": "1"}, {"Other": 2}, 3]}'])
-    result = send("p", LlmRequestParams(), backend, schema=RecordSchema(required=("ReqID",)))
-    assert result.status == "ok"
-    assert result.records == [{"ReqID": "1"}]
-    assert result.rejected == [
-        ({"Other": 2}, "missing required field 'ReqID'"),
-        ({"value": 3}, "record is not a JSON object"),
-    ]
-
-
-def test_send_with_schema_raises_the_parse_error(monkeypatch):
-    backend = FakeBackend(["total garbage", '{"other": 1}'])
-    with pytest.raises(NoJsonFoundError, match="^response contains no parsable JSON value$"):
-        send("p", LlmRequestParams(), backend, schema=RecordSchema())
-    with pytest.raises(MissingResultsRootError, match="no 'results' root key"):
-        send("p", LlmRequestParams(), backend, schema=RecordSchema())
-
-
-@pytest.mark.parametrize("schema", [None, RecordSchema(required=("ReqID",))])
-def test_send_parses_each_response_once(monkeypatch, schema):
-    calls = []
-    original = gateway.parse_results_json
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(gateway, "parse_results_json", counting)
-    backend = FakeBackend([MALFORMED_RESPONSE])
-    result = send("p", LlmRequestParams(), backend, schema=schema)
-    assert len(calls) == 1
-    assert [r["ReqID"] for r in result.records] == ["1_1", "86_0"]
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +576,7 @@ def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
         return _OkResponse()
 
     monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
-    monkeypatch.setattr(gateway.requests, "post", post)
+    monkeypatch.setattr(requests, "post", post)
     backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
     backend.call_count = _YieldingInt(0)
     prompts = [f"p{i}" for i in range(400)]
@@ -592,7 +587,7 @@ def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert backend.call_count == len(prompts)
-    assert [r.status for r in results] == ["empty"] * len(prompts)
+    assert [r.raw_text for r in results] == ['{"results": []}'] * len(prompts)
     assert 1 < in_flight.peak <= 8
 
 
@@ -658,7 +653,7 @@ def test_send_many_bounds_calls_in_flight_and_prompts_alive(limit):
     backend = SleepyBackend()
     consumed = 0
     for result in send_many(prompts(), LlmRequestParams(max_concurrency=limit), backend):
-        assert result.records == [{"ReqID": f"r{consumed}"}]
+        assert parse_results_json(result.raw_text).records == [{"ReqID": f"r{consumed}"}]
         consumed += 1
         # Drawn but not yet consumed: queued, in flight or done, never more than 2c.
         assert len(drawn) - consumed <= 2 * limit
@@ -678,7 +673,11 @@ def test_send_many_raises_the_first_failing_prompt_and_cancels_the_rest():
         for result in send_many(prompts, LlmRequestParams(), backend, max_concurrency=4):
             results.append(result)
     assert exc.value.prompt_sha == "r3"
-    assert [r.records[0]["ReqID"] for r in results] == ["r0", "r1", "r2"]
+    assert [parse_results_json(r.raw_text).records for r in results] == [
+        [{"ReqID": "r0"}],
+        [{"ReqID": "r1"}],
+        [{"ReqID": "r2"}],
+    ]
     assert backend.call_count < 20  # queued prompts were never sent
     assert not _send_threads()
 
@@ -711,6 +710,51 @@ def test_send_many_of_nothing_sends_nothing():
     assert backend.call_count == 0
 
 
+class GarbageOnceBackend:
+    """Blocks like a network call; the call numbered garbage_at returns garbage."""
+
+    def __init__(self, garbage_at):
+        self.garbage_at = garbage_at
+        self.call_count = 0
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self._lock:
+            call = self.call_count
+            self.call_count += 1
+            self.threads.add(threading.get_ident())
+        time.sleep(0.002)
+        return ("total garbage" if call == self.garbage_at else '{"results": []}'), {}
+
+
+def _classify_40_chunks(backend):
+    catalog = catalog_from_alias_map({"NAV": "Drone/Navigation", "_OF_": "Other Function"})
+    inputs = [Requirement(req_id=str(i), text="The drone shall land.") for i in range(40)]
+    template = build_classification_prompt(catalog, "Classify.")
+    classify(chunk(inputs, 1), template, catalog, LlmRequestParams(), backend)
+
+
+def _detect_in_40_clusters(backend):
+    clusters = {
+        f"F{i}": [ClassifiedRequirement(f"{i}{s}", f"F{i}", "FUNC", 90) for s in "ab"]
+        for i in range(40)
+    }
+    detect_duplicates(clusters, LlmRequestParams(), backend, prompt_version="V1")
+
+
+@pytest.mark.parametrize("caller", [_classify_40_chunks, _detect_in_40_clusters])
+def test_a_parse_error_on_the_threaded_path_propagates_and_stops_the_pool(caller):
+    backend = GarbageOnceBackend(garbage_at=10)
+    with pytest.raises(NoJsonFoundError) as excinfo:
+        caller(backend)
+    # excinfo holds the traceback and its frames, as an except clause does.
+    assert not _send_threads()
+    assert str(excinfo.value) == "response contains no parsable JSON value"
+    assert len(backend.threads) > 1  # the calls went to worker threads
+    assert backend.call_count < 40  # queued prompts were never sent
+
+
 class _SlowMock(MockBackend):
     def complete(self, prompt, params):
         time.sleep(0.002)
@@ -727,5 +771,7 @@ def test_mock_backend_rules_load_safely_under_concurrent_calls(tmp_path):
     prompts = [first] + [f"rule-key {i}" for i in range(32)]
     backend = _SlowMock(tmp_path)
     results = list(send_many(prompts, LlmRequestParams(), backend, max_concurrency=8))
-    assert [r.status for r in results] == ["empty"] + ["ok"] * 32
+    assert [r.raw_text for r in results] == ['{"results": []}'] + [
+        '{"results": [{"ReqID": "1"}]}'
+    ] * 32
     assert backend.call_count == len(prompts)

@@ -23,7 +23,6 @@ from safereq import (
     detect_contradictions,
     detect_duplicates,
     load_gold_pairs,
-    merge_findings,
     render_results,
     score,
 )
@@ -316,25 +315,6 @@ def test_relation_matching_is_case_insensitive():
     )
     result = detect_contradictions(clusters, PARAMS, backend)
     assert [f.kind for f in result.findings] == [KIND_CONTRADICTION]
-
-
-# ---------------------------------------------------------------------------
-# Merging
-# ---------------------------------------------------------------------------
-
-
-def test_merge_findings_sorts_and_deduplicates():
-    a = PairFinding(req_a="2", req_b="3", kind=KIND_DUPLICATE)
-    b = PairFinding(req_a="1", req_b="2", kind=KIND_CONTRADICTION)
-    merged = merge_findings([a], [b, a])
-    assert merged == [b, a]
-
-
-def test_merge_findings_conflict_raises():
-    a = PairFinding(req_a="1", req_b="2", kind=KIND_DUPLICATE)
-    b = PairFinding(req_a="1", req_b="2", kind=KIND_CONTRADICTION)
-    with pytest.raises(FindingConflictError):
-        merge_findings([a], [b])
 
 
 # ---------------------------------------------------------------------------

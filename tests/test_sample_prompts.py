@@ -7,6 +7,7 @@ parsed once, and a garbage response still fails its task with the
 parser's message.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -175,7 +176,7 @@ def test_each_backend_response_is_parsed_once(project, monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (gateway, orchestrator, pairwise):
+    for module in (gateway, classify_module, pairwise):
         monkeypatch.setattr(module, "parse_results_json", counting)
     report, backend = run_sample(project)
     assert not report.failed
@@ -237,8 +238,11 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
         ["Requirements"],
     )
     pieces = chunk(requirements, 4)
+    template = build_classification_prompt(catalog, "Classify.", "DS")
     expected = [
-        gateway.assemble_prompt(build_classification_prompt(piece, catalog, "Classify.", "DS"))
+        gateway.assemble_prompt(
+            dataclasses.replace(template, rows=tuple((r.req_id, r.text) for r in piece.rows))
+        )
         for piece in pieces
     ]
     renders = []
@@ -251,7 +255,7 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
     monkeypatch.setattr(classify_module, "render_resource", counting)
     backend = EchoBackend()
     params = LlmRequestParams(model_id="m", max_concurrency=1)  # prompts in send order
-    classify(pieces, catalog, params, backend, "Classify.", "DS")
+    classify(pieces, template, catalog, params, backend)
     assert len(pieces) > 1
     assert backend.prompts == expected
     assert len(renders) == 2  # ARCHITECTURE and safety_function_type, once each
