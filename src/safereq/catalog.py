@@ -72,15 +72,6 @@ class FunctionCatalog:
     def aliases(self) -> list[str]:
         return [e.alias for e in self.entries]
 
-    def entry(self, alias: str) -> CatalogEntry | None:
-        for e in self.entries:
-            if e.alias == alias:
-                return e
-        return None
-
-    def has_alias(self, alias: str) -> bool:
-        return any(e.alias == alias for e in self.entries)
-
     def alias_map(self) -> dict[str, str]:
         """Flat {alias: lineage} view, the shape prompts embed."""
         return {e.alias: e.lineage for e in self.entries}
@@ -247,13 +238,9 @@ def extract_catalog(
                     if rel.source not in flow_objects:
                         owned_objects.setdefault(target, rel.source)
                 elif src_is_obj and target in process_names:
-                    if rel.kind is RelationKind.EXHIBITION:
-                        exhibited.append((rel.source, target))
-                        process_has_parent.add(target)
-                    else:
-                        # An object aggregating a process also anchors it.
-                        exhibited.append((rel.source, target))
-                        process_has_parent.add(target)
+                    # An object exhibiting or aggregating a process anchors it.
+                    exhibited.append((rel.source, target))
+                    process_has_parent.add(target)
                 elif rel.source in process_names and target in process_names:
                     part_children.setdefault(rel.source, []).append(target)
                     process_has_parent.add(target)

@@ -9,8 +9,11 @@ returned.
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .errors import MismatchedIdSetsError
@@ -69,6 +72,50 @@ class ClassifiedRequirement:
     flags: tuple[str, ...] = ()
 
 
+# Each ClassifiedRequirement field's column name, in field order. The raw
+# file's rows, the joined CSV's result columns and the classification
+# report all take their column names and order from here.
+CLASSIFIED_COLUMNS = {
+    "ReqID": "req_id",
+    "Function": "function",
+    "Type": "rtype",
+    "Confidence": "confidence",
+    "System Requirement": "system_requirement",
+    "Function_Explanation": "function_explanation",
+    "Type_Explanation": "type_explanation",
+    "Flags": "flags",
+}
+_VALUES = attrgetter(*CLASSIFIED_COLUMNS.values())
+
+
+def classified_record(row: ClassifiedRequirement) -> dict:
+    """row keyed by CLASSIFIED_COLUMNS, as the raw file stores it: Flags unjoined."""
+    return dict(zip(CLASSIFIED_COLUMNS, _VALUES(row)))
+
+
+def classified_table(
+    rows: Iterable[ClassifiedRequirement], columns: Iterable[str] | None = None
+) -> Iterator[list]:
+    """Each row's cells under CLASSIFIED_COLUMNS, or under columns, a selection of them.
+
+    Flags joins with "|". Each row's cells are made as the result is read.
+    """
+    at = None if columns is None else [list(CLASSIFIED_COLUMNS).index(c) for c in columns]
+    for row in rows:
+        cells = list(_VALUES(row))
+        cells[-1] = "|".join(row.flags)  # Flags is the last column
+        yield cells if at is None else [cells[i] for i in at]
+
+
+def clamp_confidence(value) -> int:
+    """A confidence as an int in 0..100; 0 for a non-numeric or non-finite value."""
+    try:
+        number = float(str(value))
+    except (TypeError, ValueError):
+        return 0
+    return max(0, min(100, int(number))) if math.isfinite(number) else 0
+
+
 @dataclass
 class ClassifyOutcome:
     rows: list[ClassifiedRequirement]
@@ -111,7 +158,8 @@ def validate_records(
     Aliases outside the catalog are remapped to _OF_ (flag RemappedToOF);
     ids the backend never returned get placeholder rows (flag Unreturned,
     function _OF_, type _OT_); records with unknown or repeated ids are
-    quarantined; confidence below the threshold flags LowConfidence.
+    quarantined; a confidence that is not a finite number counts as 0, and
+    confidence below the threshold flags LowConfidence.
     """
     known = {req.req_id: req for req in inputs}
     aliases = set(catalog.aliases)
@@ -155,11 +203,7 @@ def validate_records(
         if rtype not in TYPE_VALUES:
             rtype = OTHER_TYPE
 
-        try:
-            confidence = int(float(str(record.get("Confidence", 0))))
-        except (TypeError, ValueError):
-            confidence = 0
-        confidence = max(0, min(100, confidence))
+        confidence = clamp_confidence(record.get("Confidence"))
         if confidence < LOW_CONFIDENCE_THRESHOLD:
             flags.append(FLAG_LOW_CONFIDENCE)
 

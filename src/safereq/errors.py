@@ -146,10 +146,6 @@ class UnknownAnalysisFunctionError(SafereqError):
     """A task names an analysis function that is not registered."""
 
 
-class IoFailureError(SafereqError):
-    """Reading an input or writing an output failed."""
-
-
 # ---------------------------------------------------------------------------
 # Analysis
 # ---------------------------------------------------------------------------

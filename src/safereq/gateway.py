@@ -18,7 +18,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Lock
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
 from .errors import (
     AuthMissingError,
@@ -285,6 +285,13 @@ def render_results(records: list[dict]) -> str:
 _LENGTH_MARKERS = ("context_length", "maximum context", "too long", "token limit")
 
 
+class Backend(Protocol):
+    """What send needs of a backend: one completion per prompt."""
+
+    def complete(self, prompt: str, params: LlmRequestParams) -> tuple[str, dict]:
+        """Return the response text and its usage counts."""
+
+
 class MockBackend:
     """Replays canned responses from a fixture directory.
 
@@ -424,8 +431,6 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-Backend = MockBackend | HttpBackend
-
 _RETRYABLE = (TransportError, RateLimitedError)
 
 
@@ -482,14 +487,13 @@ def send_many(
     params: LlmRequestParams,
     backend: Backend,
     *,
-    max_concurrency: int | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Iterator[LlmResult]:
     """Send each prompt as send() would and yield the results in input order.
 
-    prompts is consumed lazily: at most 2 * max_concurrency prompts or
-    results are alive at once. max_concurrency (params.max_concurrency
-    when None) bounds the calls in flight; 1 is strictly sequential.
+    prompts is consumed lazily: at most 2 * params.max_concurrency prompts
+    or results are alive at once. params.max_concurrency bounds the calls
+    in flight; 1 is strictly sequential.
 
     The first prompt is sent inline and timed. The rest go to a thread
     pool only when that call waited (wall time minus thread CPU time) at
@@ -499,7 +503,7 @@ def send_many(
     exception propagates; queued prompts are cancelled and every worker
     thread has ended by the time it does.
     """
-    limit = params.max_concurrency if max_concurrency is None else max_concurrency
+    limit = params.max_concurrency
     prompts = iter(prompts)
     first = next(prompts, None)
     if first is None:

@@ -9,9 +9,10 @@ itself resolves against the directory holding the config file.
 
 Each successful task writes its primary output to
 <output_path>/raw/<task>_<version tag>.json. A task with delta enabled
-is skipped (zero backend calls) when that file already exists; its
-artifacts are rehydrated from the file so downstream tasks and the final
-report set behave exactly as on the first run. Failures leave a
+is skipped (zero backend calls) when that file already exists. Its body
+then reads its results back from the file, as with execute false, and
+publishes them without writing anything, so downstream tasks and the
+final report set behave exactly as on the first run. Failures leave a
 .partial file beside the missing output instead; the next success
 removes it. Every file is written to a temp file beside it and moved
 into place, so a crash never leaves a truncated file a later run trusts.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Callable
@@ -32,8 +33,16 @@ from .catalog import (
     catalog_from_alias_map,
     catalog_from_mapping,
 )
-from .classify import ClassifiedRequirement, accuracy, classify
-from .coverage import CoverageMatrix, build_matrix, gap_ranking
+from .classify import (
+    CLASSIFIED_COLUMNS,
+    ClassifiedRequirement,
+    accuracy,
+    clamp_confidence,
+    classified_record,
+    classified_table,
+    classify,
+)
+from .coverage import build_matrix, gap_ranking
 from .errors import (
     EmptyDatasetError,
     EmptyGoldError,
@@ -59,6 +68,7 @@ from .pairwise import (
     cluster_by_function,
     detect_contradictions,
     detect_duplicates,
+    finding_record,
     load_gold_pairs,
     score,
 )
@@ -66,7 +76,7 @@ from .reporting import (
     DEFAULT_THRESHOLDS,
     ReportInputs,
     ReportSet,
-    _replacing,
+    _write_csv,
     _write_json,
     _write_text,
     emit_report_set,
@@ -144,17 +154,6 @@ _UNKNOWN_TASK_KEY = "unknown key; expected a task field or one of " + ", ".join(
     sorted(_TASK_EXTRA_KEYS)
 )
 
-_RESULT_GETTERS = {
-    "Function": lambda r: r.function,
-    "Type": lambda r: r.rtype,
-    "Confidence": lambda r: r.confidence,
-    "System Requirement": lambda r: r.system_requirement,
-    "Function_Explanation": lambda r: r.function_explanation,
-    "Type_Explanation": lambda r: r.type_explanation,
-    "Flags": lambda r: "|".join(r.flags),
-}
-
-
 def _validate_task(t: TaskConfig) -> list[tuple[str, str, str]]:
     problems: list[tuple[str, str, str]] = []
 
@@ -205,7 +204,8 @@ def _validate_task(t: TaskConfig) -> list[tuple[str, str, str]]:
             "dataset_columns",
             "must be a non-empty list of column names",
         )
-        unknown = [c for c in t.result_columns if c not in _RESULT_GETTERS]
+        # The id column leads every joined row already.
+        unknown = [c for c in t.result_columns if c == "ReqID" or c not in CLASSIFIED_COLUMNS]
         need(
             not unknown,
             "result_columns",
@@ -349,12 +349,8 @@ class PipelineContext:
     version_tag: str
     force: bool = False
     verbose: bool = False
-    catalog: FunctionCatalog | None = None
-    classified: list[ClassifiedRequirement] | None = None
-    coverage: CoverageMatrix | None = None
-    duplicates: list[PairFinding] | None = None
-    contradictions: list[PairFinding] | None = None
-    scores: dict[str, float] = field(default_factory=dict)
+    # What the tasks publish: the catalog, their results and their scores.
+    reports: ReportInputs = field(default_factory=ReportInputs)
 
 
 @dataclass
@@ -447,7 +443,7 @@ def _catalog_for(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog | No
 
 
 def _require_catalog(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog:
-    catalog = ctx.catalog or _catalog_for(ctx, task)
+    catalog = ctx.reports.catalog or _catalog_for(ctx, task)
     if catalog is None:
         raise SafereqError(
             "no ARCHITECTURE resource configured; cannot build the function catalog"
@@ -470,16 +466,12 @@ def _classified_from_file(path: Path, id_column: str) -> list[ClassifiedRequirem
             req_id = (record.get(id_column) or "").strip()
             if not req_id:
                 continue
-            try:
-                confidence = int(float(record.get("Confidence") or 0))
-            except ValueError:
-                confidence = 0
             rows.append(
                 ClassifiedRequirement(
                     req_id=req_id,
                     function=(record.get("Function") or "").strip(),
                     rtype=(record.get("Type") or "").strip(),
-                    confidence=max(0, min(100, confidence)),
+                    confidence=clamp_confidence(record.get("Confidence")),
                     system_requirement=(record.get("System Requirement") or "").strip(),
                     flags=tuple(
                         f for f in (record.get("Flags") or "").split("|") if f
@@ -493,27 +485,14 @@ def _classified_from_file(path: Path, id_column: str) -> list[ClassifiedRequirem
 
 def _classified_for(ctx: PipelineContext, task: TaskConfig) -> list[ClassifiedRequirement]:
     """Classified rows from the pipeline context, else from input_file."""
-    if ctx.classified is not None:
-        return ctx.classified
+    if ctx.reports.classified is not None:
+        return ctx.reports.classified
     path = _resolve(ctx.config, task, task.input_file)
     if not path.exists():
         if _under_some_output(ctx.config, path):
             raise SafereqError(f"missing upstream output: {path}")
         raise SafereqError(f"input file not found: {path}")
     return _classified_from_file(path, task.dataset_id_column)
-
-
-def _row_dict(row: ClassifiedRequirement) -> dict:
-    return {
-        "ReqID": row.req_id,
-        "Function": row.function,
-        "Type": row.rtype,
-        "Confidence": row.confidence,
-        "System Requirement": row.system_requirement,
-        "Function_Explanation": row.function_explanation,
-        "Type_Explanation": row.type_explanation,
-        "Flags": list(row.flags),
-    }
 
 
 def _rows_from_raw(path: Path) -> tuple[list[ClassifiedRequirement], list[tuple[dict, str]]]:
@@ -535,16 +514,6 @@ def _rows_from_raw(path: Path) -> tuple[list[ClassifiedRequirement], list[tuple[
     return rows, quarantined
 
 
-def _finding_dict(finding: PairFinding) -> dict:
-    return {
-        "ReqID_A": finding.req_a,
-        "ReqID_B": finding.req_b,
-        "Relation": finding.kind,
-        "Function": finding.function,
-        "Rationale": finding.rationale,
-    }
-
-
 def _findings_from_raw(path: Path) -> tuple[list[PairFinding], list[str]]:
     payload = json.loads(path.read_text(encoding="utf-8"))
     findings = [
@@ -558,16 +527,6 @@ def _findings_from_raw(path: Path) -> tuple[list[PairFinding], list[str]]:
         for f in payload.get("findings", [])
     ]
     return findings, list(payload.get("notes", []))
-
-
-def _score_dict(pair_score: PairScore) -> dict:
-    return {
-        "detected_true": pair_score.detected_true,
-        "gold_total": pair_score.gold_total,
-        "false_positive": pair_score.false_positive,
-        "rate": pair_score.rate,
-        "meets_target": pair_score.meets_target,
-    }
 
 
 def _load_gold_labels(path: Path) -> dict[str, tuple[str, str]]:
@@ -585,23 +544,29 @@ def _load_gold_labels(path: Path) -> dict[str, tuple[str, str]]:
     return gold
 
 
-def _score_classification(
-    ctx: PipelineContext, task: TaskConfig, rows: list[ClassifiedRequirement]
+def _take_rows(
+    ctx: PipelineContext,
+    task: TaskConfig,
+    catalog: FunctionCatalog,
+    rows: list[ClassifiedRequirement],
 ) -> float | None:
+    """Publish classified rows and their catalog, and score the rows against gold."""
+    ctx.reports.catalog = catalog
+    ctx.reports.classified = rows
     gold_file = task.extra.get("gold_file")
     if not gold_file:
         return None
     gold = _load_gold_labels(_resolve(ctx.config, task, gold_file))
     value = accuracy(rows, gold, include_type=bool(task.extra.get("gold_include_type", True)))
-    ctx.scores[task.extra.get("metric", "classification")] = value
+    ctx.reports.scores[task.extra.get("metric", "classification")] = value
     return value
 
 
 def _take_findings(
     ctx: PipelineContext, task: TaskConfig, spec: _PairSpec, findings: list[PairFinding]
 ) -> PairScore | None:
-    """Publish findings to the spec's context slot and score them against gold."""
-    setattr(ctx, spec.slot, findings)
+    """Publish findings to the spec's report slot and score them against gold."""
+    setattr(ctx.reports, spec.slot, findings)
     gold_file = task.extra.get("gold_file")
     if not gold_file:
         return None
@@ -609,7 +574,7 @@ def _take_findings(
     metric = task.extra.get("metric", spec.slot)
     threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(metric, 80.0)
     pair_score = score(findings, gold, threshold=threshold)
-    ctx.scores[metric] = pair_score.rate
+    ctx.reports.scores[metric] = pair_score.rate
     return pair_score
 
 
@@ -625,9 +590,26 @@ def _previous_raw(raw_path: Path) -> Path:
     return raw_path
 
 
+def _write_quarantine(
+    ctx: PipelineContext, task: TaskConfig, quarantined: list[tuple[dict, str]]
+) -> list[Path]:
+    """Write the records a task could not use, each with its reason, if any."""
+    if not quarantined:
+        return []
+    path = _out_dir(ctx.config, task) / "quarantine" / f"{task.name}_{ctx.version_tag}.json"
+    _write_json(path, [{"record": record, "reason": reason} for record, reason in quarantined])
+    return [path]
+
+
 def _task_completeness(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path
+    ctx: PipelineContext, task: TaskConfig, raw_path: Path, reuse: bool
 ) -> tuple[list[Path], str]:
+    if reuse:
+        rows, _ = _rows_from_raw(raw_path)
+        if task.analyze:
+            _take_rows(ctx, task, _require_catalog(ctx, task), rows)
+        return [], f"reused {len(rows)} classified rows"
+
     catalog = _require_catalog(ctx, task)
     input_path = _resolve(ctx.config, task, task.input_file)
     if not input_path.exists():
@@ -652,43 +634,27 @@ def _task_completeness(
     else:
         rows, quarantined = _rows_from_raw(_previous_raw(raw_path))
 
-    files: list[Path] = []
-    if quarantined:
-        quarantine_path = (
-            _out_dir(ctx.config, task)
-            / "quarantine"
-            / f"{task.name}_{ctx.version_tag}.json"
-        )
-        _write_json(
-            quarantine_path,
-            [{"record": record, "reason": reason} for record, reason in quarantined],
-        )
-        files.append(quarantine_path)
-
+    files = _write_quarantine(ctx, task, quarantined)
     gold_value = None
     if task.analyze:
         joined_path = _joined_path(ctx.config, task)
-        header = [task.dataset_id_column, *task.dataset_columns, *task.result_columns]
-        with _replacing(joined_path, newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for req, row in zip(inputs, rows):
-                writer.writerow(
-                    [req.req_id]
-                    + [req.extra.get(col, "") for col in task.dataset_columns]
-                    + [_RESULT_GETTERS[col](row) for col in task.result_columns]
-                )
+        _write_csv(
+            joined_path,
+            [task.dataset_id_column, *task.dataset_columns, *task.result_columns],
+            (
+                [req.req_id, *[req.extra.get(col, "") for col in task.dataset_columns], *cells]
+                for req, cells in zip(inputs, classified_table(rows, task.result_columns))
+            ),
+        )
         files.append(joined_path)
-        ctx.catalog = catalog
-        ctx.classified = rows
-        gold_value = _score_classification(ctx, task, rows)
+        gold_value = _take_rows(ctx, task, catalog, rows)
 
     _write_json(
         raw_path,
         {
             "task": task.name,
             "analysis_function": task.analysis_function,
-            "rows": [_row_dict(row) for row in rows],
+            "rows": [classified_record(row) for row in rows],
             "quarantined": [[record, reason] for record, reason in quarantined],
             "accuracy": gold_value,
         },
@@ -701,16 +667,16 @@ def _task_completeness(
 
 
 def _task_coverage(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path
+    ctx: PipelineContext, task: TaskConfig, raw_path: Path, reuse: bool
 ) -> tuple[list[Path], str]:
     classified = _classified_for(ctx, task)
     catalog = _require_catalog(ctx, task)
     matrix = build_matrix(classified, catalog)
     gaps = gap_ranking(matrix)
     if task.analyze:
-        ctx.coverage = matrix
-        if ctx.catalog is None:
-            ctx.catalog = catalog
+        ctx.reports.coverage = matrix
+        if ctx.reports.catalog is None:
+            ctx.reports.catalog = catalog
     _write_json(
         raw_path,
         {
@@ -744,7 +710,7 @@ class _PairSpec:
 
     detect: Callable[[PipelineContext, TaskConfig, dict], DetectionResult]
     kind: str  # the gold kind findings are scored as
-    slot: str  # PipelineContext field for the findings; also the default metric
+    slot: str  # ReportInputs field for the findings; also the default metric
     versioned: bool  # the raw file records prompt_version
 
 
@@ -765,7 +731,7 @@ _PAIR_SPECS = {
     ),
     ANALYSIS_CONTRADICTIONS: _PairSpec(
         detect=lambda ctx, task, clusters: detect_contradictions(
-            clusters, ctx.params, ctx.backend, duplicates=ctx.duplicates or []
+            clusters, ctx.params, ctx.backend, duplicates=ctx.reports.duplicates or []
         ),
         kind=KIND_CONTRADICTION,
         slot="contradictions",
@@ -775,20 +741,26 @@ _PAIR_SPECS = {
 
 
 def _task_pairs(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path
+    ctx: PipelineContext, task: TaskConfig, raw_path: Path, reuse: bool
 ) -> tuple[list[Path], str]:
     spec = _PAIR_SPECS[task.analysis_function]
+    if reuse:
+        findings, _ = _findings_from_raw(raw_path)
+        if task.analyze:
+            _take_findings(ctx, task, spec, findings)
+        return [], f"reused {len(findings)} findings"
+
     classified = _classified_for(ctx, task)
-    catalog = ctx.catalog or _catalog_for(ctx, task)
+    catalog = ctx.reports.catalog or _catalog_for(ctx, task)
     clusters = cluster_by_function(classified, catalog)
 
     if task.execute:
         detection = spec.detect(ctx, task, clusters)
-        findings, notes = detection.findings, detection.notes
     else:
-        findings, notes = _findings_from_raw(_previous_raw(raw_path))
+        detection = DetectionResult(*_findings_from_raw(_previous_raw(raw_path)))
+    files = _write_quarantine(ctx, task, detection.rejected)
 
-    pair_score = _take_findings(ctx, task, spec, findings) if task.analyze else None
+    pair_score = _take_findings(ctx, task, spec, detection.findings) if task.analyze else None
     version = {"prompt_version": _prompt_version(task)} if spec.versioned else {}
     _write_json(
         raw_path,
@@ -796,48 +768,25 @@ def _task_pairs(
             "task": task.name,
             "analysis_function": task.analysis_function,
             **version,
-            "findings": [_finding_dict(f) for f in findings],
-            "notes": notes,
-            "score": _score_dict(pair_score) if pair_score else None,
+            "findings": [finding_record(f) for f in detection.findings],
+            "notes": detection.notes,
+            "score": asdict(pair_score) if pair_score else None,
         },
     )
-    detail = f"{len(findings)} findings across {len(clusters)} function clusters"
+    detail = f"{len(detection.findings)} findings across {len(clusters)} function clusters"
     if pair_score:
         detail += f", detection rate {pair_score.rate:.2f}"
-    return [raw_path], detail
+    return [raw_path, *files], detail
 
 
+# Each body takes the context, the task, its raw file and whether delta reuses
+# that file. On a reuse it reads its results back, publishes them, writes nothing.
 BUILTIN_FUNCTIONS = {
     ANALYSIS_COMPLETENESS: _task_completeness,
     ANALYSIS_COVERAGE: _task_coverage,
     ANALYSIS_DUPLICATES: _task_pairs,
     ANALYSIS_CONTRADICTIONS: _task_pairs,
 }
-
-
-# ---------------------------------------------------------------------------
-# Delta rehydration
-# ---------------------------------------------------------------------------
-
-
-def _hydrate_task(ctx: PipelineContext, task: TaskConfig, raw_path: Path) -> str:
-    """Restore a skipped task's artifacts into the context from its raw file.
-
-    Keeps downstream tasks and the final report set identical to a full
-    run, without any backend calls.
-    """
-    if task.analysis_function == ANALYSIS_COMPLETENESS:
-        rows, _ = _rows_from_raw(raw_path)
-        if task.analyze:
-            ctx.catalog = ctx.catalog or _require_catalog(ctx, task)
-            ctx.classified = rows
-            _score_classification(ctx, task, rows)
-        return f"reused {len(rows)} classified rows"
-    spec = _PAIR_SPECS[task.analysis_function]
-    findings, _ = _findings_from_raw(raw_path)
-    if task.analyze:
-        _take_findings(ctx, task, spec, findings)
-    return f"reused {len(findings)} findings"
 
 
 # ---------------------------------------------------------------------------
@@ -875,13 +824,12 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
 
     calls_before = getattr(ctx.backend, "call_count", 0)
     try:
+        files, detail = BUILTIN_FUNCTIONS[task.analysis_function](
+            ctx, task, raw_path, delta_hit
+        )
         if delta_hit:
-            detail = f"delta: {_hydrate_task(ctx, task, raw_path)}"
-            result = TaskResult(task.name, STATUS_SKIPPED, detail)
+            result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {detail}")
         else:
-            files, detail = BUILTIN_FUNCTIONS[task.analysis_function](
-                ctx, task, raw_path
-            )
             result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=files)
             partial.unlink(missing_ok=True)
     except (SafereqError, ValueError, KeyError, OSError) as exc:
@@ -908,9 +856,9 @@ def run_all(
     """Run every task in config order, then emit the assembled report set.
 
     The report set lands under <output_path>/reports of the last selected
-    task and covers whatever artifacts the run produced (rehydrated
-    artifacts from delta-skipped tasks included); missing parts appear
-    as not run in the summary.
+    task and covers whatever artifacts the run produced (results that
+    delta-skipped tasks read back included); missing parts appear as not
+    run in the summary.
     """
     cfg = load_config(config_path)
     if only_task is not None and all(t.name != only_task for t in cfg.tasks):
@@ -924,26 +872,14 @@ def run_all(
         version_tag=version_tag or date.today().isoformat(),
         force=force,
         verbose=verbose,
+        reports=ReportInputs(thresholds=cfg.thresholds),
     )
     results = [run_task(ctx, task, dry_run=dry_run) for task in selected]
 
     report_set = None
-    has_artifacts = (
-        ctx.classified is not None
-        or ctx.coverage is not None
-        or ctx.duplicates is not None
-        or ctx.contradictions is not None
-    )
-    if not dry_run and selected and has_artifacts:
-        inputs = ReportInputs(
-            classified=ctx.classified,
-            catalog=ctx.catalog,
-            coverage=ctx.coverage,
-            duplicates=ctx.duplicates,
-            contradictions=ctx.contradictions,
-            scores=ctx.scores or None,
-            thresholds=ctx.config.thresholds or None,
-        )
+    inputs = ctx.reports
+    parts = (inputs.classified, inputs.coverage, inputs.duplicates, inputs.contradictions)
+    if not dry_run and selected and any(part is not None for part in parts):
         reports_dir = _out_dir(cfg, selected[-1]) / "reports"
         report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
     return RunReport(results=results, report_set=report_set)

@@ -12,6 +12,7 @@ import csv
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import tee
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,7 +39,6 @@ KIND_DUPLICATE = "Duplicate"
 KIND_COMPLEMENTARY = "Complementary"
 KIND_REFINEMENT = "Refinement"
 KIND_CONTRADICTION = "Contradiction"
-FINDING_KINDS = (KIND_DUPLICATE, KIND_COMPLEMENTARY, KIND_REFINEMENT, KIND_CONTRADICTION)
 
 _RESULT_SHAPE_NOTE = (
     'Answer with a single JSON document of the form {"results": [{"ReqID_A": "...", '
@@ -100,6 +100,23 @@ class PairFinding:
     @property
     def pair(self) -> tuple[str, str]:
         return (self.req_a, self.req_b)
+
+
+# Each PairFinding field's column name, in field order: the raw file's
+# findings and the pair reports take their column names and order from here.
+PAIR_COLUMNS = {
+    "ReqID_A": "req_a",
+    "ReqID_B": "req_b",
+    "Relation": "kind",
+    "Function": "function",
+    "Rationale": "rationale",
+}
+finding_cells = attrgetter(*PAIR_COLUMNS.values())
+
+
+def finding_record(finding: PairFinding) -> dict:
+    """finding keyed by PAIR_COLUMNS, as the raw file stores it."""
+    return dict(zip(PAIR_COLUMNS, finding_cells(finding)))
 
 
 @dataclass

@@ -14,12 +14,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
-from .classify import ClassifiedRequirement
+from .classify import CLASSIFIED_COLUMNS, ClassifiedRequirement, classified_table
 from .coverage import CoverageMatrix, gap_ranking
 from .errors import SafereqError
-from .pairwise import PairFinding
+from .pairwise import PAIR_COLUMNS, PairFinding, finding_cells
 
 DEFAULT_THRESHOLDS = {
     "subsystem_identification": 90.0,
@@ -42,14 +43,17 @@ class MetricRow:
 
 @dataclass
 class ReportInputs:
-    """Everything emit_report_set may render; None marks a part as not run."""
+    """Everything emit_report_set may render.
+
+    None, or no scores, marks a part as not run.
+    """
 
     classified: list[ClassifiedRequirement] | None = None
     catalog: FunctionCatalog | None = None
     coverage: CoverageMatrix | None = None
     duplicates: list[PairFinding] | None = None
     contradictions: list[PairFinding] | None = None
-    scores: dict[str, float] | None = None
+    scores: dict[str, float] = field(default_factory=dict)
     thresholds: dict[str, float] | None = None
 
 
@@ -86,7 +90,7 @@ def _replacing(path: Path, newline: str | None = None):
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with _replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -148,37 +152,22 @@ def _write_table_json(path: Path, header: list[str], table: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_classification_report(
-    rows: list[ClassifiedRequirement], out_dir: Path, tag: str
+def _write_table(
+    out_dir: Path, stem: str, tag: str, header: list[str], table: list[list]
 ) -> list[Path]:
-    header = [
-        "ReqID",
-        "Function",
-        "Type",
-        "Confidence",
-        "System Requirement",
-        "Function_Explanation",
-        "Type_Explanation",
-        "Flags",
-    ]
-    table = [
-        [
-            r.req_id,
-            r.function,
-            r.rtype,
-            r.confidence,
-            r.system_requirement,
-            r.function_explanation,
-            r.type_explanation,
-            "|".join(r.flags),
-        ]
-        for r in rows
-    ]
-    csv_path = out_dir / f"classification_{tag}.csv"
-    json_path = out_dir / f"classification_{tag}.json"
+    """Write table to <stem>_<tag>.csv, and the same cells to <stem>_<tag>.json."""
+    csv_path = out_dir / f"{stem}_{tag}.csv"
+    json_path = out_dir / f"{stem}_{tag}.json"
     _write_csv(csv_path, header, table)
     _write_table_json(json_path, header, table)
     return [csv_path, json_path]
+
+
+def write_classification_report(
+    rows: list[ClassifiedRequirement], out_dir: Path, tag: str
+) -> list[Path]:
+    table = list(classified_table(rows))
+    return _write_table(out_dir, "classification", tag, list(CLASSIFIED_COLUMNS), table)
 
 
 def write_allocation_report(
@@ -193,23 +182,14 @@ def write_allocation_report(
         [r.req_id, r.function, lineages.get(r.function, ""), r.system_requirement]
         for r in rows
     ]
-    csv_path = out_dir / f"allocation_{tag}.csv"
-    json_path = out_dir / f"allocation_{tag}.json"
-    _write_csv(csv_path, header, table)
-    _write_table_json(json_path, header, table)
-    return [csv_path, json_path]
+    return _write_table(out_dir, "allocation", tag, header, table)
 
 
 def write_pair_report(
     findings: list[PairFinding], stem: str, out_dir: Path, tag: str
 ) -> list[Path]:
-    header = ["ReqID_A", "ReqID_B", "Relation", "Function", "Rationale"]
-    table = [[f.req_a, f.req_b, f.kind, f.function, f.rationale] for f in findings]
-    csv_path = out_dir / f"{stem}_{tag}.csv"
-    json_path = out_dir / f"{stem}_{tag}.json"
-    _write_csv(csv_path, header, table)
-    _write_table_json(json_path, header, table)
-    return [csv_path, json_path]
+    table = list(map(finding_cells, findings))
+    return _write_table(out_dir, stem, tag, list(PAIR_COLUMNS), table)
 
 
 def write_coverage_report(matrix: CoverageMatrix, out_dir: Path, tag: str) -> list[Path]:
@@ -398,18 +378,12 @@ def emit_report_set(inputs: ReportInputs, out_dir: str | Path, version_tag: str)
         )
         report_set.files["allocation"] = csv_path
         report_set.files["allocation_json"] = json_path
-    if inputs.duplicates is not None:
-        csv_path, json_path = write_pair_report(
-            inputs.duplicates, "duplicates", out, version_tag
-        )
-        report_set.files["duplicates"] = csv_path
-        report_set.files["duplicates_json"] = json_path
-    if inputs.contradictions is not None:
-        csv_path, json_path = write_pair_report(
-            inputs.contradictions, "contradictions", out, version_tag
-        )
-        report_set.files["contradictions"] = csv_path
-        report_set.files["contradictions_json"] = json_path
+    for stem in ("duplicates", "contradictions"):
+        findings = getattr(inputs, stem)
+        if findings is not None:
+            csv_path, json_path = write_pair_report(findings, stem, out, version_tag)
+            report_set.files[stem] = csv_path
+            report_set.files[f"{stem}_json"] = json_path
     if inputs.coverage is not None:
         (csv_path,) = write_coverage_report(inputs.coverage, out, version_tag)
         report_set.files["coverage"] = csv_path

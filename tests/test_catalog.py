@@ -68,7 +68,7 @@ def test_alias_hints_override_derivation():
         "Station exhibits Monitoring.\n"
     )
     catalog = extract_catalog(graph, alias_hints={"Monitoring": "MNTR"})
-    assert catalog.entry("MNTR").lineage == "Station/Monitoring"
+    assert catalog.alias_map()["MNTR"] == "Station/Monitoring"
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_catalog_from_mapping_nested_shape():
     assert catalog.primary_systems == ["Drone", "Operator"]
     assert catalog.aliases == ["NAV", "_OF_", "CTRL"]
     assert catalog.contains_catch_all
-    assert catalog.entry("CTRL").primary_system == "Operator"
+    assert catalog.to_mapping()["Operator"] == {"CTRL": "Operator/Controlling"}
 
 
 def test_catalog_from_mapping_rejects_deep_lineage():
@@ -109,8 +109,8 @@ def test_catalog_from_alias_map_flat_shape():
 
 def test_missing_catch_all_is_injected_with_warning():
     catalog = catalog_from_alias_map({"NAV": "Drone/Navigation/Navigating"})
-    assert catalog.has_alias(CATCH_ALL_ALIAS)
-    assert catalog.entry(CATCH_ALL_ALIAS).lineage == CATCH_ALL_LINEAGE
+    assert CATCH_ALL_ALIAS in catalog.aliases
+    assert catalog.alias_map()[CATCH_ALL_ALIAS] == CATCH_ALL_LINEAGE
     assert any(CATCH_ALL_ALIAS in w for w in catalog.warnings)
 
 

@@ -140,8 +140,11 @@ def test_confidence_clamped_and_low_confidence_flagged():
             record("3", confidence=79),
             record("4", confidence=80),
             record("5", confidence="not a number"),
+            record("6", confidence=float("inf")),
+            record("7", confidence="-inf"),
+            record("8", confidence="1e999"),
         ],
-        reqs("1", "2", "3", "4", "5"),
+        reqs("1", "2", "3", "4", "5", "6", "7", "8"),
         small_catalog(),
     )
     by_id = {r.req_id: r for r in outcome.rows}
@@ -150,7 +153,52 @@ def test_confidence_clamped_and_low_confidence_flagged():
     assert FLAG_LOW_CONFIDENCE in by_id["2"].flags
     assert FLAG_LOW_CONFIDENCE in by_id["3"].flags
     assert FLAG_LOW_CONFIDENCE not in by_id["4"].flags
-    assert by_id["5"].confidence == 0
+    # Non-numeric and non-finite confidences alike read as 0.
+    for rid in "5678":
+        assert by_id[rid].confidence == 0
+        assert FLAG_LOW_CONFIDENCE in by_id[rid].flags
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_VALUES = (
+    st.sampled_from(["1", " 2 ", "3", "NAV", "EN", "func", "inf", "-inf", "1e999", "nan"])
+    | _JSON_VALUES
+)
+_RECORDS = st.fixed_dictionaries(
+    {},
+    optional={
+        key: _FIELD_VALUES
+        for key in (
+            "ReqID",
+            "Function",
+            "Type",
+            "Confidence",
+            "System_Requirement",
+            "System Requirement",
+            "Function_Explanation",
+            "Type_Explanation",
+        )
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_RECORDS, max_size=8),
+    st.lists(st.sampled_from(["1", "2", "3", "4"]), unique=True, max_size=4),
+)
+def test_validate_records_is_total_on_any_record_list(records, ids):
+    outcome = validate_records(records, reqs(*ids), small_catalog())
+    assert [r.req_id for r in outcome.rows] == ids
+    assert all(0 <= r.confidence <= 100 for r in outcome.rows)
+    # Each record fills the row of its id, or is quarantined: never both, never neither.
+    used = {str(r.get("ReqID", "")).strip() for r in records} & set(ids)
+    assert len(records) == len(used) + len(outcome.quarantined)
 
 
 # ---------------------------------------------------------------------------

@@ -583,7 +583,7 @@ def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        results = list(send_many(prompts, LlmRequestParams(), backend, max_concurrency=8))
+        results = list(send_many(prompts, LlmRequestParams(max_concurrency=8), backend))
     finally:
         sys.setswitchinterval(interval)
     assert backend.call_count == len(prompts)
@@ -633,10 +633,10 @@ def _send_threads():
 )
 def test_send_many_equals_sequential_send_in_order(delays, limit):
     prompts = [f"r{i}:{delay}" for i, delay in enumerate(delays)]
-    params = LlmRequestParams()
+    params = LlmRequestParams(max_concurrency=limit)
     expected = [send(p, params, SleepyBackend()) for p in prompts]
     backend = SleepyBackend()
-    assert list(send_many(prompts, params, backend, max_concurrency=limit)) == expected
+    assert list(send_many(prompts, params, backend)) == expected
     assert backend.in_flight.peak <= limit
     assert not _send_threads()
 
@@ -670,7 +670,7 @@ def test_send_many_raises_the_first_failing_prompt_and_cancels_the_rest():
     backend = SleepyBackend(fail={"r3", "r4"})
     results = []
     with pytest.raises(NotFixturedError) as exc:
-        for result in send_many(prompts, LlmRequestParams(), backend, max_concurrency=4):
+        for result in send_many(prompts, LlmRequestParams(max_concurrency=4), backend):
             results.append(result)
     assert exc.value.prompt_sha == "r3"
     assert [parse_results_json(r.raw_text).records for r in results] == [
@@ -770,7 +770,7 @@ def test_mock_backend_rules_load_safely_under_concurrent_calls(tmp_path):
     # The first prompt resolves by sha, so the rules load inside the pool.
     prompts = [first] + [f"rule-key {i}" for i in range(32)]
     backend = _SlowMock(tmp_path)
-    results = list(send_many(prompts, LlmRequestParams(), backend, max_concurrency=8))
+    results = list(send_many(prompts, LlmRequestParams(max_concurrency=8), backend))
     assert [r.raw_text for r in results] == ['{"results": []}'] + [
         '{"results": [{"ReqID": "1"}]}'
     ] * 32

@@ -1,8 +1,9 @@
-"""Import hygiene: no module imports a name it never uses, and `import
-safereq` stays cheap by leaving `requests` to the HTTP backend.
+"""Import hygiene: no module imports a name it never uses, no module
+defines a name nothing reads or exports, and `import safereq` stays cheap
+by leaving `requests` to the HTTP backend.
 
-No linter is a dependency, so the unused-import check walks each
-module's syntax tree with the standard library's `ast`.
+No linter is a dependency, so both name checks walk each module's
+syntax tree with the standard library's `ast`.
 """
 
 import ast
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import safereq
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,6 +52,63 @@ def test_no_package_module_imports_an_unused_name():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def module_level_definitions(source: str) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment;
+    dunder names such as __all__ are left out."""
+    names: set[str] = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the source reads, bare or as an attribute."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_dead_definition_check_flags_only_unread_names():
+    source = (
+        "from . import errors\n"
+        "from .errors import E\n"
+        "__all__ = ['f']\n"
+        "LIMIT = 3\n"
+        "UNUSED, USED = 1, 2\n"
+        "class Gone(E):\n"
+        "    pass\n"
+        "def f(x: int = LIMIT) -> int:\n"
+        "    return x + USED + errors.helper()\n"
+        "def helper():\n"
+        "    pass\n"
+    )
+    dead = module_level_definitions(source) - read_names(source) - {"f"}
+    assert sorted(dead) == ["Gone", "UNUSED"]
+
+
+def test_no_package_module_defines_a_name_nothing_reads_or_exports():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((SRC / "safereq").glob("*.py"))
+    }
+    read = set().union(*map(read_names, sources.values()))
+    dead = [
+        f"{stem}.{name}"
+        for stem, source in sources.items()
+        for name in sorted(module_level_definitions(source) - read - set(safereq.__all__))
+    ]
+    assert dead == []
 
 
 def test_importing_the_package_leaves_requests_unimported():

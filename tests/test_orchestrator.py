@@ -1,5 +1,6 @@
 """Tests for the config-driven pipeline: validation, delta reuse, failures."""
 
+import csv
 import json
 from datetime import date
 from pathlib import Path
@@ -269,11 +270,13 @@ def test_load_config_requires_local_analysis_not_execute(tmp_path):
 
 
 def test_load_config_rejects_unknown_result_column(tmp_path):
-    config = base_config()
-    config["b_classify"]["result_columns"] = ["Function", "Verdict"]
-    with pytest.raises(InvalidConfigError) as err:
-        load_config(make_project(tmp_path, config))
-    assert ("b_classify", "result_columns") in problems_of(err)
+    # ReqID is a record column, but the id column already leads each joined row.
+    for column in ("Verdict", "ReqID"):
+        config = base_config()
+        config["b_classify"]["result_columns"] = ["Function", column]
+        with pytest.raises(InvalidConfigError) as err:
+            load_config(make_project(tmp_path / column, config))
+        assert ("b_classify", "result_columns") in problems_of(err)
 
 
 def test_load_config_rejects_non_numeric_threshold(tmp_path):
@@ -653,15 +656,15 @@ def test_failed_joined_write_keeps_the_earlier_table(tmp_path, monkeypatch):
     run_project(tmp_path)
     joined = tmp_path / "results" / "joined" / "b_classify_joined.csv"
     before = joined.read_bytes()
-    rows_written = []
+    table = orchestrator.classified_table
 
-    def fail_on_third_row(row):
-        rows_written.append(row)
-        if len(rows_written) == 3:
-            raise ValueError("encoder failed mid-table")
-        return row.function
+    def fail_on_third_row(rows, columns):
+        for n, cells in enumerate(table(rows, columns)):
+            if n == 2:
+                raise ValueError("encoder failed mid-table")
+            yield cells
 
-    monkeypatch.setitem(orchestrator._RESULT_GETTERS, "Function", fail_on_third_row)
+    monkeypatch.setattr(orchestrator, "classified_table", fail_on_third_row)
     report = run_all(
         tmp_path / "params.json", version_tag="TEST", force=True, only_task="b_classify"
     )
@@ -674,9 +677,9 @@ def test_failed_raw_write_keeps_the_earlier_raw_file(tmp_path, monkeypatch):
     run_project(tmp_path)
     raw = tmp_path / "results" / "raw" / "b_classify_TEST.json"
     before = raw.read_bytes()
-    row_dict = orchestrator._row_dict
+    record = orchestrator.classified_record
     monkeypatch.setattr(
-        orchestrator, "_row_dict", lambda row: {**row_dict(row), "Flags": object()}
+        orchestrator, "classified_record", lambda row: {**record(row), "Flags": object()}
     )
     with pytest.raises(TypeError):
         run_all(
@@ -711,6 +714,44 @@ def test_unknown_records_are_quarantined_and_never_joined(tmp_path):
         encoding="utf-8"
     )
     assert "9999" not in joined
+
+
+def test_schema_rejected_pair_records_are_quarantined(tmp_path):
+    config_path = make_project(tmp_path)
+    (tmp_path / "fixtures" / "duplicates.json").write_text(
+        json.dumps({"results": [{"ReqID_A": "2000"}]}), encoding="utf-8"
+    )
+    report = run_all(
+        config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST"
+    )
+    assert report.failed == []
+    by_name = {r.name: r for r in report.results}
+    quarantine = tmp_path / "results" / "quarantine" / "d_duplicates_TEST.json"
+    assert by_name["d_duplicates"].files[-1] == quarantine
+    # The NAV and EN clusters each got the one-sided record back.
+    assert json.loads(quarantine.read_text(encoding="utf-8")) == [
+        {"record": {"ReqID_A": "2000"}, "reason": "missing required field 'ReqID_B'"}
+    ] * 2
+    assert not (tmp_path / "results" / "quarantine" / "e_contradictions_TEST.json").exists()
+
+
+def test_non_finite_confidence_in_a_joined_table_reads_as_zero(tmp_path):
+    run_project(tmp_path)
+    joined = tmp_path / "results" / "joined" / "b_classify_joined.csv"
+    with open(joined, encoding="utf-8", newline="") as handle:
+        table = list(csv.reader(handle))
+    column = table[0].index("Confidence")
+    for row, value in zip(table[1:], ["inf", "-inf", "1e999", "nan"]):
+        row[column] = value
+    with open(joined, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(table)
+
+    report = run_all(
+        tmp_path / "params.json", version_tag="TEST", only_task="c_coverage"
+    )
+    assert [r.status for r in report.results] == ["Succeeded"]
+    rows = orchestrator._classified_from_file(joined, "ReqID")
+    assert [r.confidence for r in rows] == [0, 0, 0, 0]
 
 
 def test_gold_file_scores_classification(tmp_path):
