@@ -146,6 +146,10 @@ class UnknownAnalysisFunctionError(SafereqError):
     """A task names an analysis function that is not registered."""
 
 
+class MalformedRawFileError(SafereqError):
+    """A task's raw output file does not hold the payload the task writes."""
+
+
 # ---------------------------------------------------------------------------
 # Analysis
 # ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ into place, so a crash never leaves a truncated file a later run trusts.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .catalog import (
     FunctionCatalog,
@@ -47,12 +49,14 @@ from .errors import (
     EmptyDatasetError,
     EmptyGoldError,
     InvalidConfigError,
+    MalformedRawFileError,
     MissingColumnError,
     SafereqError,
     UnknownAnalysisFunctionError,
 )
 from .gateway import (
     Backend,
+    CountingBackend,
     HttpBackend,
     LlmRequestParams,
     MockBackend,
@@ -78,10 +82,9 @@ from .reporting import (
     ReportSet,
     _write_csv,
     _write_json,
-    _write_text,
     emit_report_set,
 )
-from .requirements import load_requirements
+from .requirements import load_requirements, read_csv
 from .requirements import chunk as chunk_requirements
 
 TASK_TYPE = "GENERATIVE_ANALYSIS_TASK"
@@ -352,6 +355,11 @@ class PipelineContext:
     # What the tasks publish: the catalog, their results and their scores.
     reports: ReportInputs = field(default_factory=ReportInputs)
 
+    def __post_init__(self):
+        # Counted here, so TaskResult.backend_calls holds for any Backend.
+        if not isinstance(self.backend, CountingBackend):
+            self.backend = CountingBackend(self.backend)
+
 
 @dataclass
 class TaskResult:
@@ -453,29 +461,27 @@ def _require_catalog(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog:
 
 def _classified_from_file(path: Path, id_column: str) -> list[ClassifiedRequirement]:
     """Reload classified rows from a joined CSV written by an earlier task."""
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in (id_column, "Function", "Type") if c not in header]
+    required = (id_column, "Function", "Type")
+    columns = (*required, "Confidence", "System Requirement", "Flags")
+    with read_csv(path, columns) as (header, table):
+        missing = [c for c in required if c not in header]
         if missing:
             raise MissingColumnError(
                 f"columns missing from {path}: " + ", ".join(missing)
             )
         rows: list[ClassifiedRequirement] = []
-        for record in reader:
-            req_id = (record.get(id_column) or "").strip()
+        for _, (req_id, function, rtype, confidence, requirement, flags) in table:
+            req_id = (req_id or "").strip()
             if not req_id:
                 continue
             rows.append(
                 ClassifiedRequirement(
                     req_id=req_id,
-                    function=(record.get("Function") or "").strip(),
-                    rtype=(record.get("Type") or "").strip(),
-                    confidence=clamp_confidence(record.get("Confidence")),
-                    system_requirement=(record.get("System Requirement") or "").strip(),
-                    flags=tuple(
-                        f for f in (record.get("Flags") or "").split("|") if f
-                    ),
+                    function=(function or "").strip(),
+                    rtype=(rtype or "").strip(),
+                    confidence=clamp_confidence(confidence),
+                    system_requirement=(requirement or "").strip(),
+                    flags=tuple(f for f in (flags or "").split("|") if f),
                 )
             )
     if not rows:
@@ -495,50 +501,67 @@ def _classified_for(ctx: PipelineContext, task: TaskConfig) -> list[ClassifiedRe
     return _classified_from_file(path, task.dataset_id_column)
 
 
+@contextmanager
+def _raw_payload(path: Path) -> Iterator[dict]:
+    """The JSON object in a raw file.
+
+    A payload of another shape, met here or in the with block as it is
+    read, raises MalformedRawFileError instead of whatever it tripped.
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise TypeError(f"the root is a JSON {type(payload).__name__}, not an object")
+        yield payload
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise MalformedRawFileError(f"malformed raw file {path}: {exc!r}") from exc
+
+
 def _rows_from_raw(path: Path) -> tuple[list[ClassifiedRequirement], list[tuple[dict, str]]]:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    rows = [
-        ClassifiedRequirement(
-            req_id=str(r["ReqID"]),
-            function=r["Function"],
-            rtype=r["Type"],
-            confidence=int(r["Confidence"]),
-            system_requirement=r.get("System Requirement", ""),
-            function_explanation=r.get("Function_Explanation", ""),
-            type_explanation=r.get("Type_Explanation", ""),
-            flags=tuple(r.get("Flags", [])),
-        )
-        for r in payload.get("rows", [])
-    ]
-    quarantined = [(rec, reason) for rec, reason in payload.get("quarantined", [])]
+    with _raw_payload(path) as payload:
+        rows = [
+            ClassifiedRequirement(
+                req_id=str(r["ReqID"]),
+                function=r["Function"],
+                rtype=r["Type"],
+                confidence=int(r["Confidence"]),
+                system_requirement=r.get("System Requirement", ""),
+                function_explanation=r.get("Function_Explanation", ""),
+                type_explanation=r.get("Type_Explanation", ""),
+                flags=tuple(r.get("Flags", [])),
+            )
+            for r in payload.get("rows", [])
+        ]
+        # The reports join flags with "|", after the task has ended.
+        if not {str}.issuperset(map(type, chain.from_iterable(map(attrgetter("flags"), rows)))):
+            raise TypeError("a Flags entry is not a string")
+        quarantined = [(rec, reason) for rec, reason in payload.get("quarantined", [])]
     return rows, quarantined
 
 
 def _findings_from_raw(path: Path) -> tuple[list[PairFinding], list[str]]:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    findings = [
-        PairFinding(
-            req_a=str(f["ReqID_A"]),
-            req_b=str(f["ReqID_B"]),
-            kind=f["Relation"],
-            function=f.get("Function", ""),
-            rationale=f.get("Rationale", ""),
-        )
-        for f in payload.get("findings", [])
-    ]
-    return findings, list(payload.get("notes", []))
+    with _raw_payload(path) as payload:
+        findings = [
+            PairFinding(
+                req_a=str(f["ReqID_A"]),
+                req_b=str(f["ReqID_B"]),
+                kind=f["Relation"],
+                function=f.get("Function", ""),
+                rationale=f.get("Rationale", ""),
+            )
+            for f in payload.get("findings", [])
+        ]
+        notes = list(payload.get("notes", []))
+    return findings, notes
 
 
 def _load_gold_labels(path: Path) -> dict[str, tuple[str, str]]:
     gold: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        for record in csv.DictReader(handle):
-            req_id = (record.get("ReqID") or "").strip()
+    with read_csv(path, ("ReqID", "Function", "Type")) as (_, table):
+        for _, (req_id, function, rtype) in table:
+            req_id = (req_id or "").strip()
             if req_id:
-                gold[req_id] = (
-                    (record.get("Function") or "").strip(),
-                    (record.get("Type") or "").strip(),
-                )
+                gold[req_id] = ((function or "").strip(), (rtype or "").strip())
     if not gold:
         raise EmptyGoldError(f"no gold labels in {path}")
     return gold
@@ -822,7 +845,7 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         )
         return TaskResult(task.name, STATUS_PLANNED, detail)
 
-    calls_before = getattr(ctx.backend, "call_count", 0)
+    calls_before = ctx.backend.calls
     try:
         files, detail = BUILTIN_FUNCTIONS[task.analysis_function](
             ctx, task, raw_path, delta_hit
@@ -833,12 +856,10 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
             result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=files)
             partial.unlink(missing_ok=True)
     except (SafereqError, ValueError, KeyError, OSError) as exc:
-        _write_text(
-            partial, json.dumps({"task": task.name, "error": str(exc)}, indent=2) + "\n"
-        )
+        _write_json(partial, {"task": task.name, "error": str(exc)})
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
 
-    result.backend_calls = getattr(ctx.backend, "call_count", 0) - calls_before
+    result.backend_calls = ctx.backend.calls - calls_before
     if ctx.verbose or task.verbose:
         print(f"[{task.name}] {result.status}: {result.detail}")
     return result

@@ -8,7 +8,6 @@ consolidated list so duplicate groups are argued once.
 
 from __future__ import annotations
 
-import csv
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import tee
@@ -33,6 +32,7 @@ from .gateway import (
     parse_results_json,
     send_many,
 )
+from .requirements import read_csv
 from .rounding import percentage
 
 KIND_DUPLICATE = "Duplicate"
@@ -176,14 +176,13 @@ def _row_text(row: ClassifiedRequirement) -> str:
     return f"[Function: {row.function}] {row.system_requirement}"
 
 
-def _pair_envelope(
-    instructions: str, alias: str, rows: list[ClassifiedRequirement]
-) -> PromptEnvelope:
-    return PromptEnvelope(
-        instructions=instructions,
-        dataset_name=f"{alias} Requirements",
-        rows=tuple((row.req_id, _row_text(row)) for row in rows),
-    )
+def _row_pairs(rows: list[ClassifiedRequirement]) -> tuple[tuple[str, str], ...]:
+    """rows as a prompt's dataset rows: (req_id, text)."""
+    return tuple((row.req_id, _row_text(row)) for row in rows)
+
+
+# A pair job: the cluster alias, the rows its prompt submits, and their ids.
+_Job = tuple[str, tuple[tuple[str, str], ...], set[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -221,33 +220,39 @@ def detect_duplicates(
         else None
     )
     of_rows = clusters.get(CATCH_ALL_ALIAS, []) if prompt_version == "V3" else []
-    # The _OF_ rows ride along in every prompt; encode their lines once.
-    of_lines = encode_rows((row.req_id, _row_text(row)) for row in of_rows)
+    # The _OF_ rows ride along in every prompt: their pairs and lines are made once.
+    ride_along = _row_pairs(of_rows)
 
     return _detect(
-        _duplicate_jobs(clusters, of_rows, prompt_version),
+        _duplicate_jobs(clusters, ride_along, prompt_version),
         instructions,
         allowed,
         params,
         backend,
-        encoded_rows=of_lines,
+        encoded_rows=encode_rows(ride_along),
         function_of=function_of,
     )
 
 
 def _duplicate_jobs(
     clusters: dict[str, list[ClassifiedRequirement]],
-    of_rows: list[ClassifiedRequirement],
+    ride_along: tuple[tuple[str, str], ...],
     prompt_version: str,
-) -> Iterator[tuple[str, list[ClassifiedRequirement]]]:
-    """(alias, submitted rows) per cluster call: its rows, then the _OF_ ride-along."""
+) -> Iterator[_Job]:
+    """One job per cluster call: its rows, then the _OF_ ride-along rows."""
+    ride_along_ids = {req_id for req_id, _ in ride_along}
     for alias, rows in clusters.items():
         if prompt_version == "V3" and alias == CATCH_ALL_ALIAS:
             continue  # rides along with every function cluster instead
-        own_ids = {row.req_id for row in rows}
-        submitted = rows + [r for r in of_rows if r.req_id not in own_ids]
-        if len(submitted) >= 2:
-            yield alias, submitted
+        own = _row_pairs(rows)
+        own_ids = {req_id for req_id, _ in own}
+        extra = (
+            ride_along
+            if own_ids.isdisjoint(ride_along_ids)
+            else tuple(pair for pair in ride_along if pair[0] not in own_ids)
+        )
+        if len(own) + len(extra) >= 2:
+            yield alias, own + extra, own_ids | ride_along_ids
 
 
 def _record_to_finding(
@@ -276,7 +281,7 @@ def _record_to_finding(
 
 
 def _detect(
-    jobs: Iterable[tuple[str, list[ClassifiedRequirement]]],
+    jobs: Iterable[_Job],
     instructions: str,
     allowed: set[str],
     params: LlmRequestParams,
@@ -284,28 +289,30 @@ def _detect(
     encoded_rows: dict[tuple[str, str], str] | None = None,
     function_of: dict[str, str] | None = None,
 ) -> DetectionResult:
-    """Send one prompt per (alias, rows) job and fold the findings in job order.
+    """Send one prompt per job and fold the findings in job order.
 
     Each response is parsed once. A pair keeps its first finding, and two
     kinds for one pair raise FindingConflictError. With function_of (req_id
     to cluster alias), a duplicate across two clusters becomes complementary.
     """
-    # Each job's row list is built when the job is rendered, and tee keeps
-    # it only until its result is folded.
+    # Each job's rows are built when the job is rendered, and tee keeps
+    # them only until its result is folded.
     jobs, to_render = tee(jobs)
     prompts = (
-        assemble_prompt(_pair_envelope(instructions, alias, rows), encoded_rows=encoded_rows)
-        for alias, rows in to_render
+        assemble_prompt(
+            PromptEnvelope(instructions, dataset_name=f"{alias} Requirements", rows=rows),
+            encoded_rows=encoded_rows,
+        )
+        for alias, rows, _ in to_render
     )
     result = DetectionResult(findings=[])
     seen: dict[tuple[str, str], str] = {}
     conflicts: list[tuple[str, str]] = []
     # closing: a parse error here still shuts send_many's worker threads down.
     with closing(send_many(prompts, params, backend)) as responses:
-        for response, (alias, rows) in zip(responses, jobs):
+        for response, (alias, _, submitted_ids) in zip(responses, jobs):
             parsed = parse_results_json(response.raw_text, _PAIR_SCHEMA)
             result.rejected.extend(parsed.rejected)
-            submitted_ids = {row.req_id for row in rows}
             for record in parsed.records:
                 finding = _record_to_finding(
                     record, submitted_ids, allowed, alias, result.notes
@@ -380,7 +387,11 @@ def detect_contradictions(
 ) -> DetectionResult:
     """Find contradicting pairs within each function's consolidated list."""
     consolidated = consolidate(clusters, list(duplicates))
-    jobs = [(alias, rows) for alias, rows in consolidated.items() if len(rows) >= 2]
+    jobs = (
+        (alias, _row_pairs(rows), {row.req_id for row in rows})
+        for alias, rows in consolidated.items()
+        if len(rows) >= 2
+    )
     return _detect(jobs, CONTRADICTION_PROMPT, {KIND_CONTRADICTION}, params, backend)
 
 
@@ -392,10 +403,9 @@ def detect_contradictions(
 def load_gold_pairs(path: str | Path, kind: str) -> GoldPairs:
     """Load a two-column CSV (req_a, req_b) of gold pairs for one kind."""
     pairs: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        for row in csv.DictReader(handle):
-            a = (row.get("req_a") or "").strip()
-            b = (row.get("req_b") or "").strip()
+    with read_csv(path, ("req_a", "req_b")) as (_, table):
+        for _, (a, b) in table:
+            a, b = (a or "").strip(), (b or "").strip()
             if a and b:
                 pairs.add((min(a, b), max(a, b)))
     if not pairs:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .errors import (
     DuplicateReqIdError,
@@ -30,6 +32,41 @@ class RequirementChunk:
     rows: tuple[Requirement, ...]
 
 
+@contextmanager
+def read_csv(
+    path: str | Path, columns: Sequence[str] | None = None
+) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str | None]]]]]:
+    """Read an RFC-4180 CSV file as csv.DictReader does, without a dict per row.
+
+    Gives the header and an iterator over the data rows, each as the line
+    it ends on (the reader's line_num) and its cells under columns, or
+    under the whole header when columns is None. As with DictReader, blank
+    rows are skipped, a name the header repeats reads its last cell, and a
+    cell past a short row's end, or under a name the header lacks, reads
+    None. A UTF-8 BOM and quoted embedded newlines are tolerated. Rows are
+    read as they are iterated, and the file closes with the with block.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        width = len(header)
+        last = {name: i for i, name in enumerate(header)}
+        at = None if columns is None else [last.get(name, width) for name in columns]
+
+        def rows() -> Iterator[tuple[int, list[str | None]]]:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    row = row[:width] + [None] * (width - len(row))
+                if at is not None:
+                    row.append(None)  # the cell of any name the header lacks
+                    row = [row[i] for i in at]
+                yield reader.line_num, row
+
+        yield header, rows()
+
+
 def load_requirements(
     path: str | Path, id_column: str, data_columns: list[str]
 ) -> list[Requirement]:
@@ -46,9 +83,7 @@ def load_requirements(
         EmptyRequirementTextError: rows whose data columns are all blank.
         EmptyDatasetError: a header but no data rows.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+    with read_csv(path) as (header, table):
         missing = [c for c in [id_column, *data_columns] if c not in header]
         if missing:
             raise MissingColumnError(
@@ -58,14 +93,15 @@ def load_requirements(
         rows: list[Requirement] = []
         first_row_of: dict[str, int] = {}
         blank_rows: list[int] = []
-        for row in reader:
-            line = reader.line_num
-            req_id = (row.get(id_column) or "").strip()
+        for line, cells in table:
+            # As DictReader's dict: a repeated name keeps its last cell.
+            row = {col: (cell or "").strip() for col, cell in zip(header, cells)}
+            req_id = row[id_column]
             if req_id in first_row_of:
                 raise DuplicateReqIdError(req_id, first_row_of[req_id], line)
             first_row_of[req_id] = line
 
-            values = [(col, (row.get(col) or "").strip()) for col in data_columns]
+            values = [(col, row[col]) for col in data_columns]
             if not any(v for _, v in values):
                 blank_rows.append(line)
                 continue
@@ -73,8 +109,8 @@ def load_requirements(
                 text = values[0][1]
             else:
                 text = "\n".join(f"{col}: {v}" for col, v in values)
-            extra = {col: (row.get(col) or "").strip() for col in header if col != id_column}
-            rows.append(Requirement(req_id=req_id, text=text, extra=extra))
+            del row[id_column]
+            rows.append(Requirement(req_id=req_id, text=text, extra=row))
 
     if blank_rows:
         raise EmptyRequirementTextError(blank_rows)

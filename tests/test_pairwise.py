@@ -1,9 +1,12 @@
 """Duplicate and contradiction detection over function clusters."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safereq import (
     CATCH_ALL_ALIAS,
@@ -26,6 +29,7 @@ from safereq import (
     render_results,
     score,
 )
+from safereq import pairwise
 from safereq.errors import (
     AliasClosureViolationError,
     EmptyGoldError,
@@ -176,6 +180,62 @@ def test_detect_duplicates_v3_cosubmits_catch_all_rows():
     (finding,) = result.findings
     assert finding.kind == KIND_REFINEMENT
     assert finding.function == "SUP"
+
+
+def test_detect_duplicates_v3_builds_each_ride_along_row_once(monkeypatch):
+    own = {alias: [crow(f"{alias}{i}", alias) for i in range(3)] for alias in "ABCDE"}
+    of_rows = [crow(f"OF{i}", CATCH_ALL_ALIAS) for i in range(7)]
+    clusters = {**own, CATCH_ALL_ALIAS: of_rows}
+    texts = []
+    original = pairwise._row_text
+
+    def counting(row):
+        texts.append(row.req_id)
+        return original(row)
+
+    monkeypatch.setattr(pairwise, "_row_text", counting)
+    backend = CaptureBackend([empty_results()] * len(own))
+    detect_duplicates(clusters, PARAMS, backend, prompt_version="V3")
+    assert backend.call_count == len(own)
+    # Own rows plus k ride-along rows, not own rows plus m jobs times k.
+    assert len(texts) == sum(map(len, own.values())) + len(of_rows)
+    for prompt in backend.prompts:
+        assert all(f'"ReqID": "{row.req_id}"' in prompt for row in of_rows)
+
+
+@settings(max_examples=100)
+@given(
+    st.dictionaries(
+        st.sampled_from(["NAV", "EN", CATCH_ALL_ALIAS]),
+        st.lists(st.sampled_from("123456"), min_size=1, max_size=4, unique=True),
+        min_size=1,
+    )
+)
+def test_detect_duplicates_v3_submits_own_rows_then_the_other_of_rows(ids_by_alias):
+    """The ride-along skips _OF_ rows whose ids a cluster holds itself."""
+    clusters = {alias: [crow(i, alias) for i in ids] for alias, ids in ids_by_alias.items()}
+    of_ids = [row.req_id for row in clusters.get(CATCH_ALL_ALIAS, [])]
+    expected = []
+    for alias, rows in clusters.items():
+        if alias == CATCH_ALL_ALIAS:
+            continue
+        own = [row.req_id for row in rows]
+        submitted = own + [i for i in of_ids if i not in own]
+        if len(submitted) >= 2:
+            expected.append(submitted)
+    # Each call reports every pair of the ids it was sent.
+    responses = [
+        render_results([pair_record(a, b, "Refinement") for a, b in zip(ids, ids[1:])])
+        for ids in expected
+    ]
+    backend = CaptureBackend(responses)
+    result = detect_duplicates(clusters, PARAMS, backend, prompt_version="V3")
+    sent = [
+        [json.loads(line)["ReqID"] for line in prompt.splitlines() if line.startswith("{")]
+        for prompt in backend.prompts
+    ]
+    assert sent == expected
+    assert not any("dropped finding" in note for note in result.notes)
 
 
 def test_detect_duplicates_v2_keeps_catch_all_cluster_standalone():

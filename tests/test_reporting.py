@@ -343,6 +343,100 @@ def test_table_json_rejects_rows_not_as_wide_as_the_header(tmp_path, table):
         reporting._write_table_json(tmp_path / "t.json", ["a", "b"], table)
 
 
+# Raw-file payloads, as the orchestrator writes them, and any JSON value.
+flags = st.lists(tricky_text, max_size=3).map(tuple) | st.lists(tricky_text, max_size=3)
+json_values = st.recursive(
+    scalar_cells,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(tricky_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def raw_payloads(draw):
+    keys = draw(st.lists(tricky_text, min_size=1, max_size=4, unique=True))
+    flagged = draw(st.booleans())  # else every Flags is empty: one template for all rows
+    rows = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    **{key: scalar_cells for key in keys},
+                    "Flags": flags if flagged else st.just(()),
+                }
+            ),
+            max_size=6,
+        )
+    )
+    return {
+        "task": draw(tricky_text),
+        "rows": rows,
+        "quarantined": draw(st.lists(st.tuples(json_values, tricky_text).map(list), max_size=3)),
+        "notes": draw(st.lists(tricky_text, max_size=3)),
+        "accuracy": draw(st.none() | st.floats(allow_nan=True, allow_infinity=True)),
+    }
+
+
+def dumps_bytes(payload):
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw_payloads() | json_values)
+def test_json_writer_matches_the_indented_dumps(tmp_path, payload):
+    path = tmp_path / "raw.json"
+    reporting._write_json(path, payload)
+    assert path.read_bytes() == dumps_bytes(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        "%s",
+        None,
+        [[], {}, (), [[]], {"": {}}],
+        [{}, {}],
+        [{"a": 1}, {"a": [1]}, {"b": 2}],
+        [{"100%": "%s", "%s": ["%%", {"%": "\u2028"}]}],
+        {1: "int", 1.5: "float", True: "bool", None: "null", math.inf: "inf", -0.0: "zero"},
+        {"rows": [{"Flags": ()}, {"Flags": ("low_confidence",)}, {"Flags": []}]},
+        [math.nan, -math.inf, 10**30, -0.0, 1e-7, True, False],
+    ],
+)
+def test_json_writer_edge_cases_match_the_indented_dumps(tmp_path, payload):
+    path = tmp_path / "raw.json"
+    reporting._write_json(path, payload)
+    assert path.read_bytes() == dumps_bytes(payload)
+
+
+@pytest.mark.parametrize("payload", [{("a",): 1}, [{"k": {b"x": 1}}], {"v": {1, 2}}])
+def test_json_writer_rejects_what_dumps_rejects(tmp_path, payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError):
+        reporting._write_json(tmp_path / "raw.json", payload)
+    assert not list(tmp_path.iterdir())
+
+
+def test_json_writer_never_runs_the_pure_python_encoder(tmp_path, monkeypatch):
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python indent encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    rows = [
+        {"ReqID": str(i), "Confidence": i, "Flags": ("low_confidence",) * (i % 2)}
+        for i in range(50)
+    ]
+    payload = {"rows": rows, "quarantined": [[{"ReqID": "x", "n": [1, {}]}, "why"]]}
+    reporting._write_json(tmp_path / "raw.json", payload)
+    reporting._write_table_json(tmp_path / "table.json", ["a"], [["x"], [1]])
+    monkeypatch.undo()
+    assert (tmp_path / "raw.json").read_bytes() == dumps_bytes(payload)
+
+
 class Unprintable:
     def __str__(self):
         raise RuntimeError("cell failed to render")

@@ -1,11 +1,16 @@
 """Requirement dataset loading and chunking."""
 
+import csv
+import io
 import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from safereq import Requirement, chunk, load_requirements
+from safereq.requirements import read_csv
 from safereq.errors import (
     DuplicateReqIdError,
     EmptyDatasetError,
@@ -93,6 +98,53 @@ def test_load_header_only_raises(tmp_path):
     path = write_csv(tmp_path, "ReqID,Requirements\n")
     with pytest.raises(EmptyDatasetError):
         load_requirements(path, "ReqID", ["Requirements"])
+
+
+# Cells the CSV dialect quotes or splits on, and names a header may repeat.
+csv_cells = st.lists(
+    st.sampled_from(["a", "b", ",", '"', "\n", "\r\n", " ", "é", "\ufeff", ""]), max_size=4
+).map("".join)
+csv_names = st.sampled_from(["ReqID", "Text", "Type", "x", ""])
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.lists(csv_names, max_size=4),
+    rows=st.lists(st.lists(csv_cells, max_size=5), max_size=6),
+    columns=st.none() | st.lists(csv_names | st.just("absent"), max_size=4),
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+@example(
+    header=["x", "Type", "x"],
+    rows=[["1", "2", "3"], [], ["4", "5"]],
+    columns=["x"],
+    bom=True,
+    newline="\n",
+)
+def test_read_csv_reads_as_dict_reader_does(tmp_path, header, rows, columns, bom, newline):
+    """Blank rows skipped, short rows read None, a repeated name its last cell."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow(header)
+    writer.writerows(rows)  # an empty row is a blank line
+    path = tmp_path / "table.csv"
+    path.write_text(("\ufeff" if bom else "") + buffer.getvalue(), encoding="utf-8", newline="")
+
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.DictReader(handle)
+        expected = [(reader.line_num, record) for record in reader]
+        names = reader.fieldnames or []
+    with read_csv(path, columns) as (got_header, rows):
+        got = list(rows)
+    assert got_header == names
+    assert [line for line, _ in got] == [line for line, _ in expected]
+    for (_, cells), (_, record) in zip(got, expected):
+        if columns is None:
+            named = {k: v for k, v in record.items() if k is not None}
+            assert dict(zip(got_header, cells)) == named
+        else:
+            assert cells == [record.get(name) for name in columns]
 
 
 # ---------------------------------------------------------------------------

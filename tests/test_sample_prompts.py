@@ -259,3 +259,56 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
     assert len(pieces) > 1
     assert backend.prompts == expected
     assert len(renders) == 2  # ARCHITECTURE and safety_function_type, once each
+
+
+@pytest.mark.parametrize(
+    "task, payload",
+    [
+        ("b_classify_requirements", "[]"),
+        ("b_classify_requirements", '{"rows": 5}'),
+        ("b_classify_requirements", '{"rows": [5]}'),
+        ("b_classify_requirements", '{"rows": [], "quarantined": [5]}'),
+        (
+            "b_classify_requirements",
+            '{"rows": [{"ReqID": "1", "Function": "NAV", "Type": "FUNC", "Confidence": 1e999}]}',
+        ),
+        ("b_classify_requirements", '{"rows": '),
+        (
+            "b_classify_requirements",
+            '{"rows": [{"ReqID": "1", "Function": "NAV", "Type": "FUNC", "Confidence": 90, '
+            '"Flags": [1]}]}',
+        ),
+        ("d_identify_duplicates", '"findings"'),
+        ("d_identify_duplicates", '{"findings": [null]}'),
+        ("e_identify_contradictions", '{"findings": [], "notes": 3}'),
+    ],
+)
+def test_a_malformed_raw_file_fails_its_delta_rerun(project, task, payload):
+    assert not run_sample(project)[0].failed
+    raw = project / "B_Requirements" / "results" / "raw" / f"{task}_T.json"
+    raw.write_text(payload, encoding="utf-8")
+    report, backend = run_sample(project)
+    by_name = {r.name: r for r in report.results}
+    assert by_name[task].status == orchestrator.STATUS_FAILED
+    assert by_name[task].detail.startswith(f"malformed raw file {raw}")
+    assert Path(f"{raw}.partial").exists()
+    assert backend.call_count == 0
+
+
+class ForwardingBackend:
+    """A Backend with nothing but complete, as the protocol asks."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def complete(self, prompt, params):
+        return self.backend.complete(prompt, params)
+
+
+def test_backend_calls_are_counted_for_any_backend(project):
+    mock = MockBackend(project / "fixtures")
+    report = run_all(project / "params.json", backend=ForwardingBackend(mock), version_tag="T")
+    assert not report.failed
+    assert mock.call_count == len(SAMPLE_PROMPT_SHA256)
+    assert sum(r.backend_calls for r in report.results) == mock.call_count
+    assert [r.backend_calls for r in report.results] == [1, 0, 4, 3]
