@@ -20,15 +20,15 @@ into place, so a crash never leaves a truncated file a later run trusts.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, get_type_hints
 
 from .catalog import (
     FunctionCatalog,
@@ -64,6 +64,7 @@ from .gateway import (
     PromptResource,
 )
 from .pairwise import (
+    DUPLICATE_PROMPTS,
     KIND_CONTRADICTION,
     KIND_DUPLICATE,
     DetectionResult,
@@ -111,12 +112,14 @@ STATUS_PLANNED = "Planned"  # dry runs only
 
 @dataclass
 class TaskConfig:
+    """A task block over the defaults; every field but name is a key it may set, typed."""
+
     name: str
     type: str = TASK_TYPE
     run: bool = True
     delta: bool = False
     project_dir: str = "."
-    readme: str = ""
+    readme: str = ""  # accepted, never read
     input_file: str = ""
     dataset_name: str = "Requirements"
     dataset_id_column: str = "ReqID"
@@ -131,7 +134,10 @@ class TaskConfig:
     analyze: bool = True
     analysis_function: str = ANALYSIS_COMPLETENESS
     verbose: bool = False
-    extra: dict = field(default_factory=dict)
+    gold_file: str = ""  # labels or pairs to score the task against
+    metric: str = ""  # the score's name; empty means the analysis' own
+    prompt_version: str = "V3"  # a DUPLICATE_PROMPTS key
+    gold_include_type: bool = True  # classification accuracy also checks Type
 
 
 @dataclass
@@ -148,96 +154,92 @@ class PipelineConfig:
         raise KeyError(name)
 
 
-_TASK_FIELDS = {
-    f.name for f in dataclasses.fields(TaskConfig) if f.name not in ("name", "extra")
-}
-# Task keys kept in TaskConfig.extra; any other unknown key is a config error.
-_TASK_EXTRA_KEYS = frozenset({"gold_file", "metric", "prompt_version", "gold_include_type"})
-_UNKNOWN_TASK_KEY = "unknown key; expected a task field or one of " + ", ".join(
-    sorted(_TASK_EXTRA_KEYS)
-)
+Problem = tuple[str, str, str]  # (task or block, key, message)
 
-def _validate_task(t: TaskConfig) -> list[tuple[str, str, str]]:
-    problems: list[tuple[str, str, str]] = []
+
+# What a config value admits, by the annotation of the key it sets, and the
+# message for a value it refuses. Numbers test type(), as JSON true and false
+# are Python ints.
+_ADMITS: dict[object, tuple[Callable[[object], bool], str]] = {
+    str: (lambda v: isinstance(v, str), "must be a string"),
+    bool: (lambda v: isinstance(v, bool), "must be true or false"),
+    int: (lambda v: type(v) is int, "must be an integer"),
+    float: (
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+        "must be a finite number",
+    ),
+    list[str]: (
+        lambda v: isinstance(v, list) and all(isinstance(i, str) and i for i in v),
+        "must be a list of non-empty names",
+    ),
+}
+
+_TASK_TYPES = {k: t for k, t in get_type_hints(TaskConfig).items() if k != "name"}
+_BACKEND_KEYS = ("backend", "fixture_dir", "endpoint_url", "api_key_file", "api_key_env")
+_LLM_TYPES = {**get_type_hints(LlmRequestParams), **dict.fromkeys(_BACKEND_KEYS, str)}
+
+# The llm rules a type cannot state.
+_LLM_RANGES = {
+    "max_concurrency": (lambda n: n >= 1, "must be a positive integer"),
+    "max_retries": (lambda n: n >= 0, "must not be negative"),
+    "backoff_start": (lambda n: n >= 0, "must not be negative"),
+    "timeout": (lambda n: n > 0, "must be positive"),
+}
+
+
+def _typed(owner: str, body: dict, types: dict) -> tuple[dict, list[Problem]]:
+    """Split body into the entries types names and admits, and a problem per other entry."""
+    unknown = "unknown key; expected one of " + ", ".join(sorted(types))
+    admitted, problems = {}, []
+    for key, value in body.items():
+        if key not in types:
+            problems.append((owner, key, unknown))
+        elif _ADMITS[types[key]][0](value):
+            admitted[key] = value
+        else:
+            problems.append((owner, key, _ADMITS[types[key]][1]))
+    return admitted, problems
+
+
+def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[Problem]:
+    """The task rules a type cannot state.
+
+    The keys in refused failed their type check and hold their defaults,
+    so no rule reports them again.
+    """
+    problems: list[Problem] = []
 
     def need(condition: bool, field_name: str, message: str) -> None:
-        if not condition:
+        if not condition and field_name not in refused:
             problems.append((t.name, field_name, message))
 
-    def is_str_list(value) -> bool:
-        return isinstance(value, list) and all(
-            isinstance(item, str) and item for item in value
-        )
-
     need(t.type == TASK_TYPE, "type", f"must be {TASK_TYPE!r}")
-    for flag in ("run", "delta", "execute", "analyze", "verbose"):
-        need(isinstance(getattr(t, flag), bool), flag, "must be true or false")
-    need(bool(t.input_file) and isinstance(t.input_file, str), "input_file", "required")
-    need(bool(t.output_path) and isinstance(t.output_path, str), "output_path", "required")
+    for key in ("input_file", "output_path", "dataset_id_column"):
+        need(bool(getattr(t, key)), key, "required")
+    need(t.chunk_size >= 1, "chunk_size", "must be a positive integer")
+    need(t.max_items >= -1, "max_items", "must be an integer >= -1 (-1 means no limit)")
+    for key, known in (
+        ("analysis_function", BUILTIN_FUNCTIONS),
+        ("prompt_version", DUPLICATE_PROMPTS),
+    ):
+        expected = "unknown; expected one of " + ", ".join(sorted(known))
+        need(getattr(t, key) in known, key, expected)
     need(
-        bool(t.dataset_id_column) and isinstance(t.dataset_id_column, str),
-        "dataset_id_column",
-        "required",
+        not t.metric or t.metric in {**DEFAULT_THRESHOLDS, **thresholds},
+        "metric",
+        f"no threshold configured for {t.metric!r}",
     )
-    need(
-        isinstance(t.chunk_size, int)
-        and not isinstance(t.chunk_size, bool)
-        and t.chunk_size >= 1,
-        "chunk_size",
-        "must be a positive integer",
-    )
-    need(
-        isinstance(t.max_items, int)
-        and not isinstance(t.max_items, bool)
-        and t.max_items >= -1,
-        "max_items",
-        "must be an integer >= -1 (-1 means no limit)",
-    )
-    need(
-        t.analysis_function in BUILTIN_FUNCTIONS,
-        "analysis_function",
-        "unknown; expected one of " + ", ".join(sorted(BUILTIN_FUNCTIONS)),
-    )
-    need(is_str_list(t.result_columns), "result_columns", "must be a list of column names")
 
-    local = t.analysis_function in LOCAL_FUNCTIONS
     if t.analysis_function == ANALYSIS_COMPLETENESS:
-        need(
-            is_str_list(t.dataset_columns) and bool(t.dataset_columns),
-            "dataset_columns",
-            "must be a non-empty list of column names",
-        )
+        need(bool(t.dataset_columns), "dataset_columns", "must name at least one column")
         # The id column leads every joined row already.
         unknown = [c for c in t.result_columns if c == "ReqID" or c not in CLASSIFIED_COLUMNS]
-        need(
-            not unknown,
-            "result_columns",
-            "unknown result columns: " + ", ".join(unknown),
-        )
-        if t.execute is True:
+        need(not unknown, "result_columns", "unknown result columns: " + ", ".join(unknown))
+        if t.execute:
             need(bool(t.instructions), "instructions", "required when execute is true")
-    if local:
-        need(t.execute is False, "execute", "analysis is local; must be false")
-    if t.run is True and t.execute is False and t.analyze is False:
-        problems.append((t.name, "analyze", "task neither executes nor analyzes"))
-    return problems
-
-
-_LLM_PARAMS = tuple(f.name for f in dataclasses.fields(LlmRequestParams))
-_LLM_KEYS = frozenset(
-    {*_LLM_PARAMS, "backend", "fixture_dir", "endpoint_url", "api_key_file", "api_key_env"}
-)
-
-
-def _validate_llm(llm: dict) -> list[tuple[str, str, str]]:
-    problems = [
-        ("llm", key, "unknown key; expected one of " + ", ".join(sorted(_LLM_KEYS)))
-        for key in llm
-        if key not in _LLM_KEYS
-    ]
-    limit = llm.get("max_concurrency", 1)
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-        problems.append(("llm", "max_concurrency", "must be a positive integer"))
+    if t.analysis_function in LOCAL_FUNCTIONS:
+        need(not t.execute, "execute", "analysis is local; must be false")
+    need(t.execute or t.analyze or not t.run, "analyze", "task neither executes nor analyzes")
     return problems
 
 
@@ -258,26 +260,24 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise InvalidConfigError([("", "config", "root must be a JSON object")])
 
-    problems: list[tuple[str, str, str]] = []
-    defaults = raw.get("defaults", {})
-    if not isinstance(defaults, dict):
-        problems.append(("defaults", "", "must be a JSON object"))
-        defaults = {}
-    llm = raw.get("llm", {})
-    if not isinstance(llm, dict):
-        problems.append(("llm", "", "must be a JSON object"))
-        llm = {}
-    problems.extend(_validate_llm(llm))
-    thresholds_raw = raw.get("thresholds", {})
-    thresholds: dict[str, float] = {}
-    if not isinstance(thresholds_raw, dict):
-        problems.append(("thresholds", "", "must be a JSON object"))
-    else:
-        for key, value in thresholds_raw.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                thresholds[key] = float(value)
-            else:
-                problems.append(("thresholds", key, "must be a number"))
+    problems: list[Problem] = []
+    blocks = {}
+    for key in RESERVED_KEYS:
+        blocks[key] = raw.get(key, {})
+        if not isinstance(blocks[key], dict):
+            problems.append((key, "", "must be a JSON object"))
+            blocks[key] = {}
+    llm, found = _typed("llm", blocks["llm"], _LLM_TYPES)
+    problems += found
+    problems += [
+        ("llm", key, message)
+        for key, (holds, message) in _LLM_RANGES.items()
+        if key in llm and not holds(llm[key])
+    ]
+    numbers = dict.fromkeys(blocks["thresholds"], float)  # any metric name
+    thresholds, found = _typed("thresholds", blocks["thresholds"], numbers)
+    problems += found
+    thresholds = {key: float(value) for key, value in thresholds.items()}
 
     tasks: list[TaskConfig] = []
     for name, body in raw.items():
@@ -286,17 +286,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         if not isinstance(body, dict):
             problems.append((name, "", "task must be a JSON object"))
             continue
-        merged = {**defaults, **body}
-        known = {k: v for k, v in merged.items() if k in _TASK_FIELDS}
-        extra = {k: v for k, v in merged.items() if k not in _TASK_FIELDS}
-        problems.extend(
-            (name, key, _UNKNOWN_TASK_KEY) for key in extra if key not in _TASK_EXTRA_KEYS
-        )
-        task = TaskConfig(name=name, extra=extra, **known)
-        problems.extend(_validate_task(task))
-        metric = task.extra.get("metric")
-        if metric is not None and metric not in {**DEFAULT_THRESHOLDS, **thresholds}:
-            problems.append((name, "metric", f"no threshold configured for {metric!r}"))
+        fields, found = _typed(name, {**blocks["defaults"], **body}, _TASK_TYPES)
+        task = TaskConfig(name=name, **fields)
+        problems += found
+        problems += _validate_task(task, thresholds, {key for _, key, _ in found})
         tasks.append(task)
 
     if not tasks and not problems:
@@ -309,11 +302,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def params_from_llm_config(llm: dict) -> LlmRequestParams:
-    params = LlmRequestParams()
-    for name in _LLM_PARAMS:
-        if name in llm:
-            setattr(params, name, llm[name])
-    return params
+    return LlmRequestParams(**{k: v for k, v in llm.items() if k not in _BACKEND_KEYS})
 
 
 def build_backend(llm: dict, config_dir: Path, kind: str | None = None) -> Backend:
@@ -517,6 +506,18 @@ def _raw_payload(path: Path) -> Iterator[dict]:
         raise MalformedRawFileError(f"malformed raw file {path}: {exc!r}") from exc
 
 
+_ROW_TEXT = (
+    "function", "rtype", "system_requirement", "function_explanation", "type_explanation"
+)
+_FINDING_TEXT = ("kind", "function", "rationale")
+
+
+def _require_text(values: Iterable, what: str) -> None:
+    """Raise TypeError unless every value is a str; one column at a time stays in C."""
+    if not {str}.issuperset(map(type, values)):
+        raise TypeError(f"a {what} value is not a string")
+
+
 def _rows_from_raw(path: Path) -> tuple[list[ClassifiedRequirement], list[tuple[dict, str]]]:
     with _raw_payload(path) as payload:
         rows = [
@@ -532,9 +533,10 @@ def _rows_from_raw(path: Path) -> tuple[list[ClassifiedRequirement], list[tuple[
             )
             for r in payload.get("rows", [])
         ]
-        # The reports join flags with "|", after the task has ended.
-        if not {str}.issuperset(map(type, chain.from_iterable(map(attrgetter("flags"), rows)))):
-            raise TypeError("a Flags entry is not a string")
+        # Later tasks and the reports read these as text, after the task has ended.
+        for name in _ROW_TEXT:
+            _require_text(map(attrgetter(name), rows), name)
+        _require_text(chain.from_iterable(map(attrgetter("flags"), rows)), "flags")
         quarantined = [(rec, reason) for rec, reason in payload.get("quarantined", [])]
     return rows, quarantined
 
@@ -552,6 +554,9 @@ def _findings_from_raw(path: Path) -> tuple[list[PairFinding], list[str]]:
             for f in payload.get("findings", [])
         ]
         notes = list(payload.get("notes", []))
+        for name in _FINDING_TEXT:
+            _require_text(map(attrgetter(name), findings), name)
+        _require_text(notes, "notes")
     return findings, notes
 
 
@@ -576,12 +581,11 @@ def _take_rows(
     """Publish classified rows and their catalog, and score the rows against gold."""
     ctx.reports.catalog = catalog
     ctx.reports.classified = rows
-    gold_file = task.extra.get("gold_file")
-    if not gold_file:
+    if not task.gold_file:
         return None
-    gold = _load_gold_labels(_resolve(ctx.config, task, gold_file))
-    value = accuracy(rows, gold, include_type=bool(task.extra.get("gold_include_type", True)))
-    ctx.reports.scores[task.extra.get("metric", "classification")] = value
+    gold = _load_gold_labels(_resolve(ctx.config, task, task.gold_file))
+    value = accuracy(rows, gold, include_type=task.gold_include_type)
+    ctx.reports.scores[task.metric or "classification"] = value
     return value
 
 
@@ -590,11 +594,10 @@ def _take_findings(
 ) -> PairScore | None:
     """Publish findings to the spec's report slot and score them against gold."""
     setattr(ctx.reports, spec.slot, findings)
-    gold_file = task.extra.get("gold_file")
-    if not gold_file:
+    if not task.gold_file:
         return None
-    gold = load_gold_pairs(_resolve(ctx.config, task, gold_file), spec.kind)
-    metric = task.extra.get("metric", spec.slot)
+    gold = load_gold_pairs(_resolve(ctx.config, task, task.gold_file), spec.kind)
+    metric = task.metric or spec.slot
     threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(metric, 80.0)
     pair_score = score(findings, gold, threshold=threshold)
     ctx.reports.scores[metric] = pair_score.rate
@@ -737,16 +740,12 @@ class _PairSpec:
     versioned: bool  # the raw file records prompt_version
 
 
-def _prompt_version(task: TaskConfig) -> str:
-    return str(task.extra.get("prompt_version", "V3"))
-
-
 # The detectors are looked up when called, so wrapping the module-level
 # names (as a tracer does) still takes effect.
 _PAIR_SPECS = {
     ANALYSIS_DUPLICATES: _PairSpec(
         detect=lambda ctx, task, clusters: detect_duplicates(
-            clusters, ctx.params, ctx.backend, prompt_version=_prompt_version(task)
+            clusters, ctx.params, ctx.backend, prompt_version=task.prompt_version
         ),
         kind=KIND_DUPLICATE,
         slot="duplicates",
@@ -784,7 +783,7 @@ def _task_pairs(
     files = _write_quarantine(ctx, task, detection.rejected)
 
     pair_score = _take_findings(ctx, task, spec, detection.findings) if task.analyze else None
-    version = {"prompt_version": _prompt_version(task)} if spec.versioned else {}
+    version = {"prompt_version": task.prompt_version} if spec.versioned else {}
     _write_json(
         raw_path,
         {

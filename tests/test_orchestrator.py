@@ -1,15 +1,20 @@
 """Tests for the config-driven pipeline: validation, delta reuse, failures."""
 
 import csv
+import dataclasses
 import json
 from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from safereq import (
     HttpBackend,
+    LlmRequestParams,
     MockBackend,
+    TaskConfig,
     build_backend,
     load_config,
     run_all,
@@ -187,7 +192,7 @@ def test_load_config_merges_defaults_under_tasks(tmp_path):
     assert classify.chunk_size == 10  # from defaults
     assert classify.input_file == "input/reqs.csv"  # task override wins
     assert classify.delta is True
-    assert cfg.task("d_duplicates").extra["prompt_version"] == "V3"
+    assert cfg.task("d_duplicates").prompt_version == "V3"
     assert cfg.llm["model_id"] == "gpt-4"
     assert cfg.config_dir == tmp_path.resolve()
 
@@ -336,6 +341,119 @@ def test_load_config_rejects_non_positive_int_max_concurrency(tmp_path, value):
     assert problems_of(err) == [("llm", "max_concurrency")]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_retries", -1),
+        ("max_retries", 1.0),
+        ("backoff_start", -0.5),
+        ("backoff_start", True),
+        ("timeout", 0),
+        ("timeout", -1.5),
+        ("timeout", float("inf")),
+        ("temperature", float("nan")),
+        ("model_id", 4),
+    ],
+)
+def test_load_config_rejects_bad_llm_values(tmp_path, key, value):
+    config = base_config()
+    config["llm"][key] = value
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, config))
+    assert problems_of(err) == [("llm", key)]
+
+
+def test_load_config_accepts_the_range_boundaries(tmp_path):
+    config = base_config()
+    config["llm"].update(max_concurrency=1, max_retries=0, backoff_start=0, timeout=0.001)
+    config["defaults"].update(chunk_size=1, max_items=-1)
+    cfg = load_config(make_project(tmp_path, config))
+    params = params_from_llm_config(cfg.llm)
+    assert (params.max_concurrency, params.max_retries, params.backoff_start) == (1, 0, 0)
+    assert params.timeout == 0.001
+    assert cfg.task("b_classify").chunk_size == 1
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("b_classify", "gold_file", 5),
+        ("b_classify", "instructions", 5),
+        ("b_classify", "resources", 5),
+        ("b_classify", "project_dir", 5),
+        ("b_classify", "dataset_name", 5),
+        ("llm", "max_retries", "2"),
+        ("c_coverage", "analysis_function", []),
+        ("d_duplicates", "metric", {}),
+        ("b_classify", "gold_include_type", "false"),
+    ],
+)
+def test_a_mistyped_config_value_fails_the_run_at_load(tmp_path, block, key, value):
+    # Each of these used to crash run_all or load_config with a TypeError,
+    # or, for gold_include_type, to read "false" as true.
+    config = base_config()
+    config[block][key] = value
+    config_path = make_project(tmp_path, config)
+    backend = MockBackend(tmp_path / "fixtures")
+    with pytest.raises(InvalidConfigError) as err:
+        run_all(config_path, backend=backend, version_tag="TEST")
+    assert problems_of(err) == [(block, key)]
+    assert backend.call_count == 0
+
+
+def test_load_config_rejects_unknown_prompt_version(tmp_path):
+    config = base_config()
+    config["d_duplicates"]["prompt_version"] = "V9"
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, config))
+    assert problems_of(err) == [("d_duplicates", "prompt_version")]
+    assert "V1, V2, V3" in str(err.value)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+TASK_KEYS = [f.name for f in dataclasses.fields(TaskConfig)] + ["detla"]
+LLM_KEYS = [f.name for f in dataclasses.fields(LlmRequestParams)] + [
+    "backend",
+    "fixture_dir",
+    "endpoint_url",
+    "api_key_file",
+    "api_key_env",
+    "max_concurency",
+]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    where=st.one_of(
+        st.tuples(
+            st.sampled_from(["defaults", "b_classify", "c_coverage", "d_duplicates"]),
+            st.sampled_from(TASK_KEYS),
+        ),
+        st.tuples(st.just("llm"), st.sampled_from(LLM_KEYS)),
+    ),
+    value=json_values,
+)
+def test_any_json_value_under_any_key_loads_or_is_an_invalid_config(tmp_path, where, value):
+    block, key = where
+    config = base_config()
+    config[block][key] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    try:
+        cfg = load_config(path)
+    except InvalidConfigError as err:
+        assert err.problems
+    else:
+        params_from_llm_config(cfg.llm)
+
+
 def test_load_config_rejects_unknown_task_key(tmp_path):
     config = base_config()
     config["d_duplicates"]["detla"] = True  # typo of "delta"
@@ -358,11 +476,12 @@ def test_load_config_keeps_the_allowed_extra_keys(tmp_path):
         gold_file="gold.csv", metric="classification", gold_include_type=False
     )
     cfg = load_config(make_project(tmp_path, config))
-    assert cfg.task("b_classify").extra == {
-        "gold_file": "gold.csv",
-        "metric": "classification",
-        "gold_include_type": False,
-    }
+    task = cfg.task("b_classify")
+    assert (task.gold_file, task.metric, task.gold_include_type) == (
+        "gold.csv",
+        "classification",
+        False,
+    )
 
 
 def test_sample_project_config_loads():

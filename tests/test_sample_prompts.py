@@ -281,6 +281,14 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
         ("d_identify_duplicates", '"findings"'),
         ("d_identify_duplicates", '{"findings": [null]}'),
         ("e_identify_contradictions", '{"findings": [], "notes": 3}'),
+        (
+            "b_classify_requirements",
+            '{"rows": [{"ReqID": "1", "Function": 5, "Type": "FUNC", "Confidence": 90}]}',
+        ),
+        (
+            "d_identify_duplicates",
+            '{"findings": [{"ReqID_A": "1", "ReqID_B": "2", "Relation": ["x"]}]}',
+        ),
     ],
 )
 def test_a_malformed_raw_file_fails_its_delta_rerun(project, task, payload):
