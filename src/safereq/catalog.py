@@ -65,12 +65,15 @@ class CatalogEntry:
 class FunctionCatalog:
     entries: list[CatalogEntry] = field(default_factory=list)
     primary_systems: list[str] = field(default_factory=list)
-    contains_catch_all: bool = False
     warnings: list[str] = field(default_factory=list)
 
     @property
     def aliases(self) -> list[str]:
         return [e.alias for e in self.entries]
+
+    @property
+    def contains_catch_all(self) -> bool:
+        return any(e.alias == CATCH_ALL_ALIAS for e in self.entries)
 
     def alias_map(self) -> dict[str, str]:
         """Flat {alias: lineage} view, the shape prompts embed."""
@@ -97,11 +100,12 @@ def catalog_from_mapping(mapping: dict, warnings: list[str] | None = None) -> Fu
     """Build a catalog from the nested {primary: {alias: lineage}} shape.
 
     Raises SchemaViolationError naming the offending key for malformed
-    pairs or lineages deeper than three segments.
+    pairs, lineages deeper than three segments or an alias listed twice.
     """
     if not isinstance(mapping, dict):
         raise SchemaViolationError("catalog root must be a JSON object")
     catalog = FunctionCatalog(warnings=list(warnings or []))
+    seen: set[str] = set()
     for primary, functions in mapping.items():
         if not isinstance(functions, dict):
             raise SchemaViolationError(
@@ -109,20 +113,10 @@ def catalog_from_mapping(mapping: dict, warnings: list[str] | None = None) -> Fu
             )
         catalog.primary_systems.append(str(primary))
         for alias, lineage in functions.items():
-            if not isinstance(alias, str) or not isinstance(lineage, str) or not lineage:
-                raise SchemaViolationError(
-                    f"malformed alias:lineage pair under {primary!r}: "
-                    f"{alias!r}: {lineage!r}"
-                )
-            if len(lineage.split("/")) > 3:
-                raise SchemaViolationError(
-                    f"lineage for {alias!r} has more than three segments: {lineage!r}"
-                )
+            _check_entry(alias, lineage, seen, f" under {primary!r}")
             catalog.entries.append(
                 CatalogEntry(alias=alias, lineage=lineage, primary_system=str(primary))
             )
-            if alias == CATCH_ALL_ALIAS:
-                catalog.contains_catch_all = True
     _ensure_catch_all(catalog)
     return catalog
 
@@ -130,26 +124,38 @@ def catalog_from_mapping(mapping: dict, warnings: list[str] | None = None) -> Fu
 def catalog_from_alias_map(mapping: dict[str, str]) -> FunctionCatalog:
     """Build a catalog from a flat {alias: lineage} map (resource files)."""
     catalog = FunctionCatalog()
+    seen: set[str] = set()
     for alias, lineage in mapping.items():
-        if not isinstance(alias, str) or not isinstance(lineage, str) or not lineage:
-            raise SchemaViolationError(
-                f"malformed alias:lineage pair: {alias!r}: {lineage!r}"
-            )
-        segments = lineage.split("/")
-        if len(segments) > 3:
-            raise SchemaViolationError(
-                f"lineage for {alias!r} has more than three segments: {lineage!r}"
-            )
+        segments = _check_entry(alias, lineage, seen)
         primary = segments[0] if len(segments) > 1 else ""
         catalog.entries.append(
             CatalogEntry(alias=alias, lineage=lineage, primary_system=primary)
         )
-        if alias == CATCH_ALL_ALIAS:
-            catalog.contains_catch_all = True
         if primary and primary not in catalog.primary_systems:
             catalog.primary_systems.append(primary)
     _ensure_catch_all(catalog)
     return catalog
+
+
+def _check_entry(alias, lineage, seen: set[str], where: str = "") -> list[str]:
+    """lineage's segments, once the pair passes the entry rules; adds alias to seen.
+
+    Raises SchemaViolationError for a malformed pair, a lineage deeper than
+    three segments or an alias already in seen.
+    """
+    if not isinstance(alias, str) or not isinstance(lineage, str) or not lineage:
+        raise SchemaViolationError(
+            f"malformed alias:lineage pair{where}: {alias!r}: {lineage!r}"
+        )
+    segments = lineage.split("/")
+    if len(segments) > 3:
+        raise SchemaViolationError(
+            f"lineage for {alias!r} has more than three segments: {lineage!r}"
+        )
+    if alias in seen:
+        raise SchemaViolationError(f"alias {alias!r} is listed more than once")
+    seen.add(alias)
+    return segments
 
 
 def _ensure_catch_all(catalog: FunctionCatalog) -> None:
@@ -159,7 +165,6 @@ def _ensure_catch_all(catalog: FunctionCatalog) -> None:
     catalog.entries.append(
         CatalogEntry(alias=CATCH_ALL_ALIAS, lineage=CATCH_ALL_LINEAGE, primary_system=primary)
     )
-    catalog.contains_catch_all = True
     catalog.warnings.append(f"catch-all {CATCH_ALL_ALIAS} was missing and has been added")
 
 
@@ -332,7 +337,6 @@ def extract_catalog(
             alias=CATCH_ALL_ALIAS, lineage=CATCH_ALL_LINEAGE, primary_system=first_root
         )
     )
-    catalog.contains_catch_all = True
     return catalog
 
 

@@ -9,6 +9,7 @@ the matrix as a triage bucket, not a real function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .classify import ClassifiedRequirement
@@ -30,6 +31,20 @@ class CoverageRow:
     n_other: int
     verdict: str
     is_triage_bucket: bool = False
+
+
+# Each CoverageRow field's column name, in field order: the raw file's rows
+# and the coverage report take their column names and order from here.
+COVERAGE_COLUMNS = {
+    "Function": "alias",
+    "Lineage": "lineage",
+    "N_FUNC": "n_func",
+    "N_PROB": "n_prob",
+    "N_OTHER": "n_other",
+    "Verdict": "verdict",
+    "Triage": "is_triage_bucket",
+}
+coverage_cells = attrgetter(*COVERAGE_COLUMNS.values())
 
 
 @dataclass

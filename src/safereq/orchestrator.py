@@ -44,7 +44,7 @@ from .classify import (
     classified_table,
     classify,
 )
-from .coverage import build_matrix, gap_ranking
+from .coverage import COVERAGE_COLUMNS, build_matrix, coverage_cells, gap_ranking
 from .errors import (
     EmptyDatasetError,
     EmptyGoldError,
@@ -216,6 +216,9 @@ def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[P
     need(t.type == TASK_TYPE, "type", f"must be {TASK_TYPE!r}")
     for key in ("input_file", "output_path", "dataset_id_column"):
         need(bool(getattr(t, key)), key, "required")
+    paths = ("project_dir", "input_file", "instructions", "resources", "output_path", "gold_file")
+    for key in paths:
+        need("\0" not in getattr(t, key), key, "a path must not hold a NUL character")
     need(t.chunk_size >= 1, "chunk_size", "must be a positive integer")
     need(t.max_items >= -1, "max_items", "must be an integer >= -1 (-1 means no limit)")
     for key, known in (
@@ -708,18 +711,7 @@ def _task_coverage(
         {
             "task": task.name,
             "analysis_function": task.analysis_function,
-            "rows": [
-                {
-                    "Function": row.alias,
-                    "Lineage": row.lineage,
-                    "N_FUNC": row.n_func,
-                    "N_PROB": row.n_prob,
-                    "N_OTHER": row.n_other,
-                    "Verdict": row.verdict,
-                    "Triage": row.is_triage_bucket,
-                }
-                for row in matrix.rows
-            ],
+            "rows": [dict(zip(COVERAGE_COLUMNS, coverage_cells(row))) for row in matrix.rows],
             "totals": list(matrix.totals),
             "gap_ranking": [
                 {"Function": row.alias, "Shortfall": missing} for row, missing in gaps
@@ -855,8 +847,11 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
             result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=files)
             partial.unlink(missing_ok=True)
     except (SafereqError, ValueError, KeyError, OSError) as exc:
-        _write_json(partial, {"task": task.name, "error": str(exc)})
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
+        try:
+            _write_json(partial, {"task": task.name, "error": str(exc)})
+        except OSError:  # the marker's directory cannot be made either
+            result.files = []
 
     result.backend_calls = ctx.backend.calls - calls_before
     if ctx.verbose or task.verbose:
@@ -901,5 +896,8 @@ def run_all(
     parts = (inputs.classified, inputs.coverage, inputs.duplicates, inputs.contradictions)
     if not dry_run and selected and any(part is not None for part in parts):
         reports_dir = _out_dir(cfg, selected[-1]) / "reports"
-        report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
+        try:
+            report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
+        except OSError as exc:
+            raise SafereqError(f"cannot write the report set to {reports_dir}: {exc}") from exc
     return RunReport(results=results, report_set=report_set)

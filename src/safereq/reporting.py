@@ -11,14 +11,14 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .classify import CLASSIFIED_COLUMNS, ClassifiedRequirement, classified_table
-from .coverage import CoverageMatrix, gap_ranking
+from .coverage import COVERAGE_COLUMNS, CoverageMatrix, coverage_cells, gap_ranking
 from .errors import SafereqError
 from .pairwise import PAIR_COLUMNS, PairFinding, finding_cells
 
@@ -246,71 +246,6 @@ def _object_template(heads: list[str], indent: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Individual reports
-# ---------------------------------------------------------------------------
-
-
-def _write_table(
-    out_dir: Path, stem: str, tag: str, header: list[str], table: list[list]
-) -> list[Path]:
-    """Write table to <stem>_<tag>.csv, and the same cells to <stem>_<tag>.json."""
-    csv_path = out_dir / f"{stem}_{tag}.csv"
-    json_path = out_dir / f"{stem}_{tag}.json"
-    _write_csv(csv_path, header, table)
-    _write_table_json(json_path, header, table)
-    return [csv_path, json_path]
-
-
-def write_classification_report(
-    rows: list[ClassifiedRequirement], out_dir: Path, tag: str
-) -> list[Path]:
-    table = list(classified_table(rows))
-    return _write_table(out_dir, "classification", tag, list(CLASSIFIED_COLUMNS), table)
-
-
-def write_allocation_report(
-    rows: list[ClassifiedRequirement],
-    catalog: FunctionCatalog | None,
-    out_dir: Path,
-    tag: str,
-) -> list[Path]:
-    lineages = catalog.alias_map() if catalog is not None else {}
-    header = ["ReqID", "Function", "Lineage", "System Requirement"]
-    table = [
-        [r.req_id, r.function, lineages.get(r.function, ""), r.system_requirement]
-        for r in rows
-    ]
-    return _write_table(out_dir, "allocation", tag, header, table)
-
-
-def write_pair_report(
-    findings: list[PairFinding], stem: str, out_dir: Path, tag: str
-) -> list[Path]:
-    table = list(map(finding_cells, findings))
-    return _write_table(out_dir, stem, tag, list(PAIR_COLUMNS), table)
-
-
-def write_coverage_report(matrix: CoverageMatrix, out_dir: Path, tag: str) -> list[Path]:
-    header = ["Function", "Lineage", "N_FUNC", "N_PROB", "N_OTHER", "Verdict", "Triage"]
-    table = [
-        [
-            row.alias,
-            row.lineage,
-            row.n_func,
-            row.n_prob,
-            row.n_other,
-            row.verdict,
-            "yes" if row.is_triage_bucket else "",
-        ]
-        for row in matrix.rows
-    ]
-    table.append(["TOTAL", "", *matrix.totals, "", ""])
-    csv_path = out_dir / f"coverage_{tag}.csv"
-    _write_csv(csv_path, header, table)
-    return [csv_path]
-
-
-# ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
 
@@ -343,23 +278,6 @@ def metrics_summary(
     return rows
 
 
-def write_metrics_report(metrics: list[MetricRow], out_dir: Path, tag: str) -> list[Path]:
-    payload = {
-        "metrics": [
-            {
-                "metric": m.metric,
-                "value": m.value,
-                "threshold": m.threshold,
-                "passed": m.passed,
-            }
-            for m in metrics
-        ]
-    }
-    json_path = out_dir / f"metrics_{tag}.json"
-    _write_json(json_path, payload)
-    return [json_path]
-
-
 # ---------------------------------------------------------------------------
 # Markdown summary and full report set
 # ---------------------------------------------------------------------------
@@ -374,124 +292,108 @@ def _md_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
+def _section(title: str, header: list[str], rows: list[list] | None, empty: str) -> str:
+    """A summary section: rows as a table, empty if there are none, not run if None."""
+    if rows is None:
+        body = _NOT_RUN
+    elif not rows:
+        body = empty
+    else:
+        body = _md_table(header, rows)
+    return f"## {title}\n{body}"
+
+
 def render_summary(inputs: ReportInputs, tag: str) -> str:
     """Markdown summary; absent artifacts render as not run."""
-    parts = [f"# Requirement Analysis Summary ({tag})", ""]
-
-    parts.append("## Coverage")
-    if inputs.coverage is None:
-        parts.append(_NOT_RUN)
-    else:
-        rows = [
-            [r.alias, r.n_func, r.n_prob, r.n_other, r.verdict]
-            for r in inputs.coverage.rows
-        ]
-        rows.append(["TOTAL", *inputs.coverage.totals, ""])
-        parts.append(_md_table(["Function", "FUNC", "PROB", "OTHER", "Verdict"], rows))
-
-    parts.append("\n## Coverage Gaps")
-    if inputs.coverage is None:
-        parts.append(_NOT_RUN)
-    else:
-        gaps = gap_ranking(inputs.coverage)
-        if not gaps:
-            parts.append("All functions have complete coverage.")
-        else:
-            parts.append(
-                _md_table(
-                    ["Function", "Shortfall", "FUNC", "PROB"],
-                    [[r.alias, s, r.n_func, r.n_prob] for r, s in gaps],
-                )
-            )
-
-    for title, findings in (
-        ("Duplicate Requirements", inputs.duplicates),
-        ("Contradicting Requirements", inputs.contradictions),
-    ):
-        parts.append(f"\n## {title}")
-        if findings is None:
-            parts.append(_NOT_RUN)
-        elif not findings:
-            parts.append("None found.")
-        else:
-            parts.append(
-                _md_table(
-                    ["ReqID A", "ReqID B", "Relation", "Function"],
-                    [[f.req_a, f.req_b, f.kind, f.function] for f in findings],
-                )
-            )
-
-    parts.append("\n## Triage")
-    if inputs.classified is None:
-        parts.append(_NOT_RUN)
-    else:
+    matrix = inputs.coverage
+    coverage = gaps = triage = metrics = None
+    if matrix is not None:
+        coverage = [[r.alias, r.n_func, r.n_prob, r.n_other, r.verdict] for r in matrix.rows]
+        coverage.append(["TOTAL", *matrix.totals, ""])
+        gaps = [[r.alias, s, r.n_func, r.n_prob] for r, s in gap_ranking(matrix)]
+    if inputs.classified is not None:
         triage = [
-            r
+            [r.req_id, r.function, r.rtype, r.confidence, "|".join(r.flags)]
             for r in inputs.classified
             if r.function == CATCH_ALL_ALIAS or r.flags
         ]
-        if not triage:
-            parts.append("Nothing to triage.")
-        else:
-            parts.append(
-                _md_table(
-                    ["ReqID", "Function", "Type", "Confidence", "Flags"],
-                    [
-                        [r.req_id, r.function, r.rtype, r.confidence, "|".join(r.flags)]
-                        for r in triage
-                    ],
-                )
-            )
-
-    parts.append("\n## Metrics")
-    if not inputs.scores:
-        parts.append(_NOT_RUN)
-    else:
-        rows = [
+    if inputs.scores:
+        metrics = [
             [m.metric, f"{m.value:.2f}", f"{m.threshold:.2f}", "pass" if m.passed else "fail"]
             for m in metrics_summary(inputs.scores, inputs.thresholds)
         ]
-        parts.append(_md_table(["Metric", "Value", "Threshold", "Result"], rows))
-
-    return "\n".join(parts) + "\n"
+    duplicates, contradictions = (
+        None if found is None else [[f.req_a, f.req_b, f.kind, f.function] for f in found]
+        for found in (inputs.duplicates, inputs.contradictions)
+    )
+    pair_header = ["ReqID A", "ReqID B", "Relation", "Function"]
+    sections = [
+        f"# Requirement Analysis Summary ({tag})",
+        _section("Coverage", ["Function", "FUNC", "PROB", "OTHER", "Verdict"], coverage, ""),
+        _section(
+            "Coverage Gaps",
+            ["Function", "Shortfall", "FUNC", "PROB"],
+            gaps,
+            "All functions have complete coverage.",
+        ),
+        _section("Duplicate Requirements", pair_header, duplicates, "None found."),
+        _section("Contradicting Requirements", pair_header, contradictions, "None found."),
+        _section(
+            "Triage",
+            ["ReqID", "Function", "Type", "Confidence", "Flags"],
+            triage,
+            "Nothing to triage.",
+        ),
+        _section("Metrics", ["Metric", "Value", "Threshold", "Result"], metrics, ""),
+    ]
+    return "\n\n".join(sections) + "\n"
 
 
 def emit_report_set(inputs: ReportInputs, out_dir: str | Path, version_tag: str) -> ReportSet:
     """Write every available report plus the Markdown summary.
 
-    Returns a ReportSet mapping report names to the files written. Parts
-    with no artifact are only mentioned (as not run) in the summary.
+    Each table goes to <stem>_<tag>.csv and the same cells to
+    <stem>_<tag>.json; coverage is CSV only, metrics JSON only. Returns a
+    ReportSet mapping report names to the files written. Parts with no
+    artifact are only mentioned (as not run) in the summary.
     """
     out = Path(out_dir)
-    report_set = ReportSet()
+    files: dict[str, Path] = {}
 
+    def table(stem: str, header: list[str], rows: list) -> None:
+        files[stem] = out / f"{stem}_{version_tag}.csv"
+        files[f"{stem}_json"] = out / f"{stem}_{version_tag}.json"
+        _write_csv(files[stem], header, rows)
+        _write_table_json(files[f"{stem}_json"], header, rows)
+
+    # Each table is written before the next is built, so one is held at a time.
     if inputs.classified is not None:
-        csv_path, json_path = write_classification_report(
-            inputs.classified, out, version_tag
+        table("classification", list(CLASSIFIED_COLUMNS), list(classified_table(inputs.classified)))
+        lineages = inputs.catalog.alias_map() if inputs.catalog is not None else {}
+        table(
+            "allocation",
+            ["ReqID", "Function", "Lineage", "System Requirement"],
+            [
+                [r.req_id, r.function, lineages.get(r.function, ""), r.system_requirement]
+                for r in inputs.classified
+            ],
         )
-        report_set.files["classification"] = csv_path
-        report_set.files["classification_json"] = json_path
-        csv_path, json_path = write_allocation_report(
-            inputs.classified, inputs.catalog, out, version_tag
-        )
-        report_set.files["allocation"] = csv_path
-        report_set.files["allocation_json"] = json_path
     for stem in ("duplicates", "contradictions"):
         findings = getattr(inputs, stem)
         if findings is not None:
-            csv_path, json_path = write_pair_report(findings, stem, out, version_tag)
-            report_set.files[stem] = csv_path
-            report_set.files[f"{stem}_json"] = json_path
+            table(stem, list(PAIR_COLUMNS), list(map(finding_cells, findings)))
     if inputs.coverage is not None:
-        (csv_path,) = write_coverage_report(inputs.coverage, out, version_tag)
-        report_set.files["coverage"] = csv_path
+        rows = [list(coverage_cells(r)) for r in inputs.coverage.rows]
+        for cells in rows:
+            cells[-1] = "yes" if cells[-1] else ""  # Triage is the last column
+        rows.append(["TOTAL", "", *inputs.coverage.totals, "", ""])
+        files["coverage"] = out / f"coverage_{version_tag}.csv"
+        _write_csv(files["coverage"], list(COVERAGE_COLUMNS), rows)
     if inputs.scores:
-        (json_path,) = write_metrics_report(
-            metrics_summary(inputs.scores, inputs.thresholds), out, version_tag
-        )
-        report_set.files["metrics"] = json_path
-
-    summary_path = out / f"summary_{version_tag}.md"
-    _write_text(summary_path, render_summary(inputs, version_tag))
-    report_set.files["summary"] = summary_path
-    return report_set
+        # MetricRow's field order is the key order.
+        metrics = [asdict(m) for m in metrics_summary(inputs.scores, inputs.thresholds)]
+        files["metrics"] = out / f"metrics_{version_tag}.json"
+        _write_json(files["metrics"], {"metrics": metrics})
+    files["summary"] = out / f"summary_{version_tag}.md"
+    _write_text(files["summary"], render_summary(inputs, version_tag))
+    return ReportSet(files)

@@ -8,12 +8,15 @@ import pytest
 from safereq import (
     CATCH_ALL_ALIAS,
     CATCH_ALL_LINEAGE,
+    CatalogEntry,
+    LlmRequestParams,
     RelationKind,
     ThingKind,
     catalog_from_alias_map,
     catalog_from_mapping,
     derive_alias,
     extract_catalog,
+    extract_catalog_llm,
     parse_opl,
     parse_xmi_bdd,
 )
@@ -97,6 +100,26 @@ def test_catalog_from_mapping_rejects_deep_lineage():
 def test_catalog_from_mapping_rejects_non_dict_node():
     with pytest.raises(SchemaViolationError):
         catalog_from_mapping({"A": ["X"]})
+
+
+class _RepeatingMap(dict):
+    """A flat map whose items list one alias twice, as no dict's keys can."""
+
+    def items(self):
+        return [("X", "A/x"), ("X", "B/x")]
+
+
+@pytest.mark.parametrize(
+    "build, mapping",
+    [
+        (catalog_from_mapping, {"A": {"X": "A/x"}, "B": {"X": "B/x"}}),
+        (catalog_from_alias_map, _RepeatingMap()),
+    ],
+    ids=["nested", "flat"],
+)
+def test_a_repeated_alias_is_rejected(build, mapping):
+    with pytest.raises(SchemaViolationError, match="alias 'X' is listed more than once"):
+        build(mapping)
 
 
 def test_catalog_from_alias_map_flat_shape():
@@ -271,3 +294,81 @@ def test_corpus_catalog_structural_invariants():
         assert graph.things[leaf].kind is ThingKind.PROCESS
         pairs.add((entry.primary_system, leaf))
     assert len(pairs) == len(catalog.entries) - 1  # one pair per non-catch-all entry
+
+
+# ---------------------------------------------------------------------------
+# LLM-backed extraction
+# ---------------------------------------------------------------------------
+
+
+class _Reply:
+    """A backend that answers every prompt with text and keeps the prompts."""
+
+    def __init__(self, text):
+        self.text, self.prompts = text, []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return self.text, {}
+
+
+def llm_catalog(results, wrap="{}"):
+    backend = _Reply(wrap.format(json.dumps({"results": results})))
+    return extract_catalog_llm("Drone exhibits Navigating.", LlmRequestParams(), backend)
+
+
+def test_llm_catalog_takes_entries_and_primary_systems_from_a_nested_map():
+    catalog = llm_catalog(
+        {
+            "Drone": {"NAV": "Drone/Navigation/Navigating", "_OF_": "Other Function"},
+            "Operator": {"CTRL": "Operator/Controlling"},
+        }
+    )
+    assert catalog.entries == [
+        CatalogEntry("NAV", "Drone/Navigation/Navigating", "Drone"),
+        CatalogEntry("_OF_", "Other Function", "Drone"),
+        CatalogEntry("CTRL", "Operator/Controlling", "Operator"),
+    ]
+    assert catalog.primary_systems == ["Drone", "Operator"]
+    assert catalog.warnings == []
+
+
+def test_llm_catalog_without_the_catch_all_gets_it_with_a_warning():
+    catalog = llm_catalog({"Drone": {"NAV": "Drone/Navigating"}})
+    assert catalog.entries[-1] == CatalogEntry(CATCH_ALL_ALIAS, CATCH_ALL_LINEAGE, "Drone")
+    assert catalog.warnings == ["catch-all _OF_ was missing and has been added"]
+
+
+def test_llm_catalog_warns_of_an_empty_function_map():
+    catalog = llm_catalog({})
+    assert catalog.aliases == [CATCH_ALL_ALIAS]
+    assert catalog.warnings[0] == "backend returned an empty function map"
+
+
+@pytest.mark.parametrize(
+    "results",
+    [
+        [{"NAV": "Drone/Navigating"}],
+        {"Drone": ["NAV"]},
+        {"Drone": {"NAV": "Drone/Navigation/Flight/Navigating"}},
+    ],
+    ids=["results-list", "non-object-node", "four-segment-lineage"],
+)
+def test_llm_catalog_rejects_a_malformed_function_map(results):
+    with pytest.raises(SchemaViolationError):
+        llm_catalog(results)
+
+
+@pytest.mark.parametrize(
+    "wrap", ["```json\n{}\n```", "Here is the catalog:\n{}\nThat is all."], ids=["fenced", "prose"]
+)
+def test_llm_catalog_accepts_wrapped_json(wrap):
+    catalog = llm_catalog({"Drone": {"NAV": "Drone/Navigating"}}, wrap=wrap)
+    assert catalog.alias_map()["NAV"] == "Drone/Navigating"
+
+
+def test_llm_catalog_prompt_holds_the_model_in_its_tag():
+    backend = _Reply(json.dumps({"results": {"Drone": {"NAV": "Drone/Navigating"}}}))
+    extract_catalog_llm("Drone exhibits Navigating.", LlmRequestParams(), backend)
+    (prompt,) = backend.prompts
+    assert "<architecture_model>\nDrone exhibits Navigating.\n</architecture_model>" in prompt

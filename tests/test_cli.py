@@ -213,6 +213,18 @@ def test_failed_task_exits_one(tmp_path, capsys):
     assert "b_classify: Failed (input file not found" in out
 
 
+def test_a_report_set_that_cannot_be_written_exits_one(tmp_path, capsys):
+    (tmp_path / "plain").write_text("not a directory", encoding="utf-8")
+    config_path = make_project(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["c_coverage"]["output_path"] = str(tmp_path / "plain" / "x")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli(config_path)
+    reports = tmp_path / "plain" / "x" / "reports"
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write the report set to {reports}: ")
+
+
 def test_missing_config_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["run"])

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 from datetime import date
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from safereq import (
     run_all,
     run_task,
 )
-from safereq.errors import InvalidConfigError, UnknownAnalysisFunctionError
+from safereq.errors import InvalidConfigError, SafereqError, UnknownAnalysisFunctionError
 from safereq import orchestrator
 from safereq.orchestrator import params_from_llm_config
 
@@ -769,6 +770,65 @@ def test_success_removes_a_stale_partial_marker(tmp_path):
         "d_duplicates_TEST.json",
         "e_contradictions_TEST.json",
     ]
+
+
+_PATH_KEYS = ("project_dir", "input_file", "instructions", "resources", "output_path", "gold_file")
+
+
+@pytest.mark.parametrize("key", _PATH_KEYS)
+@pytest.mark.parametrize("task", ["c_coverage", "e_contradictions"])
+def test_a_nul_in_a_path_fails_the_run_at_load(tmp_path, task, key):
+    config = base_config()
+    config[task][key] = "a\0b"
+    with pytest.raises(InvalidConfigError) as err:
+        run_project(tmp_path, config=config)
+    assert (task, key) in problems_of(err)
+    assert not (tmp_path / "results").exists()
+
+
+def test_an_output_path_under_a_file_fails_its_task_without_a_marker(tmp_path):
+    (tmp_path / "plain").write_text("not a directory", encoding="utf-8")
+    config = base_config()
+    config["c_coverage"]["output_path"] = str(tmp_path / "plain" / "x")
+    report, _ = run_project(tmp_path, config=config)
+    statuses = [(r.name, r.status) for r in report.results]
+    assert statuses == [
+        ("b_classify", "Succeeded"),
+        ("c_coverage", "Failed"),
+        ("d_duplicates", "Succeeded"),
+        ("e_contradictions", "Succeeded"),
+    ]
+    assert report.results[1].files == []
+    assert "Not a directory" in report.results[1].detail
+    assert (tmp_path / "plain").read_text(encoding="utf-8") == "not a directory"
+    assert report.report_set.summary_path == tmp_path / "results" / "reports" / "summary_TEST.md"
+
+
+def test_a_report_set_that_cannot_be_written_names_its_directory(tmp_path):
+    (tmp_path / "plain").write_text("not a directory", encoding="utf-8")
+    config = base_config()
+    config["e_contradictions"]["output_path"] = str(tmp_path / "plain" / "x")
+    reports = tmp_path / "plain" / "x" / "reports"
+    with pytest.raises(SafereqError, match=re.escape(f"cannot write the report set to {reports}: ")):
+        run_project(tmp_path, config=config)
+
+
+def test_a_repeated_alias_in_the_architecture_fails_the_task(tmp_path):
+    config = base_config()
+    config["b_classify"]["resources"] = "repeated.json"
+    (tmp_path / "repeated.json").write_text(
+        json.dumps(
+            {"ARCHITECTURE": {"Drone": {"NAV": "Drone/Nav"}, "Pilot": {"NAV": "Pilot/Nav"}}}
+        ),
+        encoding="utf-8",
+    )
+    report, backend = run_project(tmp_path, config=config)
+    classify = report.results[0]
+    assert classify.status == "Failed"
+    assert classify.detail == "alias 'NAV' is listed more than once"
+    assert (tmp_path / "results" / "raw" / "b_classify_TEST.json.partial").exists()
+    assert len(report.results) == 4
+    assert backend.call_count == 0
 
 
 def test_failed_joined_write_keeps_the_earlier_table(tmp_path, monkeypatch):

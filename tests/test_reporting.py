@@ -566,3 +566,120 @@ def test_summary_metrics_table_shows_pass_and_fail():
 
 def test_summary_render_is_deterministic():
     assert render_summary(full_inputs(), "V1") == render_summary(full_inputs(), "V1")
+
+
+_NOT_RUN_SUMMARY = """\
+# Requirement Analysis Summary (V1)
+
+## Coverage
+_Not run._
+
+## Coverage Gaps
+_Not run._
+
+## Duplicate Requirements
+_Not run._
+
+## Contradicting Requirements
+_Not run._
+
+## Triage
+_Not run._
+
+## Metrics
+_Not run._
+"""
+
+_NO_FINDINGS_SUMMARY = """\
+# Requirement Analysis Summary (V1)
+
+## Coverage
+| Function | FUNC | PROB | OTHER | Verdict |
+| --- | --- | --- | --- | --- |
+| NAV | 3 | 1 | 0 | Complete |
+| EN | 0 | 0 | 1 | Missing |
+| _OF_ | 0 | 0 | 1 | Missing |
+| TOTAL | 3 | 1 | 2 |  |
+
+## Coverage Gaps
+| Function | Shortfall | FUNC | PROB |
+| --- | --- | --- | --- |
+| EN | 4 | 0 | 0 |
+
+## Duplicate Requirements
+None found.
+
+## Contradicting Requirements
+None found.
+
+## Triage
+| ReqID | Function | Type | Confidence | Flags |
+| --- | --- | --- | --- | --- |
+| 1004 | EN | _OT_ | 70 | LowConfidence |
+| 1005 | _OF_ | _OT_ | 0 |  |
+
+## Metrics
+| Metric | Value | Threshold | Result |
+| --- | --- | --- | --- |
+| classification | 82.72 | 80.00 | pass |
+| stability | 71.43 | 80.00 | fail |
+"""
+
+_CLEAN_TRIAGE_SUMMARY = _NOT_RUN_SUMMARY.replace(
+    "## Triage\n_Not run._", "## Triage\nNothing to triage."
+)
+
+_COMPLETE_COVERAGE_SUMMARY = """\
+# Requirement Analysis Summary (V1)
+
+## Coverage
+| Function | FUNC | PROB | OTHER | Verdict |
+| --- | --- | --- | --- | --- |
+| NAV | 3 | 1 | 0 | Complete |
+| _OF_ | 0 | 0 | 0 | Missing |
+| TOTAL | 3 | 1 | 0 |  |
+
+## Coverage Gaps
+All functions have complete coverage.
+
+## Duplicate Requirements
+_Not run._
+
+## Contradicting Requirements
+_Not run._
+
+## Triage
+Nothing to triage.
+
+## Metrics
+_Not run._
+"""
+
+
+def _no_findings_inputs():
+    inputs = full_inputs()
+    inputs.duplicates = []
+    inputs.contradictions = []
+    return inputs
+
+
+def _complete_coverage_inputs():
+    catalog = catalog_from_alias_map({"NAV": "Drone/Navigation/Navigating"})
+    classified = [crow("1000"), crow("1001"), crow("1002"), crow("1003", rtype="PROB")]
+    return ReportInputs(
+        classified=classified, catalog=catalog, coverage=build_matrix(classified, catalog)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_inputs, expected",
+    [
+        (ReportInputs, _NOT_RUN_SUMMARY),
+        (_no_findings_inputs, _NO_FINDINGS_SUMMARY),
+        (lambda: ReportInputs(classified=[crow("1000"), crow("1001")]), _CLEAN_TRIAGE_SUMMARY),
+        (_complete_coverage_inputs, _COMPLETE_COVERAGE_SUMMARY),
+    ],
+    ids=["nothing-run", "no-findings", "clean-triage", "complete-coverage"],
+)
+def test_summary_text_is_pinned(make_inputs, expected):
+    assert render_summary(make_inputs(), "V1") == expected
