@@ -23,7 +23,7 @@ from .gateway import (
     extract_results_root,
     send,
 )
-from .opl import ArchitectureGraph, RelationKind
+from .opl import ArchitectureGraph, RelationKind, ThingKind
 
 CATCH_ALL_ALIAS = "_OF_"
 CATCH_ALL_LINEAGE = "Other Function"
@@ -131,8 +131,8 @@ def catalog_from_alias_map(mapping: dict[str, str]) -> FunctionCatalog:
         catalog.entries.append(
             CatalogEntry(alias=alias, lineage=lineage, primary_system=primary)
         )
-        if primary and primary not in catalog.primary_systems:
-            catalog.primary_systems.append(primary)
+    primaries = (e.primary_system for e in catalog.entries if e.primary_system)
+    catalog.primary_systems = list(dict.fromkeys(primaries))
     _ensure_catch_all(catalog)
     return catalog
 
@@ -188,19 +188,27 @@ def derive_alias(name: str) -> str:
 
 
 class _AliasAllocator:
+    """Gives each function the first free one of base, base2, base3, ...
+
+    next_suffix remembers, per base, the first suffix not yet found taken;
+    taken only grows, so every suffix skipped once stays taken.
+    """
+
     def __init__(self, hints: dict[str, str]):
         self.hints = dict(hints)
         self.taken: set[str] = {CATCH_ALL_ALIAS}
+        self.next_suffix: dict[str, int] = {}
 
     def allocate(self, leaf_name: str, lineage: str) -> str:
         base = self.hints.get(leaf_name) or self.hints.get(lineage) or derive_alias(leaf_name)
         if base == CATCH_ALL_ALIAS:
             base = derive_alias(leaf_name)
         alias = base
-        n = 2
+        n = self.next_suffix.get(base, 2)
         while alias in self.taken:
             alias = f"{base}{n}"
             n += 1
+        self.next_suffix[base] = n
         self.taken.add(alias)
         return alias
 
@@ -224,117 +232,97 @@ def extract_catalog(
     Raises:
         NoPrimarySystemError: no primary system and no root process exists.
     """
-    things = graph.things
-    object_names = {t.name for t in graph.objects()}
-    process_names = {t.name for t in graph.processes()}
+    kind_of = {t.name: t.kind for t in graph.things.values()}
+    objects = [name for name, kind in kind_of.items() if kind is ThingKind.OBJECT]
+    flow_objects = _flow_objects(graph, set(objects))
 
-    flow_objects = _flow_objects(graph, object_names)
-
-    owned_objects: dict[str, str] = {}  # object -> first owner object
-    exhibited: list[tuple[str, str]] = []  # (object, process), relation order
-    part_children: dict[str, list[str]] = {}  # process -> child processes
-    process_has_parent: set[str] = set()
+    owner: dict[str, str] = {}  # object -> first owner object
+    exhibits: dict[str, list[str]] = {}  # object -> processes, relation order
+    parts: dict[str, list[str]] = {}  # process -> child processes
+    has_parent: set[str] = set()  # processes exhibited or contained
 
     for rel in graph.relations:
-        src_is_obj = rel.source in object_names
+        if rel.kind not in (RelationKind.AGGREGATION, RelationKind.EXHIBITION):
+            continue
+        source_kind = kind_of.get(rel.source)
         for target in rel.targets:
-            if rel.kind in (RelationKind.AGGREGATION, RelationKind.EXHIBITION):
-                if src_is_obj and target in object_names:
-                    if rel.source not in flow_objects:
-                        owned_objects.setdefault(target, rel.source)
-                elif src_is_obj and target in process_names:
-                    # An object exhibiting or aggregating a process anchors it.
-                    exhibited.append((rel.source, target))
-                    process_has_parent.add(target)
-                elif rel.source in process_names and target in process_names:
-                    part_children.setdefault(rel.source, []).append(target)
-                    process_has_parent.add(target)
+            pair = (source_kind, kind_of.get(target))
+            if pair == (ThingKind.OBJECT, ThingKind.OBJECT):
+                owner.setdefault(target, rel.source)
+            elif pair == (ThingKind.OBJECT, ThingKind.PROCESS):
+                # An object exhibiting or aggregating a process anchors it.
+                exhibits.setdefault(rel.source, []).append(target)
+                has_parent.add(target)
+            elif pair == (ThingKind.PROCESS, ThingKind.PROCESS):
+                parts.setdefault(rel.source, []).append(target)
+                has_parent.add(target)
 
-    primaries = [
-        t.name
-        for t in graph.objects()
-        if t.name not in flow_objects and t.name not in owned_objects
-    ]
+    primaries = [o for o in objects if o not in flow_objects and o not in owner]
     root_processes = [
-        t.name for t in graph.processes() if t.name not in process_has_parent
+        name
+        for name, kind in kind_of.items()
+        if kind is ThingKind.PROCESS and name not in has_parent
     ]
     if not primaries and not root_processes:
         raise NoPrimarySystemError(
             "no primary system found (containment is empty or cyclic)"
         )
 
-    catalog = FunctionCatalog(primary_systems=list(primaries))
+    catalog = FunctionCatalog(primary_systems=primaries + root_processes)
     allocator = _AliasAllocator(alias_hints or {})
     seen: set[tuple[str, str]] = set()
 
-    def leaves(process: str, visited: set[str]) -> list[str]:
+    def leaves(process: str, visited: frozenset[str]) -> list[str]:
         if process in visited:
             catalog.warnings.append(f"cyclic process containment at {process!r}")
             return []
-        children = [c for c in part_children.get(process, []) if c in process_names]
-        if not children:
+        if process not in parts:
             return [process]
-        visited = visited | {process}
-        out: list[str] = []
-        for child in children:
-            for leaf in leaves(child, visited):
-                if leaf not in out:
-                    out.append(leaf)
-        return out
+        visited |= {process}
+        return list(
+            dict.fromkeys(leaf for child in parts[process] for leaf in leaves(child, visited))
+        )
 
-    def primary_ancestor(obj: str) -> str | None:
-        current, visited = obj, set()
-        while current in owned_objects:
-            if current in visited:
-                catalog.warnings.append(f"cyclic containment at {current!r}")
-                return None
-            visited.add(current)
-            current = owned_objects[current]
-        return current if current in primaries else None
+    def add(primary: str, leaf: str, segments: list[str]) -> None:
+        if (primary, leaf) not in seen:
+            seen.add((primary, leaf))
+            lineage = "/".join(segments)
+            alias = allocator.allocate(leaf, lineage)
+            catalog.entries.append(
+                CatalogEntry(alias=alias, lineage=lineage, primary_system=primary)
+            )
 
     # Functions exhibited by objects, in declaration-then-relation order.
-    for obj in (t.name for t in graph.objects()):
-        for owner, process in exhibited:
-            if owner != obj:
-                continue
-            primary = primary_ancestor(obj)
-            if primary is None:
+    for obj in objects:
+        if obj not in exhibits:
+            continue
+        # Climb to the topmost owner; meeting a passed object again is a cycle.
+        primary, visited = obj, set()
+        while primary in owner and primary not in visited:
+            visited.add(primary)
+            primary = owner[primary]
+        for process in exhibits[obj]:
+            if primary in owner:
+                catalog.warnings.append(f"cyclic containment at {primary!r}")
                 catalog.warnings.append(
                     f"no primary ancestor for {obj!r}; skipping {process!r}"
                 )
                 continue
-            for leaf in leaves(process, set()):
-                if (primary, leaf) in seen:
-                    continue
-                seen.add((primary, leaf))
-                segments = [primary, leaf] if obj == primary else [primary, obj, leaf]
-                lineage = "/".join(segments)
-                alias = allocator.allocate(leaf, lineage)
-                catalog.entries.append(
-                    CatalogEntry(alias=alias, lineage=lineage, primary_system=primary)
-                )
+            for leaf in leaves(process, frozenset()):
+                add(primary, leaf, [primary, leaf] if obj == primary else [primary, obj, leaf])
 
     # Root process trees act as their own functional roots.
     for root in root_processes:
-        for leaf in leaves(root, set()):
-            if (root, leaf) in seen:
-                continue
-            seen.add((root, leaf))
-            lineage = root if leaf == root else f"{root}/{leaf}"
-            alias = allocator.allocate(leaf, lineage)
-            catalog.entries.append(
-                CatalogEntry(alias=alias, lineage=lineage, primary_system=root)
-            )
-        if root not in catalog.primary_systems:
-            catalog.primary_systems.append(root)
+        for leaf in leaves(root, frozenset()):
+            add(root, leaf, [root] if leaf == root else [root, leaf])
 
-    if not any(e.alias != CATCH_ALL_ALIAS for e in catalog.entries):
+    if not catalog.entries:
         catalog.warnings.append("model yields no functions; catalog is catch-all only")
-
-    first_root = catalog.primary_systems[0] if catalog.primary_systems else ""
     catalog.entries.append(
         CatalogEntry(
-            alias=CATCH_ALL_ALIAS, lineage=CATCH_ALL_LINEAGE, primary_system=first_root
+            alias=CATCH_ALL_ALIAS,
+            lineage=CATCH_ALL_LINEAGE,
+            primary_system=catalog.primary_systems[0],
         )
     )
     return catalog

@@ -71,6 +71,18 @@ class EmptyRequirementTextError(SafereqError):
         )
 
 
+class BlankReqIdError(SafereqError):
+    """One or more rows have a blank requirement id."""
+
+    def __init__(self, rows: list[int]):
+        self.rows = list(rows)
+        super().__init__("blank req_id at rows: " + ", ".join(str(r) for r in self.rows))
+
+
+class MalformedCsvError(SafereqError):
+    """A CSV file is not UTF-8, or the csv module cannot read one of its rows."""
+
+
 class InvalidChunkSizeError(SafereqError):
     """chunk_size must be a positive integer."""
 
@@ -140,6 +152,10 @@ class InvalidConfigError(SafereqError):
         self.problems = list(problems)
         lines = [f"{task}.{field}: {msg}" for task, field, msg in self.problems]
         super().__init__("invalid configuration: " + "; ".join(lines))
+
+
+class MalformedJsonError(SafereqError):
+    """A config or resources file is not UTF-8 JSON, or repeats a key in one object."""
 
 
 class UnknownAnalysisFunctionError(SafereqError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
@@ -49,6 +50,7 @@ from .errors import (
     EmptyDatasetError,
     EmptyGoldError,
     InvalidConfigError,
+    MalformedJsonError,
     MalformedRawFileError,
     MissingColumnError,
     SafereqError,
@@ -246,6 +248,28 @@ def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[P
     return problems
 
 
+def _read_json(path: Path):
+    """The JSON value in a config or resources file, read strictly.
+
+    Text that is not UTF-8 or not JSON, and an object that repeats a key
+    (which plain json.loads would settle by keeping the last), raise
+    MalformedJsonError naming the file. An unreadable path raises its
+    OSError.
+    """
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise MalformedJsonError(f"repeated key {key!r} in {path}")
+        return obj
+
+    try:
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedJsonError(f"not valid JSON in {path}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a pipeline config file.
 
@@ -255,11 +279,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     """
     config_path = Path(path)
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw = _read_json(config_path)
     except FileNotFoundError:
         raise InvalidConfigError([("", "config", f"file not found: {config_path}")])
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError([("", "config", f"not valid JSON: {exc}")])
+    except (OSError, MalformedJsonError) as exc:
+        raise InvalidConfigError([("", "config", str(exc))])
     if not isinstance(raw, dict):
         raise InvalidConfigError([("", "config", "root must be a JSON object")])
 
@@ -419,7 +443,7 @@ def _resources_payload(ctx: PipelineContext, task: TaskConfig) -> dict:
     path = _resolve(ctx.config, task, task.resources)
     if not path.exists():
         raise SafereqError(f"resources file not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise SafereqError(f"resources file must hold a JSON object: {path}")
     return payload

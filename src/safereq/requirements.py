@@ -9,10 +9,12 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import (
+    BlankReqIdError,
     DuplicateReqIdError,
     EmptyDatasetError,
     EmptyRequirementTextError,
     InvalidChunkSizeError,
+    MalformedCsvError,
     MissingColumnError,
 )
 
@@ -45,16 +47,22 @@ def read_csv(
     cell past a short row's end, or under a name the header lacks, reads
     None. A UTF-8 BOM and quoted embedded newlines are tolerated. Rows are
     read as they are iterated, and the file closes with the with block.
+
+    Raises:
+        MalformedCsvError: as it is read, a line that is not UTF-8 or that
+            the csv module rejects (a field over its size limit, say); the
+            message names the file and the line.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
+        checked = _checked(reader, path)
+        header = next(checked, [])
         width = len(header)
         last = {name: i for i, name in enumerate(header)}
         at = None if columns is None else [last.get(name, width) for name in columns]
 
         def rows() -> Iterator[tuple[int, list[str | None]]]:
-            for row in reader:
+            for row in checked:
                 if not row:
                     continue
                 if len(row) != width:
@@ -65,6 +73,24 @@ def read_csv(
                 yield reader.line_num, row
 
         yield header, rows()
+
+
+def _checked(reader: Iterator[list[str]], path: str | Path) -> Iterator[list[str]]:
+    """reader's rows, with its csv and decoding errors as MalformedCsvError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedCsvError(f"{path}, line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # The file is decoded in blocks, so find the line in its bytes.
+        data = Path(path).read_bytes()
+        start = exc.start  # the offset in one block, until the whole file is decoded
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            start = first.start
+        line = data.count(b"\n", 0, start) + 1
+        raise MalformedCsvError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from exc
 
 
 def load_requirements(
@@ -79,6 +105,8 @@ def load_requirements(
 
     Raises:
         MissingColumnError: id or data column absent from the header.
+        MalformedCsvError: a line that is not UTF-8 or not readable CSV.
+        BlankReqIdError: rows whose id is blank.
         DuplicateReqIdError: the same id on two rows (both rows named).
         EmptyRequirementTextError: rows whose data columns are all blank.
         EmptyDatasetError: a header but no data rows.
@@ -92,11 +120,15 @@ def load_requirements(
 
         rows: list[Requirement] = []
         first_row_of: dict[str, int] = {}
+        blank_ids: list[int] = []
         blank_rows: list[int] = []
         for line, cells in table:
             # As DictReader's dict: a repeated name keeps its last cell.
             row = {col: (cell or "").strip() for col, cell in zip(header, cells)}
             req_id = row[id_column]
+            if not req_id:
+                blank_ids.append(line)
+                continue
             if req_id in first_row_of:
                 raise DuplicateReqIdError(req_id, first_row_of[req_id], line)
             first_row_of[req_id] = line
@@ -112,6 +144,8 @@ def load_requirements(
             del row[id_column]
             rows.append(Requirement(req_id=req_id, text=text, extra=row))
 
+    if blank_ids:
+        raise BlankReqIdError(blank_ids)
     if blank_rows:
         raise EmptyRequirementTextError(blank_rows)
     if not rows:

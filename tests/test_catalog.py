@@ -4,12 +4,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safereq import (
     CATCH_ALL_ALIAS,
     CATCH_ALL_LINEAGE,
+    ArchitectureGraph,
     CatalogEntry,
+    FunctionCatalog,
     LlmRequestParams,
+    OplRelation,
+    OplThing,
     RelationKind,
     ThingKind,
     catalog_from_alias_map,
@@ -20,7 +26,7 @@ from safereq import (
     parse_opl,
     parse_xmi_bdd,
 )
-from safereq.errors import SchemaViolationError
+from safereq.errors import NoPrimarySystemError, SchemaViolationError
 
 DATA = Path(__file__).parent / "data"
 
@@ -294,6 +300,268 @@ def test_corpus_catalog_structural_invariants():
         assert graph.things[leaf].kind is ThingKind.PROCESS
         pairs.add((entry.primary_system, leaf))
     assert len(pairs) == len(catalog.entries) - 1  # one pair per non-catch-all entry
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the list-scanning walk that extract_catalog replaced
+# ---------------------------------------------------------------------------
+# The reference below is the earlier implementation, unchanged but for its
+# three names. It scanned every exhibition once per object and retried
+# alias suffixes from 2 on every collision; the indexed walk must give the
+# same entries, primary systems, warnings and errors for every graph.
+
+
+class _ReferenceAllocator:
+    def __init__(self, hints: dict[str, str]):
+        self.hints = dict(hints)
+        self.taken: set[str] = {CATCH_ALL_ALIAS}
+
+    def allocate(self, leaf_name: str, lineage: str) -> str:
+        base = self.hints.get(leaf_name) or self.hints.get(lineage) or derive_alias(leaf_name)
+        if base == CATCH_ALL_ALIAS:
+            base = derive_alias(leaf_name)
+        alias = base
+        n = 2
+        while alias in self.taken:
+            alias = f"{base}{n}"
+            n += 1
+        self.taken.add(alias)
+        return alias
+
+
+def reference_extract_catalog(
+    graph: ArchitectureGraph, alias_hints: dict[str, str] | None = None
+) -> FunctionCatalog:
+    """Walk an architecture graph and derive the function catalog.
+
+    Primary systems are Objects with no incoming Aggregation/Exhibition
+    from another Object. Functions are the aggregation-leaf Processes
+    reached from Object exhibitions, plus the leaves of root process
+    trees (processes nothing exhibits or contains). Objects that appear
+    only as Requires/Yields endpoints are flows and are ignored entirely.
+
+    Raises:
+        NoPrimarySystemError: no primary system and no root process exists.
+    """
+    things = graph.things
+    object_names = {t.name for t in graph.objects()}
+    process_names = {t.name for t in graph.processes()}
+
+    flow_objects = _reference_flow_objects(graph, object_names)
+
+    owned_objects: dict[str, str] = {}  # object -> first owner object
+    exhibited: list[tuple[str, str]] = []  # (object, process), relation order
+    part_children: dict[str, list[str]] = {}  # process -> child processes
+    process_has_parent: set[str] = set()
+
+    for rel in graph.relations:
+        src_is_obj = rel.source in object_names
+        for target in rel.targets:
+            if rel.kind in (RelationKind.AGGREGATION, RelationKind.EXHIBITION):
+                if src_is_obj and target in object_names:
+                    if rel.source not in flow_objects:
+                        owned_objects.setdefault(target, rel.source)
+                elif src_is_obj and target in process_names:
+                    # An object exhibiting or aggregating a process anchors it.
+                    exhibited.append((rel.source, target))
+                    process_has_parent.add(target)
+                elif rel.source in process_names and target in process_names:
+                    part_children.setdefault(rel.source, []).append(target)
+                    process_has_parent.add(target)
+
+    primaries = [
+        t.name
+        for t in graph.objects()
+        if t.name not in flow_objects and t.name not in owned_objects
+    ]
+    root_processes = [
+        t.name for t in graph.processes() if t.name not in process_has_parent
+    ]
+    if not primaries and not root_processes:
+        raise NoPrimarySystemError(
+            "no primary system found (containment is empty or cyclic)"
+        )
+
+    catalog = FunctionCatalog(primary_systems=list(primaries))
+    allocator = _ReferenceAllocator(alias_hints or {})
+    seen: set[tuple[str, str]] = set()
+
+    def leaves(process: str, visited: set[str]) -> list[str]:
+        if process in visited:
+            catalog.warnings.append(f"cyclic process containment at {process!r}")
+            return []
+        children = [c for c in part_children.get(process, []) if c in process_names]
+        if not children:
+            return [process]
+        visited = visited | {process}
+        out: list[str] = []
+        for child in children:
+            for leaf in leaves(child, visited):
+                if leaf not in out:
+                    out.append(leaf)
+        return out
+
+    def primary_ancestor(obj: str) -> str | None:
+        current, visited = obj, set()
+        while current in owned_objects:
+            if current in visited:
+                catalog.warnings.append(f"cyclic containment at {current!r}")
+                return None
+            visited.add(current)
+            current = owned_objects[current]
+        return current if current in primaries else None
+
+    # Functions exhibited by objects, in declaration-then-relation order.
+    for obj in (t.name for t in graph.objects()):
+        for owner, process in exhibited:
+            if owner != obj:
+                continue
+            primary = primary_ancestor(obj)
+            if primary is None:
+                catalog.warnings.append(
+                    f"no primary ancestor for {obj!r}; skipping {process!r}"
+                )
+                continue
+            for leaf in leaves(process, set()):
+                if (primary, leaf) in seen:
+                    continue
+                seen.add((primary, leaf))
+                segments = [primary, leaf] if obj == primary else [primary, obj, leaf]
+                lineage = "/".join(segments)
+                alias = allocator.allocate(leaf, lineage)
+                catalog.entries.append(
+                    CatalogEntry(alias=alias, lineage=lineage, primary_system=primary)
+                )
+
+    # Root process trees act as their own functional roots.
+    for root in root_processes:
+        for leaf in leaves(root, set()):
+            if (root, leaf) in seen:
+                continue
+            seen.add((root, leaf))
+            lineage = root if leaf == root else f"{root}/{leaf}"
+            alias = allocator.allocate(leaf, lineage)
+            catalog.entries.append(
+                CatalogEntry(alias=alias, lineage=lineage, primary_system=root)
+            )
+        if root not in catalog.primary_systems:
+            catalog.primary_systems.append(root)
+
+    if not any(e.alias != CATCH_ALL_ALIAS for e in catalog.entries):
+        catalog.warnings.append("model yields no functions; catalog is catch-all only")
+
+    first_root = catalog.primary_systems[0] if catalog.primary_systems else ""
+    catalog.entries.append(
+        CatalogEntry(
+            alias=CATCH_ALL_ALIAS, lineage=CATCH_ALL_LINEAGE, primary_system=first_root
+        )
+    )
+    return catalog
+
+
+def _reference_flow_objects(graph: ArchitectureGraph, object_names: set[str]) -> set[str]:
+    """Objects whose only role is Requires/Yields target of a process."""
+    flowish: set[str] = set()
+    other_role: set[str] = set()
+    for rel in graph.relations:
+        other_role.add(rel.source)
+        for target in rel.targets:
+            if rel.kind in (RelationKind.REQUIRES, RelationKind.YIELDS):
+                flowish.add(target)
+            else:
+                other_role.add(target)
+    return {name for name in flowish & object_names if name not in other_role}
+
+
+def outcome(extract, graph, hints):
+    try:
+        catalog = extract(graph, hints)
+    except NoPrimarySystemError as exc:
+        return ("NoPrimarySystemError", str(exc))
+    return (catalog.entries, catalog.primary_systems, catalog.warnings)
+
+
+# Names whose derived aliases collide (M, DT, T), one that reads as a
+# numbered alias, and two endpoints that are never declared as things.
+NAMES = [
+    "Drone", "Engine", "Monitoring", "Measuring", "Mixing", "Mode",
+    "Data Transmission", "Drive Train", "the and", "M2", "Navigating", "Telemetry",
+]
+ENDPOINTS = NAMES + ["Ghost", "Phantom"]
+STRUCTURAL = [RelationKind.AGGREGATION, RelationKind.EXHIBITION]  # drawn more often
+
+
+@st.composite
+def graphs(draw):
+    kinds = draw(st.dictionaries(st.sampled_from(NAMES), st.sampled_from(ThingKind), max_size=12))
+    # Mostly declared names, so that trees, cycles and flows are common.
+    endpoint = st.sampled_from(list(kinds) or NAMES) | st.sampled_from(ENDPOINTS)
+    relation = st.builds(
+        OplRelation,
+        kind=st.sampled_from(STRUCTURAL) | st.sampled_from(RelationKind),
+        source=endpoint,
+        targets=st.lists(endpoint, min_size=1, max_size=3).map(tuple),
+    )
+    return ArchitectureGraph(
+        things={name: OplThing(name=name, kind=kind) for name, kind in kinds.items()},
+        relations=draw(st.lists(relation, max_size=20)),
+    )
+
+
+hint_sets = st.dictionaries(
+    st.one_of(
+        st.sampled_from(NAMES),
+        st.lists(st.sampled_from(NAMES), min_size=2, max_size=3).map("/".join),
+    ),
+    st.sampled_from(["M", "M2", "M3", "DT", "DT2", "T", "NAV", "", CATCH_ALL_ALIAS]),
+    max_size=6,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=graphs(), hints=hint_sets)
+def test_extract_catalog_equals_the_list_scanning_walk(graph, hints):
+    assert outcome(extract_catalog, graph, hints) == outcome(
+        reference_extract_catalog, graph, hints
+    )
+
+
+@pytest.mark.parametrize(
+    "model, hints",
+    [
+        ("drone.opl", "drone_alias_hints.json"),
+        ("drone.opl", None),
+        ("drone.xmi", "drone_alias_hints.json"),
+        ("minimal.xmi", None),
+        ("pipeline_metamodel.opl", None),
+    ],
+)
+def test_extract_catalog_equals_the_list_scanning_walk_on_the_fixtures(model, hints):
+    text = (DATA / model).read_text()
+    graph = parse_opl(text) if model.endswith(".opl") else parse_xmi_bdd(text)
+    hint_map = json.loads((DATA / hints).read_text()) if hints else None
+    assert outcome(extract_catalog, graph, hint_map) == outcome(
+        reference_extract_catalog, graph, hint_map
+    )
+
+
+def test_four_thousand_colliding_processes_get_the_same_suffixes():
+    # Every name derives "M"; the hints claim M7 early and send one
+    # process straight to a base the suffixes have already passed.
+    names = [f"Mode{i}" for i in range(4000)]
+    graph = ArchitectureGraph(
+        things={
+            "Station": OplThing(name="Station", kind=ThingKind.OBJECT),
+            **{n: OplThing(name=n, kind=ThingKind.PROCESS) for n in names},
+        },
+        relations=[OplRelation(RelationKind.EXHIBITION, "Station", tuple(names))],
+    )
+    hints = {"Mode3": "M7", "Mode2500": "M", "Mode3999": "M12"}
+    got = outcome(extract_catalog, graph, hints)
+    assert got == outcome(reference_extract_catalog, graph, hints)
+    aliases = [e.alias for e in got[0]]
+    assert len(set(aliases)) == 4001
+    assert aliases[:5] == ["M", "M2", "M3", "M7", "M4"]
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,14 @@ def test_invalid_config_reports_problems_on_stderr(tmp_path, capsys):
     assert "  b_classify.chunk_size: must be a positive integer" in captured.err
 
 
+def test_a_config_path_that_is_a_directory_reports_invalid_config(tmp_path, capsys):
+    code = run_cli(tmp_path)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines()[0] == "invalid config:"
+    assert "Is a directory" in captured.err
+
+
 def test_unknown_task_name_reports_invalid_config(tmp_path, capsys):
     code = run_cli(make_project(tmp_path), "--task", "z_missing")
     captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Import hygiene: no module imports a name it never uses, no module
+"""Import hygiene: no module or demo imports a name it never uses, no module
 defines a name nothing reads or exports, and `import safereq` stays cheap
 by leaving `requests` to the HTTP backend.
 
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import safereq
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +50,17 @@ def test_no_package_module_imports_an_unused_name():
         f"{path.stem}.{name}"
         for path in sorted((SRC / "safereq").glob("*.py"))
         if path.name != "__init__.py"
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []
+
+
+def test_no_demo_imports_an_unused_name():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    unused = [
+        f"{path.stem}.{name}"
+        for path in demos
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []

@@ -210,6 +210,35 @@ def test_load_config_rejects_invalid_json(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_a_repeated_key_naming_it_and_the_file(tmp_path):
+    path = make_project(tmp_path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"chunk_size": 10', '"chunk_size": "ten", "chunk_size": 10'))
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [("", "config", f"repeated key 'chunk_size' in {path}")]
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b'{"defaults": "\xff"}'), "not valid JSON in"),
+        (lambda path: path.write_text('{"defaults": {'), "not valid JSON in"),
+    ],
+    ids=["directory", "not-utf8", "truncated"],
+)
+def test_load_config_names_a_file_it_cannot_read_or_decode(tmp_path, write, message):
+    path = tmp_path / "params.json"
+    write(path)
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(path)
+    ((task, field_name, problem),) = err.value.problems
+    assert (task, field_name) == ("", "config")
+    assert message in problem
+    assert str(path) in problem
+
+
 def test_load_config_rejects_non_object_root(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]", encoding="utf-8")
@@ -828,6 +857,42 @@ def test_a_repeated_alias_in_the_architecture_fails_the_task(tmp_path):
     assert classify.detail == "alias 'NAV' is listed more than once"
     assert (tmp_path / "results" / "raw" / "b_classify_TEST.json.partial").exists()
     assert len(report.results) == 4
+    assert backend.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ('{"ARCHITECTURE": {"NAV": "Drone/Nav", "NAV": "Pilot/Nav"}}', "repeated key 'NAV' in "),
+        ('{"ARCHITECTURE": {"NAV": "Drone/Nav"}', "not valid JSON in "),
+    ],
+    ids=["repeated-alias", "truncated"],
+)
+def test_a_resources_file_that_is_not_strict_json_fails_the_task(tmp_path, text, detail):
+    config = base_config()
+    config["b_classify"]["resources"] = "strict.json"
+    (tmp_path / "strict.json").write_text(text, encoding="utf-8")
+    report, backend = run_project(tmp_path, config=config)
+    classify = report.results[0]
+    assert classify.status == "Failed"
+    assert classify.detail.startswith(detail + str(tmp_path / "strict.json"))
+    assert (tmp_path / "results" / "raw" / "b_classify_TEST.json.partial").exists()
+    assert len(report.results) == 4
+    assert backend.call_count == 0
+
+
+def test_a_csv_field_over_the_limit_fails_its_task_and_the_run_goes_on(tmp_path):
+    config_path = make_project(tmp_path)
+    reqs = tmp_path / "input" / "reqs.csv"
+    with reqs.open("a", encoding="utf-8") as handle:
+        handle.write("2004," + "x" * 131_073 + "\n")
+    backend = MockBackend(tmp_path / "fixtures")
+    report = run_all(config_path, backend=backend, version_tag="TEST")
+    classify = report.results[0]
+    assert classify.status == "Failed"
+    assert classify.detail == f"{reqs.resolve()}, line 6: field larger than field limit (131072)"
+    assert (tmp_path / "results" / "raw" / "b_classify_TEST.json.partial").exists()
+    assert [r.status for r in report.results] == ["Failed"] * 4
     assert backend.call_count == 0
 
 

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from safereq import Requirement, chunk, load_requirements
+from safereq import Requirement, chunk, load_gold_pairs, load_requirements
+from safereq.orchestrator import _classified_from_file, _load_gold_labels
 from safereq.requirements import read_csv
 from safereq.errors import (
+    BlankReqIdError,
     DuplicateReqIdError,
     EmptyDatasetError,
     EmptyRequirementTextError,
     InvalidChunkSizeError,
+    MalformedCsvError,
     MissingColumnError,
 )
 
@@ -94,6 +97,13 @@ def test_load_blank_text_raises(tmp_path):
         load_requirements(path, "ReqID", ["Requirements"])
 
 
+def test_load_blank_id_raises_naming_its_lines(tmp_path):
+    path = write_csv(tmp_path, "ReqID,Requirements\n1,a\n ,b\n2,c\n,d\n")
+    with pytest.raises(BlankReqIdError, match="blank req_id at rows: 3, 5") as exc:
+        load_requirements(path, "ReqID", ["Requirements"])
+    assert exc.value.rows == [3, 5]
+
+
 def test_load_header_only_raises(tmp_path):
     path = write_csv(tmp_path, "ReqID,Requirements\n")
     with pytest.raises(EmptyDatasetError):
@@ -145,6 +155,37 @@ def test_read_csv_reads_as_dict_reader_does(tmp_path, header, rows, columns, bom
             assert dict(zip(got_header, cells)) == named
         else:
             assert cells == [record.get(name) for name in columns]
+
+
+# Every reader of a CSV file, each given the columns it needs.
+CSV_READERS = {
+    "requirements": lambda path: load_requirements(path, "ReqID", ["Text"]),
+    "gold pairs": lambda path: load_gold_pairs(path, "duplicate"),
+    "classified rows": lambda path: _classified_from_file(path, "ReqID"),
+    "gold labels": _load_gold_labels,
+}
+CSV_HEADER = "ReqID,Text,Function,Type,req_a,req_b\n"
+CSV_ROW = "{n},The system shall stop.,NAV,FUNC,{n},0\n"
+
+
+@pytest.mark.parametrize("read", CSV_READERS.values(), ids=CSV_READERS.keys())
+def test_a_field_over_the_csv_limit_names_the_file_and_line(tmp_path, read):
+    path = write_csv(tmp_path, CSV_HEADER + CSV_ROW.format(n=1) + '2,"' + "x" * 131_073 + '",NAV,FUNC,1,2\n')
+    with pytest.raises(MalformedCsvError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}, line 3: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("read", CSV_READERS.values(), ids=CSV_READERS.keys())
+@pytest.mark.parametrize("at", [1, 3, 400])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, read, at):
+    lines = [CSV_HEADER.encode()] + [CSV_ROW.format(n=n).encode() for n in range(1, 400)]
+    lines[at - 1] = lines[at - 1].replace(b"stop", b"st\xffop").replace(b"Text", b"T\xffext")
+    path = tmp_path / "reqs.csv"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedCsvError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}, line {at}: not UTF-8 (invalid start byte)"
 
 
 # ---------------------------------------------------------------------------
