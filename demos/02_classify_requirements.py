@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 from safereq import (
+    CountingBackend,
     LlmRequestParams,
     MockBackend,
     PromptEnvelope,
@@ -40,7 +41,7 @@ def main():
         encoding="utf-8"
     )
 
-    backend = MockBackend(PROJECT / "fixtures")
+    backend = CountingBackend(MockBackend(PROJECT / "fixtures"))
     params = LlmRequestParams(model_id="gpt-4")
 
     template = PromptEnvelope(
@@ -53,7 +54,7 @@ def main():
         print(" ", line)
 
     outcome = classify(chunk(requirements, 10), template, catalog, params, backend)
-    print("backend calls:", backend.call_count)
+    print("backend calls:", backend.calls)
     print("\nclassified rows:")
     print(f"  {'ReqID':6} {'Function':9} {'Type':5} {'Conf':4} flags")
     for row in outcome.rows:

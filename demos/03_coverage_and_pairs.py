@@ -10,6 +10,7 @@ import json
 from pathlib import Path
 
 from safereq import (
+    CountingBackend,
     LlmRequestParams,
     MockBackend,
     PromptEnvelope,
@@ -50,7 +51,7 @@ def main():
         (PROJECT / "B_Requirements" / "data_dictionary.json").read_text(encoding="utf-8")
     )
     catalog = catalog_from_mapping(resources["ARCHITECTURE"])
-    backend = MockBackend(PROJECT / "fixtures")
+    backend = CountingBackend(MockBackend(PROJECT / "fixtures"))
     params = LlmRequestParams(model_id="gpt-4")
 
     classified = classify_sample(backend, params, catalog, resources)
@@ -79,7 +80,7 @@ def main():
     for finding in contradictions.findings:
         print(f"  {finding.req_a} ~ {finding.req_b}: {finding.kind} ({finding.function})")
 
-    print("\nbackend calls in total:", backend.call_count)
+    print("\nbackend calls in total:", backend.calls)
 
 
 if __name__ == "__main__":

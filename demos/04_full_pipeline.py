@@ -18,7 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 PROJECT = REPO / "sample_project"
 
 
-def show(report, backend):
+def show(report):
     for result in report.results:
         line = f"  {result.name}: {result.status} ({result.detail})"
         if result.backend_calls:
@@ -26,17 +26,16 @@ def show(report, backend):
         print(line)
     if report.report_set is not None:
         print("  reports:", report.report_set.summary_path.parent)
-    print("  backend calls in total:", backend.call_count)
+    print("  backend calls in total:", sum(r.backend_calls for r in report.results))
 
 
 def main():
+    config, fixtures = PROJECT / "params.json", PROJECT / "fixtures"
     print("first run (everything executes):")
-    backend = MockBackend(PROJECT / "fixtures")
-    show(run_all(PROJECT / "params.json", backend=backend, version_tag="DEMO"), backend)
+    show(run_all(config, backend=MockBackend(fixtures), version_tag="DEMO"))
 
     print("\nsecond run (delta reuses the raw outputs):")
-    backend = MockBackend(PROJECT / "fixtures")
-    show(run_all(PROJECT / "params.json", backend=backend, version_tag="DEMO"), backend)
+    show(run_all(config, backend=MockBackend(fixtures), version_tag="DEMO"))
 
     summary = PROJECT / "B_Requirements" / "results" / "reports" / "summary_DEMO.md"
     print("\nsummary report:")

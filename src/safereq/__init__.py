@@ -51,6 +51,7 @@ from .coverage import (
     verdict,
 )
 from .gateway import (
+    CountingBackend,
     HttpBackend,
     LlmRequestParams,
     LlmResult,
@@ -143,6 +144,7 @@ __all__ = [
     "chunk",
     "load_requirements",
     # gateway
+    "CountingBackend",
     "HttpBackend",
     "LlmRequestParams",
     "LlmResult",

@@ -272,16 +272,26 @@ def extract_catalog(
     allocator = _AliasAllocator(alias_hints or {})
     seen: set[tuple[str, str]] = set()
 
+    # A process whose expansion warned of no cycle has none below it, so its
+    # leaves do not depend on the path taken to it: each is expanded once.
+    acyclic: dict[str, list[str]] = {}
+
     def leaves(process: str, visited: frozenset[str]) -> list[str]:
+        if process in acyclic:
+            return acyclic[process]
         if process in visited:
             catalog.warnings.append(f"cyclic process containment at {process!r}")
             return []
         if process not in parts:
             return [process]
+        warned = len(catalog.warnings)
         visited |= {process}
-        return list(
+        found = list(
             dict.fromkeys(leaf for child in parts[process] for leaf in leaves(child, visited))
         )
+        if len(catalog.warnings) == warned:
+            acyclic[process] = found
+        return found
 
     def add(primary: str, leaf: str, segments: list[str]) -> None:
         if (primary, leaf) not in seen:

@@ -10,8 +10,7 @@ returned.
 from __future__ import annotations
 
 import math
-from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -23,10 +22,8 @@ from .gateway import (
     PromptEnvelope,
     PromptResource,
     RecordSchema,
-    assemble_prompt,
-    parse_results_json,
-    render_resource,
-    send_many,
+    ask_many,
+    encode_row,
 )
 from .requirements import Requirement, RequirementChunk
 from .rounding import percentage
@@ -243,25 +240,15 @@ def classify(
     template with the chunk's rows. Records the schema rejects are
     quarantined ahead of those validate_records quarantines.
     """
-    # Render the resources once; each chunk only swaps in its rows.
-    template = replace(
-        template,
-        resources=tuple(
-            replace(res, body=render_resource(res.body)) for res in template.resources
-        ),
-    )
-    prompts = (
-        assemble_prompt(replace(template, rows=tuple((req.req_id, req.text) for req in chunk.rows)))
+    batches = (
+        (template.dataset_name, [encode_row(req.req_id, req.text) for req in chunk.rows])
         for chunk in chunks
     )
     records: list[dict] = []
     quarantined: list[tuple[dict, str]] = []
-    # closing: a parse error here still shuts send_many's worker threads down.
-    with closing(send_many(prompts, params, backend)) as responses:
-        for response in responses:
-            parsed = parse_results_json(response.raw_text, CLASSIFICATION_RESULT_SCHEMA)
-            records.extend(parsed.records)
-            quarantined.extend(parsed.rejected)
+    for parsed in ask_many(template, batches, CLASSIFICATION_RESULT_SCHEMA, params, backend):
+        records.extend(parsed.records)
+        quarantined.extend(parsed.rejected)
 
     inputs = [req for chunk in chunks for req in chunk.rows]
     outcome = validate_records(records, inputs, catalog)

@@ -162,6 +162,10 @@ class UnknownAnalysisFunctionError(SafereqError):
     """A task names an analysis function that is not registered."""
 
 
+class UndecodableFileError(SafereqError):
+    """A text file the pipeline reads (instructions, fixture, key) is not UTF-8."""
+
+
 class MalformedRawFileError(SafereqError):
     """A task's raw output file does not hold the payload the task writes."""
 

@@ -15,11 +15,12 @@ import re
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
 from threading import Lock
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from .errors import (
     AuthMissingError,
@@ -31,6 +32,7 @@ from .errors import (
     SafereqError,
     SchemaViolationError,
     TransportError,
+    UndecodableFileError,
 )
 
 DEFAULT_SYSTEM_CONTEXT = (
@@ -81,25 +83,16 @@ class LlmResult:
     prompt_sha256: str = ""
 
 
-def _encode_row(row: tuple[str, str]) -> str:
-    """json.dumps({"ReqID": row[0], "Requirement": row[1]}, ensure_ascii=False).
+def encode_row(req_id: str, text: str) -> str:
+    """json.dumps({"ReqID": req_id, "Requirement": text}, ensure_ascii=False).
 
     Both strs go straight to the C string encoder; a JSONEncoder call per
     row costs several times more.
     """
     return '{"ReqID": %s, "Requirement": %s}' % (
-        encode_basestring(row[0]),
-        encode_basestring(row[1]),
+        encode_basestring(req_id),
+        encode_basestring(text),
     )
-
-
-def encode_rows(rows: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
-    """Dataset lines of rows that many prompts share, keyed by (req_id, text).
-
-    Pass the result to assemble_prompt(..., encoded_rows=...) so each
-    shared row is encoded once rather than once per prompt.
-    """
-    return {row: _encode_row(row) for row in rows}
 
 
 def _tagify(name: str) -> str:
@@ -110,26 +103,16 @@ def render_resource(body: Any) -> str:
     """Render one resource body as it appears in a prompt.
 
     A str is used verbatim (stripped); anything else is rendered as
-    indented JSON. The result is idempotent, so a body rendered once per
-    task and passed as a str yields the same prompt bytes as the raw body.
+    indented JSON. The result is idempotent: a body rendered once and
+    passed as a str yields the same prompt bytes as the raw body.
     """
     if isinstance(body, str):
         return body.strip()
     return json.dumps(body, indent=2, ensure_ascii=False)
 
 
-def assemble_prompt(
-    envelope: PromptEnvelope,
-    encoded_rows: Mapping[tuple[str, str], str] | None = None,
-) -> str:
-    """Render an envelope to the exact prompt text.
-
-    Layout: instructions, then each resource wrapped in its tag inside a
-    RESOURCES block, then dataset rows as one JSON object per line
-    ({"ReqID": ..., "Requirement": ...}) inside a tag named after the
-    dataset. Pure function: equal envelopes render byte-identically.
-    Rows found in encoded_rows (from encode_rows) reuse their line.
-    """
+def _head(envelope: PromptEnvelope) -> str:
+    """The instructions, then each resource wrapped in its tag inside a RESOURCES block."""
     parts = [envelope.instructions.strip()]
     if envelope.resources:
         blocks = []
@@ -137,12 +120,27 @@ def assemble_prompt(
             tag = _tagify(res.tag)
             blocks.append(f"<{tag}>\n{render_resource(res.body)}\n</{tag}>")
         parts.append("<RESOURCES>\n" + "\n".join(blocks) + "\n</RESOURCES>")
-    if envelope.rows:
-        tag = _tagify(envelope.dataset_name)
-        encoded = encoded_rows or {}
-        lines = [encoded.get(row) or _encode_row(row) for row in envelope.rows]
-        parts.append(f"<{tag}>\n" + "\n".join(lines) + f"\n</{tag}>")
-    return "\n\n".join(parts) + "\n"
+    return "\n\n".join(parts)
+
+
+def _with_dataset(head: str, dataset_name: str, lines: Sequence[str]) -> str:
+    """head, then the dataset lines inside a tag named after the dataset."""
+    if not lines:
+        return head + "\n"
+    tag = _tagify(dataset_name)
+    return f"{head}\n\n<{tag}>\n" + "\n".join(lines) + f"\n</{tag}>\n"
+
+
+def assemble_prompt(envelope: PromptEnvelope) -> str:
+    """Render an envelope to the exact prompt text.
+
+    Layout: instructions, then each resource wrapped in its tag inside a
+    RESOURCES block, then dataset rows as one JSON object per line
+    ({"ReqID": ..., "Requirement": ...}) inside a tag named after the
+    dataset. Pure function: equal envelopes render byte-identically.
+    """
+    lines = [encode_row(req_id, text) for req_id, text in envelope.rows]
+    return _with_dataset(_head(envelope), envelope.dataset_name, lines)
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -290,6 +288,14 @@ def render_results(records: list[dict]) -> str:
 _LENGTH_MARKERS = ("context_length", "maximum context", "too long", "token limit")
 
 
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file; other bytes raise UndecodableFileError naming path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFileError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 class Backend(Protocol):
     """What send needs of a backend: one completion per prompt."""
 
@@ -300,8 +306,8 @@ class Backend(Protocol):
 class CountingBackend:
     """A Backend that forwards every completion to backend and counts it.
 
-    The count is lock-guarded, so calls from send_many's worker threads
-    all land.
+    The only call counter: backends keep no count of their own. The count
+    is lock-guarded, so calls from send_many's worker threads all land.
     """
 
     def __init__(self, backend: Backend):
@@ -325,29 +331,26 @@ class MockBackend:
 
     def __init__(self, fixture_dir: str | Path):
         self.fixture_dir = Path(fixture_dir)
-        self.call_count = 0
-        self._lock = Lock()
         self._rules: list[tuple[str, str]] | None = None
 
     def _load_rules(self) -> list[tuple[str, str]]:
-        # Under the lock, so a concurrent caller never sees a half-built list.
-        with self._lock:
-            if self._rules is None:
-                rules = []
-                rules_path = self.fixture_dir / "rules.tsv"
-                if rules_path.exists():
-                    for line in rules_path.read_text(encoding="utf-8").splitlines():
-                        if not line.strip() or line.lstrip().startswith("#"):
-                            continue
-                        keyword, sep, filename = line.partition("\t")
-                        if sep:
-                            rules.append((keyword, filename.strip()))
-                self._rules = rules
-            return self._rules
+        # Built in a local and stored whole, so a concurrent caller never
+        # sees a half-built list; at worst two callers both read the file.
+        rules = self._rules
+        if rules is None:
+            rules = []
+            rules_path = self.fixture_dir / "rules.tsv"
+            if rules_path.exists():
+                for line in read_utf8(rules_path).splitlines():
+                    if not line.strip() or line.lstrip().startswith("#"):
+                        continue
+                    keyword, sep, filename = line.partition("\t")
+                    if sep:
+                        rules.append((keyword, filename.strip()))
+            self._rules = rules
+        return rules
 
     def complete(self, prompt: str, params: LlmRequestParams) -> tuple[str, dict]:
-        with self._lock:
-            self.call_count += 1
         sha = prompt_sha256(prompt)
         path = self.fixture_dir / f"{sha}.json"
         if not path.exists():
@@ -357,7 +360,7 @@ class MockBackend:
                     break
             else:
                 raise NotFixturedError(sha)
-        raw = path.read_text(encoding="utf-8")
+        raw = read_utf8(path)
         usage = {
             "prompt_tokens": len(prompt) // 4,
             "completion_tokens": len(raw) // 4,
@@ -378,12 +381,10 @@ class HttpBackend:
         self.endpoint_url = endpoint_url
         self.api_key_file = Path(api_key_file) if api_key_file else None
         self.api_key_env = api_key_env
-        self.call_count = 0
-        self._lock = Lock()
 
     def _api_key(self) -> str:
         if self.api_key_file is not None and self.api_key_file.exists():
-            key = self.api_key_file.read_text(encoding="utf-8").strip()
+            key = read_utf8(self.api_key_file).strip()
             if key:
                 return key
         import os
@@ -399,8 +400,6 @@ class HttpBackend:
         # Imported here: only this backend needs it, and it is slow to import.
         import requests
 
-        with self._lock:
-            self.call_count += 1
         payload = {
             "model": params.model_id,
             "temperature": params.temperature,
@@ -553,3 +552,25 @@ def send_many(
             yield window.popleft().result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def ask_many(
+    template: PromptEnvelope,
+    batches: Iterable[tuple[str, Sequence[str]]],
+    schema: RecordSchema,
+    params: LlmRequestParams,
+    backend: Backend,
+) -> Iterator[ParsedRecords]:
+    """Send one prompt per (dataset_name, lines) batch through send_many and
+    yield each answer, parsed once with schema, in batch order.
+
+    lines come from encode_row. The template's instructions and resources
+    are rendered once; each prompt has the bytes assemble_prompt gives the
+    template with that batch's name and rows.
+    """
+    head = _head(template)
+    prompts = (_with_dataset(head, name, lines) for name, lines in batches)
+    # closing: a parse error here still shuts send_many's worker threads down.
+    with closing(send_many(prompts, params, backend)) as responses:
+        for response in responses:
+            yield parse_results_json(response.raw_text, schema)

@@ -64,6 +64,7 @@ from .gateway import (
     MockBackend,
     PromptEnvelope,
     PromptResource,
+    read_utf8,
 )
 from .pairwise import (
     DUPLICATE_PROMPTS,
@@ -434,7 +435,7 @@ def _read_instructions(ctx: PipelineContext, task: TaskConfig) -> str:
     path = _resolve(ctx.config, task, task.instructions)
     if not path.exists():
         raise SafereqError(f"instructions file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    return read_utf8(path)
 
 
 def _resources_payload(ctx: PipelineContext, task: TaskConfig) -> dict:
@@ -870,7 +871,7 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         else:
             result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=files)
             partial.unlink(missing_ok=True)
-    except (SafereqError, ValueError, KeyError, OSError) as exc:
+    except (SafereqError, OSError) as exc:
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
         try:
             _write_json(partial, {"task": task.name, "error": str(exc)})

@@ -8,7 +8,6 @@ consolidated list so duplicate groups are argued once.
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import tee
 from operator import attrgetter
@@ -27,10 +26,8 @@ from .gateway import (
     LlmRequestParams,
     PromptEnvelope,
     RecordSchema,
-    assemble_prompt,
-    encode_rows,
-    parse_results_json,
-    send_many,
+    ask_many,
+    encode_row,
 )
 from .requirements import read_csv
 from .rounding import percentage
@@ -176,13 +173,13 @@ def _row_text(row: ClassifiedRequirement) -> str:
     return f"[Function: {row.function}] {row.system_requirement}"
 
 
-def _row_pairs(rows: list[ClassifiedRequirement]) -> tuple[tuple[str, str], ...]:
-    """rows as a prompt's dataset rows: (req_id, text)."""
-    return tuple((row.req_id, _row_text(row)) for row in rows)
+def _lines(rows: list[ClassifiedRequirement]) -> list[str]:
+    """rows as a prompt's dataset lines."""
+    return [encode_row(row.req_id, _row_text(row)) for row in rows]
 
 
-# A pair job: the cluster alias, the rows its prompt submits, and their ids.
-_Job = tuple[str, tuple[tuple[str, str], ...], set[str]]
+# A pair job: the cluster alias, the dataset lines its prompt submits, and their ids.
+_Job = tuple[str, list[str], set[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -219,40 +216,38 @@ def detect_duplicates(
         if prompt_version in ("V2", "V3")
         else None
     )
-    of_rows = clusters.get(CATCH_ALL_ALIAS, []) if prompt_version == "V3" else []
-    # The _OF_ rows ride along in every prompt: their pairs and lines are made once.
-    ride_along = _row_pairs(of_rows)
-
     return _detect(
-        _duplicate_jobs(clusters, ride_along, prompt_version),
+        _duplicate_jobs(clusters, prompt_version),
         instructions,
         allowed,
         params,
         backend,
-        encoded_rows=encode_rows(ride_along),
         function_of=function_of,
     )
 
 
 def _duplicate_jobs(
-    clusters: dict[str, list[ClassifiedRequirement]],
-    ride_along: tuple[tuple[str, str], ...],
-    prompt_version: str,
+    clusters: dict[str, list[ClassifiedRequirement]], prompt_version: str
 ) -> Iterator[_Job]:
-    """One job per cluster call: its rows, then the _OF_ ride-along rows."""
-    ride_along_ids = {req_id for req_id, _ in ride_along}
+    """One job per cluster call: its lines, then the _OF_ ride-along lines.
+
+    Under V3 the _OF_ rows ride along in every prompt, so their lines are
+    encoded once, here, and appended whole.
+    """
+    of_rows = clusters.get(CATCH_ALL_ALIAS, []) if prompt_version == "V3" else []
+    ride_along = _lines(of_rows)
+    ride_along_ids = {row.req_id for row in of_rows}
     for alias, rows in clusters.items():
         if prompt_version == "V3" and alias == CATCH_ALL_ALIAS:
             continue  # rides along with every function cluster instead
-        own = _row_pairs(rows)
-        own_ids = {req_id for req_id, _ in own}
+        own_ids = {row.req_id for row in rows}
         extra = (
             ride_along
             if own_ids.isdisjoint(ride_along_ids)
-            else tuple(pair for pair in ride_along if pair[0] not in own_ids)
+            else [line for row, line in zip(of_rows, ride_along) if row.req_id not in own_ids]
         )
-        if len(own) + len(extra) >= 2:
-            yield alias, own + extra, own_ids | ride_along_ids
+        if len(rows) + len(extra) >= 2:
+            yield alias, _lines(rows) + extra, own_ids | ride_along_ids
 
 
 def _record_to_finding(
@@ -286,7 +281,6 @@ def _detect(
     allowed: set[str],
     params: LlmRequestParams,
     backend: Backend,
-    encoded_rows: dict[tuple[str, str], str] | None = None,
     function_of: dict[str, str] | None = None,
 ) -> DetectionResult:
     """Send one prompt per job and fold the findings in job order.
@@ -295,45 +289,40 @@ def _detect(
     kinds for one pair raise FindingConflictError. With function_of (req_id
     to cluster alias), a duplicate across two clusters becomes complementary.
     """
-    # Each job's rows are built when the job is rendered, and tee keeps
-    # them only until its result is folded.
-    jobs, to_render = tee(jobs)
-    prompts = (
-        assemble_prompt(
-            PromptEnvelope(instructions, dataset_name=f"{alias} Requirements", rows=rows),
-            encoded_rows=encoded_rows,
-        )
-        for alias, rows, _ in to_render
+    # Each job's lines are built when its prompt is, and tee keeps them
+    # only until its result is folded.
+    jobs, to_send = tee(jobs)
+    answers = ask_many(
+        PromptEnvelope(instructions),
+        ((f"{alias} Requirements", lines) for alias, lines, _ in to_send),
+        _PAIR_SCHEMA,
+        params,
+        backend,
     )
     result = DetectionResult(findings=[])
     seen: dict[tuple[str, str], str] = {}
     conflicts: list[tuple[str, str]] = []
-    # closing: a parse error here still shuts send_many's worker threads down.
-    with closing(send_many(prompts, params, backend)) as responses:
-        for response, (alias, _, submitted_ids) in zip(responses, jobs):
-            parsed = parse_results_json(response.raw_text, _PAIR_SCHEMA)
-            result.rejected.extend(parsed.rejected)
-            for record in parsed.records:
-                finding = _record_to_finding(
-                    record, submitted_ids, allowed, alias, result.notes
-                )
-                if finding is None:
-                    continue
-                if function_of is not None and finding.kind == KIND_DUPLICATE:
-                    fa = function_of.get(finding.req_a, "")
-                    fb = function_of.get(finding.req_b, "")
-                    if fa != fb:
-                        result.notes.append(
-                            f"downgraded cross-function duplicate ({finding.req_a}, "
-                            f"{finding.req_b}): {fa} vs {fb}"
-                        )
-                        finding = replace(finding, kind=KIND_COMPLEMENTARY)
-                previous = seen.get(finding.pair)
-                if previous is None:
-                    seen[finding.pair] = finding.kind
-                    result.findings.append(finding)
-                elif previous != finding.kind:
-                    conflicts.append(finding.pair)
+    for parsed, (alias, _, submitted_ids) in zip(answers, jobs):
+        result.rejected.extend(parsed.rejected)
+        for record in parsed.records:
+            finding = _record_to_finding(record, submitted_ids, allowed, alias, result.notes)
+            if finding is None:
+                continue
+            if function_of is not None and finding.kind == KIND_DUPLICATE:
+                fa = function_of.get(finding.req_a, "")
+                fb = function_of.get(finding.req_b, "")
+                if fa != fb:
+                    result.notes.append(
+                        f"downgraded cross-function duplicate ({finding.req_a}, "
+                        f"{finding.req_b}): {fa} vs {fb}"
+                    )
+                    finding = replace(finding, kind=KIND_COMPLEMENTARY)
+            previous = seen.get(finding.pair)
+            if previous is None:
+                seen[finding.pair] = finding.kind
+                result.findings.append(finding)
+            elif previous != finding.kind:
+                conflicts.append(finding.pair)
 
     if conflicts:
         raise FindingConflictError(sorted(set(conflicts)))
@@ -388,7 +377,7 @@ def detect_contradictions(
     """Find contradicting pairs within each function's consolidated list."""
     consolidated = consolidate(clusters, list(duplicates))
     jobs = (
-        (alias, _row_pairs(rows), {row.req_id for row in rows})
+        (alias, _lines(rows), {row.req_id for row in rows})
         for alias, rows in consolidated.items()
         if len(rows) >= 2
     )

@@ -12,6 +12,7 @@ import shutil
 from pathlib import Path
 
 from safereq import (
+    CountingBackend,
     GoldPairs,
     MockBackend,
     PairFinding,
@@ -80,7 +81,7 @@ def copy_sample_project(tmp_path):
 
 
 def run_sample(project_dir, **kwargs):
-    backend = MockBackend(project_dir / "fixtures")
+    backend = CountingBackend(MockBackend(project_dir / "fixtures"))
     report = run_all(
         project_dir / "params.json", backend=backend, version_tag="ACC", **kwargs
     )
@@ -295,11 +296,11 @@ def test_criterion_6_delta_reuse_and_force(tmp_path):
 
     first, backend = run_sample(project)
     assert first.failed == []
-    assert backend.call_count == 8
+    assert backend.calls == 8
     snapshot = tree_bytes(results_dir)
 
     second, backend = run_sample(project)
-    assert backend.call_count == 0
+    assert backend.calls == 0
     assert tree_bytes(results_dir) == snapshot
     statuses = {r.name: r.status for r in second.results}
     assert statuses["b_classify_requirements"] == "Skipped"
@@ -307,7 +308,7 @@ def test_criterion_6_delta_reuse_and_force(tmp_path):
     assert statuses["e_identify_contradictions"] == "Skipped"
 
     third, backend = run_sample(project, force=True)
-    assert backend.call_count == 8
+    assert backend.calls == 8
     assert [r.status for r in third.results] == ["Succeeded"] * 4
     assert tree_bytes(results_dir) == snapshot
     print("[criterion 6] PASS: delta re-run is free and byte-identical; force re-executes")
@@ -320,10 +321,10 @@ def test_criterion_7_chunked_run_stability(tmp_path):
         chunks = make_chunked_project(root)
         assert chunks == 11
 
-        backend = MockBackend(root / "fixtures")
+        backend = CountingBackend(MockBackend(root / "fixtures"))
         report = run_all(root / "params.json", backend=backend, version_tag="ACC")
         assert report.failed == []
-        assert backend.call_count == 11
+        assert backend.calls == 11
         joined_tables.append(
             (root / "results" / "joined" / "a_classify_joined.csv").read_bytes()
         )

@@ -508,6 +508,42 @@ def graphs(draw):
     )
 
 
+def diamond_chain(k, valves=range(0), back_edges=()):
+    """Station exhibits Stage 0, and Stage i consists of Left i and Right i,
+    which both consist of Stage i+1: a chain of k diamonds. Left i also
+    consists of Valve i for each i in valves, and each (source, target)
+    in back_edges adds an aggregation, which may close a cycle."""
+    relations = [OplRelation(RelationKind.EXHIBITION, "Station", ("Stage 0",))]
+    for i in range(k):
+        relations += [
+            OplRelation(RelationKind.AGGREGATION, f"Stage {i}", (f"Left {i}", f"Right {i}")),
+            OplRelation(
+                RelationKind.AGGREGATION,
+                f"Left {i}",
+                (f"Stage {i + 1}", *([f"Valve {i}"] if i in valves else [])),
+            ),
+            OplRelation(RelationKind.AGGREGATION, f"Right {i}", (f"Stage {i + 1}",)),
+        ]
+    relations += [OplRelation(RelationKind.AGGREGATION, a, (b,)) for a, b in back_edges]
+    things = {
+        name: OplThing(name=name, kind=ThingKind.PROCESS)
+        for rel in relations[1:]
+        for name in sorted({rel.source, *rel.targets})
+    }
+    things["Station"] = OplThing(name="Station", kind=ThingKind.OBJECT)
+    return ArchitectureGraph(things=things, relations=relations)
+
+
+@st.composite
+def diamond_chains(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    processes = [f"{part} {i}" for i in range(k) for part in ("Stage", "Left", "Right")]
+    processes.append(f"Stage {k}")
+    valves = draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+    back_edges = draw(st.lists(st.tuples(*[st.sampled_from(processes)] * 2), max_size=2))
+    return diamond_chain(k, valves, back_edges)
+
+
 hint_sets = st.dictionaries(
     st.one_of(
         st.sampled_from(NAMES),
@@ -519,7 +555,7 @@ hint_sets = st.dictionaries(
 
 
 @settings(max_examples=500, deadline=None)
-@given(graph=graphs(), hints=hint_sets)
+@given(graph=graphs() | diamond_chains(), hints=hint_sets)
 def test_extract_catalog_equals_the_list_scanning_walk(graph, hints):
     assert outcome(extract_catalog, graph, hints) == outcome(
         reference_extract_catalog, graph, hints
@@ -562,6 +598,28 @@ def test_four_thousand_colliding_processes_get_the_same_suffixes():
     aliases = [e.alias for e in got[0]]
     assert len(set(aliases)) == 4001
     assert aliases[:5] == ["M", "M2", "M3", "M7", "M4"]
+
+
+def diamond_chain_outcome(k):
+    """The catalog of diamond_chain(k) with a valve in every diamond, under
+    hints naming every leaf: Stage k, then the valves from the bottom up."""
+    hints = {f"Stage {k}": "S", **{f"Valve {i}": f"V{i}" for i in range(k)}}
+    leaves = [f"Stage {k}", *(f"Valve {i}" for i in reversed(range(k)))]
+    entries = [CatalogEntry(hints[leaf], f"Station/{leaf}", "Station") for leaf in leaves]
+    entries.append(CatalogEntry(CATCH_ALL_ALIAS, CATCH_ALL_LINEAGE, "Station"))
+    return hints, (entries, ["Station"], [])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_the_list_scanning_walk_gives_the_diamond_chain_outcome(k):
+    hints, expected = diamond_chain_outcome(k)
+    assert outcome(reference_extract_catalog, diamond_chain(k, range(k)), hints) == expected
+
+
+def test_forty_diamonds_give_the_outcome_the_list_scanning_walk_gives_for_few():
+    # The list-scanning walk expands every one of the 2**40 paths to the bottom.
+    hints, expected = diamond_chain_outcome(40)
+    assert outcome(extract_catalog, diamond_chain(40, range(40)), hints) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 import requests
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from safereq import (
     ClassifiedRequirement,
+    CountingBackend,
     HttpBackend,
     LlmRequestParams,
     MockBackend,
@@ -41,7 +43,7 @@ from safereq.errors import (
     TransportError,
 )
 from safereq import gateway
-from safereq.gateway import RecordSchema
+from safereq.gateway import RecordSchema, ask_many, encode_row
 
 # The malformed payload shape a model actually returned: a brace where
 # the record list's bracket belongs and two missing commas.
@@ -231,10 +233,10 @@ def test_mock_backend_sha_fixture_takes_priority(tmp_path):
     (tmp_path / f"{prompt_sha256(prompt)}.json").write_text('{"results": [1]}')
     (tmp_path / "rules.tsv").write_text('some\tother.json\n')
     (tmp_path / "other.json").write_text('{"results": [2]}')
-    backend = MockBackend(tmp_path)
+    backend = CountingBackend(MockBackend(tmp_path))
     raw, usage = backend.complete(prompt, LlmRequestParams())
     assert json.loads(raw)["results"] == [1]
-    assert backend.call_count == 1
+    assert backend.calls == 1
     assert usage["total_tokens"] > 0
 
 
@@ -345,12 +347,14 @@ def test_send_waits_for_retry_after_on_429(monkeypatch, retry_after, slept):
     headers = {} if retry_after is None else {"Retry-After": retry_after}
     responses = [_RateLimitedResponse(headers), _OkResponse()]
     monkeypatch.setattr(requests, "post", lambda *args, **kwargs: responses.pop(0))
-    backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
+    backend = CountingBackend(
+        HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
+    )
     sleeps = []
     result = send("p", LlmRequestParams(backoff_start=1.0), backend, sleep=sleeps.append)
     assert sleeps == slept
     assert result.raw_text == '{"results": []}'
-    assert backend.call_count == 2
+    assert backend.calls == 2
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +414,58 @@ def test_prerendering_any_resource_bodies_keeps_prompt_bytes(bodies):
 
 @given(st.lists(st.tuples(st.text(), st.text()), max_size=5))
 def test_row_encoder_matches_json_dumps(rows):
-    for row in rows:
-        expected = json.dumps({"ReqID": row[0], "Requirement": row[1]}, ensure_ascii=False)
-        assert gateway._encode_row(row) == expected
-    assert gateway.encode_rows(rows) == {
-        row: json.dumps({"ReqID": row[0], "Requirement": row[1]}, ensure_ascii=False)
-        for row in rows
-    }
+    for req_id, text in rows:
+        expected = json.dumps({"ReqID": req_id, "Requirement": text}, ensure_ascii=False)
+        assert encode_row(req_id, text) == expected
 
 
-@given(st.lists(st.tuples(st.text(), st.text()), min_size=1, max_size=6), st.data())
-def test_pre_encoded_rows_give_the_same_prompt_bytes(rows, data):
-    shared = data.draw(st.lists(st.sampled_from(rows), max_size=3))
-    envelope = PromptEnvelope(instructions="i", dataset_name="DS", rows=tuple(rows))
-    assert assemble_prompt(envelope, encoded_rows=gateway.encode_rows(shared)) == (
-        assemble_prompt(envelope)
+class _Recorder:
+    """Keeps every prompt and answers the nth with one record, ReqID n."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return render_results([{"ReqID": str(len(self.prompts))}]), {}
+
+
+templates = st.builds(
+    PromptEnvelope,
+    instructions=st.text(),
+    resources=st.lists(
+        st.builds(PromptResource, tag=st.text(max_size=8), body=st.text() | json_values),
+        max_size=3,
+    ).map(tuple),
+    dataset_name=st.text(max_size=8),
+)
+batch_lists = st.lists(
+    st.tuples(st.text(max_size=8), st.lists(st.tuples(st.text(), st.text()), max_size=4)),
+    max_size=4,
+)
+
+
+@given(templates, batch_lists)
+@example(
+    PromptEnvelope("Klassifiziere ✓", (PromptResource("ARCHITECTURE", RESOURCE_BODIES),)),
+    [("Anforderungen", [("1", "naïve ✓"), ("2", "日本")]), ("", [])],
+)
+def test_ask_many_sends_the_bytes_assemble_prompt_gives(template, batches):
+    backend = _Recorder()
+    answers = ask_many(
+        template,
+        ((name, [encode_row(*row) for row in rows]) for name, rows in batches),
+        RecordSchema(required=("ReqID",)),
+        LlmRequestParams(max_concurrency=1),
+        backend,
     )
+    assert [parsed.records for parsed in answers] == [
+        [{"ReqID": str(n)}] for n in range(1, len(batches) + 1)
+    ]
+    assert [p.encode() for p in backend.prompts] == [
+        assemble_prompt(replace(template, dataset_name=name, rows=tuple(rows))).encode()
+        for name, rows in batches
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +617,10 @@ def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
 
     monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
     monkeypatch.setattr(requests, "post", post)
-    backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
-    backend.call_count = _YieldingInt(0)
+    backend = CountingBackend(
+        HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
+    )
+    backend.calls = _YieldingInt(0)
     prompts = [f"p{i}" for i in range(400)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -586,7 +628,7 @@ def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
         results = list(send_many(prompts, LlmRequestParams(max_concurrency=8), backend))
     finally:
         sys.setswitchinterval(interval)
-    assert backend.call_count == len(prompts)
+    assert backend.calls == len(prompts)
     assert [r.raw_text for r in results] == ['{"results": []}'] * len(prompts)
     assert 1 < in_flight.peak <= 8
 
@@ -769,9 +811,9 @@ def test_mock_backend_rules_load_safely_under_concurrent_calls(tmp_path):
     (tmp_path / "rules.tsv").write_text("# pad\n" * 200_000 + "rule-key\thit.json\n", "utf-8")
     # The first prompt resolves by sha, so the rules load inside the pool.
     prompts = [first] + [f"rule-key {i}" for i in range(32)]
-    backend = _SlowMock(tmp_path)
+    backend = CountingBackend(_SlowMock(tmp_path))
     results = list(send_many(prompts, LlmRequestParams(max_concurrency=8), backend))
     assert [r.raw_text for r in results] == ['{"results": []}'] + [
         '{"results": [{"ReqID": "1"}]}'
     ] * 32
-    assert backend.call_count == len(prompts)
+    assert backend.calls == len(prompts)

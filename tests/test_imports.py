@@ -1,6 +1,6 @@
-"""Import hygiene: no module or demo imports a name it never uses, no module
-defines a name nothing reads or exports, and `import safereq` stays cheap
-by leaving `requests` to the HTTP backend.
+"""Import hygiene: no module, demo or test imports a name it never uses, no
+module defines a name nothing reads or exports, and `import safereq` stays
+cheap by leaving `requests` to the HTTP backend.
 
 No linter is a dependency, so both name checks walk each module's
 syntax tree with the standard library's `ast`.
@@ -61,6 +61,17 @@ def test_no_demo_imports_an_unused_name():
     unused = [
         f"{path.stem}.{name}"
         for path in demos
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []
+
+
+def test_no_test_module_imports_an_unused_name():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert Path(__file__) in tests
+    unused = [
+        f"{path.stem}.{name}"
+        for path in tests
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []

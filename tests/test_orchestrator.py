@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from safereq import (
+    CountingBackend,
     HttpBackend,
     LlmRequestParams,
     MockBackend,
@@ -424,11 +425,11 @@ def test_a_mistyped_config_value_fails_the_run_at_load(tmp_path, block, key, val
     config = base_config()
     config[block][key] = value
     config_path = make_project(tmp_path, config)
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     with pytest.raises(InvalidConfigError) as err:
         run_all(config_path, backend=backend, version_tag="TEST")
     assert problems_of(err) == [(block, key)]
-    assert backend.call_count == 0
+    assert backend.calls == 0
 
 
 def test_load_config_rejects_unknown_prompt_version(tmp_path):
@@ -593,7 +594,7 @@ def test_params_from_llm_config():
 
 def run_project(tmp_path, **kwargs):
     config_path = make_project(tmp_path, kwargs.pop("config", None))
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     report = run_all(config_path, backend=backend, version_tag="TEST", **kwargs)
     return report, backend
 
@@ -605,7 +606,7 @@ def test_first_run_executes_every_task(tmp_path):
     # contradiction cluster (NAV collapses to a single row after the
     # duplicate pair is consolidated).
     assert [r.backend_calls for r in report.results] == [1, 0, 2, 1]
-    assert backend.call_count == 4
+    assert backend.calls == 4
     assert report.failed == []
 
 
@@ -651,10 +652,10 @@ def test_delta_rerun_makes_no_backend_calls(tmp_path):
     run_project(tmp_path)
     before = tree_bytes(tmp_path / "results")
 
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     report = run_all(tmp_path / "params.json", backend=backend, version_tag="TEST")
 
-    assert backend.call_count == 0
+    assert backend.calls == 0
     statuses = {r.name: r.status for r in report.results}
     assert statuses["b_classify"] == "Skipped"
     assert statuses["c_coverage"] == "Succeeded"  # local, recomputed for free
@@ -670,21 +671,21 @@ def test_force_reexecutes_despite_delta(tmp_path):
     run_project(tmp_path)
     before = tree_bytes(tmp_path / "results")
 
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     report = run_all(
         tmp_path / "params.json", backend=backend, version_tag="TEST", force=True
     )
 
-    assert backend.call_count == 4
+    assert backend.calls == 4
     assert [r.status for r in report.results] == ["Succeeded"] * 4
     assert tree_bytes(tmp_path / "results") == before
 
 
 def test_new_version_tag_executes_fresh(tmp_path):
     run_project(tmp_path)
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     run_all(tmp_path / "params.json", backend=backend, version_tag="TEST2")
-    assert backend.call_count == 4
+    assert backend.calls == 4
     raw = tmp_path / "results" / "raw"
     assert (raw / "b_classify_TEST.json").exists()
     assert (raw / "b_classify_TEST2.json").exists()
@@ -701,7 +702,7 @@ def test_dry_run_plans_without_writing(tmp_path):
     report, backend = run_project(tmp_path, dry_run=True)
     assert [r.status for r in report.results] == ["Planned"] * 4
     assert all(r.detail == "would execute" for r in report.results)
-    assert backend.call_count == 0
+    assert backend.calls == 0
     assert report.report_set is None
     assert not (tmp_path / "results").exists()
 
@@ -721,12 +722,12 @@ def test_dry_run_after_real_run_reports_delta_reuse(tmp_path):
 
 def test_only_task_restricts_the_run(tmp_path):
     config_path = make_project(tmp_path)
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     report = run_all(
         config_path, backend=backend, version_tag="TEST", only_task="b_classify"
     )
     assert [r.name for r in report.results] == ["b_classify"]
-    assert backend.call_count == 1
+    assert backend.calls == 1
     assert (tmp_path / "results" / "reports" / "summary_TEST.md").exists()
 
 
@@ -743,14 +744,14 @@ def test_run_false_task_is_skipped(tmp_path):
     by_name = {r.name: r for r in report.results}
     assert by_name["e_contradictions"].status == "Skipped"
     assert by_name["e_contradictions"].detail == "run is false"
-    assert backend.call_count == 3
+    assert backend.calls == 3
 
 
 def test_missing_input_fails_without_raising(tmp_path):
     config = base_config()
     config["b_classify"]["input_file"] = "input/absent.csv"
     report, backend = run_project(tmp_path, config=config)
-    assert backend.call_count == 0
+    assert backend.calls == 0
     assert len(report.failed) == 4
     by_name = {r.name: r for r in report.results}
     assert "input file not found" in by_name["b_classify"].detail
@@ -778,10 +779,10 @@ def test_partial_marker_does_not_trigger_delta(tmp_path):
     # Repair the input and re-run: the task must execute, not skip.
     config = base_config()
     (tmp_path / "params.json").write_text(json.dumps(config), encoding="utf-8")
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     report = run_all(tmp_path / "params.json", backend=backend, version_tag="TEST")
     assert report.failed == []
-    assert backend.call_count == 4
+    assert backend.calls == 4
 
 
 def test_success_removes_a_stale_partial_marker(tmp_path):
@@ -857,7 +858,7 @@ def test_a_repeated_alias_in_the_architecture_fails_the_task(tmp_path):
     assert classify.detail == "alias 'NAV' is listed more than once"
     assert (tmp_path / "results" / "raw" / "b_classify_TEST.json.partial").exists()
     assert len(report.results) == 4
-    assert backend.call_count == 0
+    assert backend.calls == 0
 
 
 @pytest.mark.parametrize(
@@ -878,7 +879,7 @@ def test_a_resources_file_that_is_not_strict_json_fails_the_task(tmp_path, text,
     assert classify.detail.startswith(detail + str(tmp_path / "strict.json"))
     assert (tmp_path / "results" / "raw" / "b_classify_TEST.json.partial").exists()
     assert len(report.results) == 4
-    assert backend.call_count == 0
+    assert backend.calls == 0
 
 
 def test_a_csv_field_over_the_limit_fails_its_task_and_the_run_goes_on(tmp_path):
@@ -886,14 +887,14 @@ def test_a_csv_field_over_the_limit_fails_its_task_and_the_run_goes_on(tmp_path)
     reqs = tmp_path / "input" / "reqs.csv"
     with reqs.open("a", encoding="utf-8") as handle:
         handle.write("2004," + "x" * 131_073 + "\n")
-    backend = MockBackend(tmp_path / "fixtures")
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     report = run_all(config_path, backend=backend, version_tag="TEST")
     classify = report.results[0]
     assert classify.status == "Failed"
     assert classify.detail == f"{reqs.resolve()}, line 6: field larger than field limit (131072)"
     assert (tmp_path / "results" / "raw" / "b_classify_TEST.json.partial").exists()
     assert [r.status for r in report.results] == ["Failed"] * 4
-    assert backend.call_count == 0
+    assert backend.calls == 0
 
 
 def test_failed_joined_write_keeps_the_earlier_table(tmp_path, monkeypatch):
@@ -909,10 +910,11 @@ def test_failed_joined_write_keeps_the_earlier_table(tmp_path, monkeypatch):
             yield cells
 
     monkeypatch.setattr(orchestrator, "classified_table", fail_on_third_row)
-    report = run_all(
-        tmp_path / "params.json", version_tag="TEST", force=True, only_task="b_classify"
-    )
-    assert report.results[0].detail == "encoder failed mid-table"
+    # A bug in a task body propagates, as in the raw-write test below.
+    with pytest.raises(ValueError, match="encoder failed mid-table"):
+        run_all(
+            tmp_path / "params.json", version_tag="TEST", force=True, only_task="b_classify"
+        )
     assert joined.read_bytes() == before
     assert [p.name for p in joined.parent.iterdir()] == [joined.name]
 

@@ -3,13 +3,12 @@
 Mock fixtures and recorded outputs depend on the exact prompt text, so
 the prompts the sample project sends are pinned by sha256 here, and so
 are the report, raw and joined files it writes. Each backend response is
-parsed once, and a garbage response still fails its task with the
-parser's message.
+parsed once, a garbage response still fails its task with the parser's
+message, and a file that is not UTF-8 fails its task naming the file.
 """
 
 import dataclasses
 import hashlib
-import importlib
 import json
 import shutil
 import threading
@@ -20,20 +19,17 @@ from pathlib import Path
 import pytest
 
 from safereq import (
+    CountingBackend,
     MockBackend,
     catalog_from_mapping,
     chunk,
     gateway,
     load_requirements,
     orchestrator,
-    pairwise,
     run_all,
 )
 from safereq.classify import build_classification_prompt, classify
 from safereq.gateway import LlmRequestParams
-
-# The package exports a function named classify, which hides the module.
-classify_module = importlib.import_module("safereq.classify")
 
 SAMPLE_PROJECT = Path(__file__).resolve().parent.parent / "sample_project"
 
@@ -176,12 +172,12 @@ def test_each_backend_response_is_parsed_once(project, monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (gateway, classify_module, pairwise):
-        monkeypatch.setattr(module, "parse_results_json", counting)
-    report, backend = run_sample(project)
+    monkeypatch.setattr(gateway, "parse_results_json", counting)
+    report, _ = run_sample(project)
     assert not report.failed
-    assert backend.call_count == len(SAMPLE_PROMPT_SHA256)
-    assert len(calls) == backend.call_count
+    backend_calls = sum(r.backend_calls for r in report.results)
+    assert backend_calls == len(SAMPLE_PROMPT_SHA256)
+    assert len(calls) == backend_calls
 
 
 @pytest.mark.parametrize(
@@ -246,13 +242,13 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
         for piece in pieces
     ]
     renders = []
-    original = classify_module.render_resource
+    original = gateway.render_resource
 
     def counting(body):
         renders.append(body)
         return original(body)
 
-    monkeypatch.setattr(classify_module, "render_resource", counting)
+    monkeypatch.setattr(gateway, "render_resource", counting)
     backend = EchoBackend()
     params = LlmRequestParams(model_id="m", max_concurrency=1)  # prompts in send order
     classify(pieces, template, catalog, params, backend)
@@ -295,12 +291,12 @@ def test_a_malformed_raw_file_fails_its_delta_rerun(project, task, payload):
     assert not run_sample(project)[0].failed
     raw = project / "B_Requirements" / "results" / "raw" / f"{task}_T.json"
     raw.write_text(payload, encoding="utf-8")
-    report, backend = run_sample(project)
+    report, _ = run_sample(project)
     by_name = {r.name: r for r in report.results}
     assert by_name[task].status == orchestrator.STATUS_FAILED
     assert by_name[task].detail.startswith(f"malformed raw file {raw}")
     assert Path(f"{raw}.partial").exists()
-    assert backend.call_count == 0
+    assert sum(r.backend_calls for r in report.results) == 0
 
 
 class ForwardingBackend:
@@ -314,9 +310,66 @@ class ForwardingBackend:
 
 
 def test_backend_calls_are_counted_for_any_backend(project):
-    mock = MockBackend(project / "fixtures")
-    report = run_all(project / "params.json", backend=ForwardingBackend(mock), version_tag="T")
+    counted = CountingBackend(MockBackend(project / "fixtures"))
+    report = run_all(project / "params.json", backend=ForwardingBackend(counted), version_tag="T")
     assert not report.failed
-    assert mock.call_count == len(SAMPLE_PROMPT_SHA256)
-    assert sum(r.backend_calls for r in report.results) == mock.call_count
+    assert counted.calls == len(SAMPLE_PROMPT_SHA256)
+    assert sum(r.backend_calls for r in report.results) == counted.calls
     assert [r.backend_calls for r in report.results] == [1, 0, 4, 3]
+
+
+TASKS = [
+    "b_classify_requirements",
+    "c_identify_coverage_gaps",
+    "d_identify_duplicates",
+    "e_identify_contradictions",
+]
+
+
+def statuses(report):
+    return {r.name: r.status for r in report.results}
+
+
+@pytest.mark.parametrize(
+    "relative, task",
+    [
+        ("B_Requirements/instructions.txt", "b_classify_requirements"),
+        ("fixtures/rules.tsv", "b_classify_requirements"),
+        ("fixtures/duplicate_findings.json", "d_identify_duplicates"),
+    ],
+)
+def test_a_file_that_is_not_utf8_fails_its_task_and_names_the_file(project, relative, task):
+    path = project / relative
+    path.write_bytes(path.read_bytes() + b"\xff")
+    report, _ = run_sample(project)
+    failed = next(r for r in report.results if r.name == task)
+    assert failed.status == orchestrator.STATUS_FAILED
+    assert failed.detail.startswith(f"{path.resolve()} is not UTF-8 text: 'utf-8' codec")
+    assert [r.name for r in report.results] == TASKS  # the run went on
+    if task == "d_identify_duplicates":
+        assert statuses(report)["e_identify_contradictions"] == orchestrator.STATUS_SUCCEEDED
+
+
+def test_an_api_key_file_that_is_not_utf8_fails_its_task_and_names_the_file(
+    project, monkeypatch
+):
+    def post(*args, **kwargs):
+        raise AssertionError("a request went out without a key")
+
+    monkeypatch.setattr("requests.post", post)
+    key_file = project / "key.txt"
+    key_file.write_bytes(b"sk-\xff")
+    backend = gateway.HttpBackend("http://localhost:9/v1", api_key_file=key_file)
+    report = run_all(project / "params.json", backend=backend, version_tag="T")
+    assert report.results[0].status == orchestrator.STATUS_FAILED
+    assert report.results[0].detail.startswith(f"{key_file} is not UTF-8 text: 'utf-8' codec")
+    assert [r.name for r in report.results] == TASKS  # the run went on
+
+
+def test_a_key_error_in_a_task_body_propagates(project, monkeypatch):
+    def buggy(*args, **kwargs):
+        raise KeyError("a bug, not a fault of the input")
+
+    monkeypatch.setattr(orchestrator, "classify", buggy)
+    with pytest.raises(KeyError, match="a bug, not a fault of the input"):
+        run_sample(project)
