@@ -10,6 +10,7 @@ returned.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -246,9 +247,13 @@ def classify(
     )
     records: list[dict] = []
     quarantined: list[tuple[dict, str]] = []
-    for parsed in ask_many(template, batches, CLASSIFICATION_RESULT_SCHEMA, params, backend):
-        records.extend(parsed.records)
-        quarantined.extend(parsed.rejected)
+    # closing: an error in this loop still shuts the worker threads down.
+    with closing(
+        ask_many(template, batches, CLASSIFICATION_RESULT_SCHEMA, params, backend)
+    ) as answers:
+        for parsed in answers:
+            records.extend(parsed.records)
+            quarantined.extend(parsed.rejected)
 
     inputs = [req for chunk in chunks for req in chunk.rows]
     outcome = validate_records(records, inputs, catalog)

@@ -230,8 +230,16 @@ def parse_results_json(raw: str, schema: RecordSchema | None = None) -> ParsedRe
     Accepts the results container as a list of records or as a map whose
     values are records (the map key is injected as ReqID when absent).
     Invalid records are collected in .rejected, never raised.
+
+    Raises:
+        SchemaViolationError: the results hold a lone surrogate, as a
+            "\\ud800" escape can put there.
     """
     root = extract_results_root(raw)
+    try:
+        check_encodable(root, raw)
+    except UnicodeEncodeError as exc:
+        raise SchemaViolationError(f"response text is not valid Unicode: {exc}") from exc
     if isinstance(root, list):
         candidates: list[Any] = root
     elif isinstance(root, dict):
@@ -294,6 +302,26 @@ def read_utf8(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableFileError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+# A JSON escape of a UTF-16 surrogate code unit.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def check_encodable(value: Any, text: str) -> None:
+    """Raise UnicodeEncodeError if value, decoded from the JSON text, holds a
+    lone surrogate, which no prompt hash or UTF-8 write can encode.
+
+    Only a surrogate in text, or a surrogate escape that does not pair up,
+    can put one in value, so value is re-encoded only when text has either.
+    """
+    if _SURROGATE_ESCAPE.search(text) is None:
+        try:
+            text.encode("utf-8")
+            return
+        except UnicodeEncodeError:
+            pass
+    json.dumps(value, ensure_ascii=False).encode("utf-8")
 
 
 class Backend(Protocol):
@@ -383,18 +411,20 @@ class HttpBackend:
         self.api_key_env = api_key_env
 
     def _api_key(self) -> str:
-        if self.api_key_file is not None and self.api_key_file.exists():
-            key = read_utf8(self.api_key_file).strip()
-            if key:
-                return key
         import os
 
-        key = os.environ.get(self.api_key_env, "").strip()
-        if key:
-            return key
-        raise AuthMissingError(
-            f"no API key in file {self.api_key_file} or ${self.api_key_env}"
-        )
+        key, source = "", ""
+        if self.api_key_file is not None and self.api_key_file.exists():
+            key, source = read_utf8(self.api_key_file).strip(), str(self.api_key_file)
+        if not key:
+            key, source = os.environ.get(self.api_key_env, "").strip(), f"${self.api_key_env}"
+        if not key:
+            raise AuthMissingError(
+                f"no API key in file {self.api_key_file} or ${self.api_key_env}"
+            )
+        if not key.isascii():  # the Authorization header could not carry it
+            raise AuthMissingError(f"the API key in {source} is not ASCII text")
+        return key
 
     def complete(self, prompt: str, params: LlmRequestParams) -> tuple[str, dict]:
         # Imported here: only this backend needs it, and it is slow to import.

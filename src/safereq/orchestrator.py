@@ -64,6 +64,7 @@ from .gateway import (
     MockBackend,
     PromptEnvelope,
     PromptResource,
+    check_encodable,
     read_utf8,
 )
 from .pairwise import (
@@ -252,7 +253,8 @@ def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[P
 def _read_json(path: Path):
     """The JSON value in a config or resources file, read strictly.
 
-    Text that is not UTF-8 or not JSON, and an object that repeats a key
+    Text that is not UTF-8 or not JSON, a string that holds a lone
+    surrogate (a "\\ud800" escape), and an object that repeats a key
     (which plain json.loads would settle by keeping the last), raise
     MalformedJsonError naming the file. An unreadable path raises its
     OSError.
@@ -266,8 +268,11 @@ def _read_json(path: Path):
         return obj
 
     try:
-        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        text = path.read_text(encoding="utf-8")
+        value = json.loads(text, object_pairs_hook=unique_keys)
+        check_encodable(value, text)
+        return value
+    except (UnicodeError, json.JSONDecodeError) as exc:
         raise MalformedJsonError(f"not valid JSON in {path}: {exc}") from exc
 
 
@@ -523,10 +528,13 @@ def _raw_payload(path: Path) -> Iterator[dict]:
     """The JSON object in a raw file.
 
     A payload of another shape, met here or in the with block as it is
-    read, raises MalformedRawFileError instead of whatever it tripped.
+    read, and a string that holds a lone surrogate raise
+    MalformedRawFileError instead of whatever they tripped.
     """
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        check_encodable(payload, text)
         if not isinstance(payload, dict):
             raise TypeError(f"the root is a JSON {type(payload).__name__}, not an object")
         yield payload
@@ -836,9 +844,10 @@ BUILTIN_FUNCTIONS = {
 def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> TaskResult:
     """Run (or skip) one task and return its outcome.
 
-    Failures never raise; they come back as a Failed result and leave a
-    .partial marker beside the raw output the task did not produce. A
-    task that succeeds removes a marker left by an earlier failure.
+    A SafereqError or OSError comes back as a Failed result and leaves a
+    .partial marker beside the raw output the task did not produce; any
+    other exception is a bug and propagates. A task that succeeds removes
+    a marker left by an earlier failure.
     """
     if task.analysis_function not in BUILTIN_FUNCTIONS:
         raise UnknownAnalysisFunctionError(task.analysis_function)

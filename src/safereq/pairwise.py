@@ -8,6 +8,7 @@ consolidated list so duplicate groups are argued once.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import tee
 from operator import attrgetter
@@ -292,37 +293,40 @@ def _detect(
     # Each job's lines are built when its prompt is, and tee keeps them
     # only until its result is folded.
     jobs, to_send = tee(jobs)
-    answers = ask_many(
-        PromptEnvelope(instructions),
-        ((f"{alias} Requirements", lines) for alias, lines, _ in to_send),
-        _PAIR_SCHEMA,
-        params,
-        backend,
-    )
     result = DetectionResult(findings=[])
     seen: dict[tuple[str, str], str] = {}
     conflicts: list[tuple[str, str]] = []
-    for parsed, (alias, _, submitted_ids) in zip(answers, jobs):
-        result.rejected.extend(parsed.rejected)
-        for record in parsed.records:
-            finding = _record_to_finding(record, submitted_ids, allowed, alias, result.notes)
-            if finding is None:
-                continue
-            if function_of is not None and finding.kind == KIND_DUPLICATE:
-                fa = function_of.get(finding.req_a, "")
-                fb = function_of.get(finding.req_b, "")
-                if fa != fb:
-                    result.notes.append(
-                        f"downgraded cross-function duplicate ({finding.req_a}, "
-                        f"{finding.req_b}): {fa} vs {fb}"
-                    )
-                    finding = replace(finding, kind=KIND_COMPLEMENTARY)
-            previous = seen.get(finding.pair)
-            if previous is None:
-                seen[finding.pair] = finding.kind
-                result.findings.append(finding)
-            elif previous != finding.kind:
-                conflicts.append(finding.pair)
+    # closing: an error in this loop still shuts the worker threads down.
+    with closing(
+        ask_many(
+            PromptEnvelope(instructions),
+            ((f"{alias} Requirements", lines) for alias, lines, _ in to_send),
+            _PAIR_SCHEMA,
+            params,
+            backend,
+        )
+    ) as answers:
+        for parsed, (alias, _, submitted_ids) in zip(answers, jobs):
+            result.rejected.extend(parsed.rejected)
+            for record in parsed.records:
+                finding = _record_to_finding(record, submitted_ids, allowed, alias, result.notes)
+                if finding is None:
+                    continue
+                if function_of is not None and finding.kind == KIND_DUPLICATE:
+                    fa = function_of.get(finding.req_a, "")
+                    fb = function_of.get(finding.req_b, "")
+                    if fa != fb:
+                        result.notes.append(
+                            f"downgraded cross-function duplicate ({finding.req_a}, "
+                            f"{finding.req_b}): {fa} vs {fb}"
+                        )
+                        finding = replace(finding, kind=KIND_COMPLEMENTARY)
+                previous = seen.get(finding.pair)
+                if previous is None:
+                    seen[finding.pair] = finding.kind
+                    result.findings.append(finding)
+                elif previous != finding.kind:
+                    conflicts.append(finding.pair)
 
     if conflicts:
         raise FindingConflictError(sorted(set(conflicts)))

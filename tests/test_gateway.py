@@ -797,6 +797,49 @@ def test_a_parse_error_on_the_threaded_path_propagates_and_stops_the_pool(caller
     assert backend.call_count < 40  # queued prompts were never sent
 
 
+class _BrokenAnswer:
+    """An answer whose fields raise, as a bug in a caller's fold loop would."""
+
+    @property
+    def records(self):
+        raise KeyError("a bug in the fold loop")
+
+    rejected = records
+
+
+@pytest.mark.parametrize("caller", [_classify_40_chunks, _detect_in_40_clusters])
+def test_an_error_in_the_callers_loop_propagates_and_stops_the_pool(caller, monkeypatch):
+    parse = gateway.parse_results_json
+    answers = []
+
+    def parse_then_break_the_tenth(raw, schema=None):
+        answers.append(raw)
+        return _BrokenAnswer() if len(answers) == 10 else parse(raw, schema)
+
+    monkeypatch.setattr(gateway, "parse_results_json", parse_then_break_the_tenth)
+    backend = GarbageOnceBackend(garbage_at=-1)
+    try:
+        caller(backend)
+    except KeyError as exc:
+        # The traceback keeps the caller's frame, and so its answers, alive.
+        assert exc.__traceback__ is not None
+        assert not _send_threads()
+    else:
+        pytest.fail("the KeyError did not propagate")
+    assert len(backend.threads) > 1  # the calls went to worker threads
+    assert backend.call_count < 40  # queued prompts were never sent
+
+
+def test_a_lone_surrogate_in_a_response_is_a_schema_violation():
+    with pytest.raises(SchemaViolationError, match="not valid Unicode"):
+        parse_results_json('{"results": [{"ReqID": "1", "Function": "\\ud800"}]}')
+    with pytest.raises(SchemaViolationError, match="not valid Unicode"):
+        parse_results_json('{"results": [{"ReqID": "1", "Function": "\ud800"}]}')
+    # A surrogate pair is one character, and text outside the JSON is not kept.
+    parsed = parse_results_json('\ud800 {"results": [{"ReqID": "1", "F": "\\ud83d\\ude00"}]}')
+    assert parsed.records == [{"ReqID": "1", "F": "\U0001f600"}]
+
+
 class _SlowMock(MockBackend):
     def complete(self, prompt, params):
         time.sleep(0.002)

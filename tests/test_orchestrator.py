@@ -226,8 +226,9 @@ def test_load_config_rejects_a_repeated_key_naming_it_and_the_file(tmp_path):
         (lambda path: path.mkdir(), "Is a directory"),
         (lambda path: path.write_bytes(b'{"defaults": "\xff"}'), "not valid JSON in"),
         (lambda path: path.write_text('{"defaults": {'), "not valid JSON in"),
+        (lambda path: path.write_text('{"defaults": {"project_dir": "\\ud800"}}'), "surrogate"),
     ],
-    ids=["directory", "not-utf8", "truncated"],
+    ids=["directory", "not-utf8", "truncated", "lone-surrogate"],
 )
 def test_load_config_names_a_file_it_cannot_read_or_decode(tmp_path, write, message):
     path = tmp_path / "params.json"
@@ -866,8 +867,9 @@ def test_a_repeated_alias_in_the_architecture_fails_the_task(tmp_path):
     [
         ('{"ARCHITECTURE": {"NAV": "Drone/Nav", "NAV": "Pilot/Nav"}}', "repeated key 'NAV' in "),
         ('{"ARCHITECTURE": {"NAV": "Drone/Nav"}', "not valid JSON in "),
+        ('{"ARCHITECTURE": {"NAV": "\\ud800Drone/Nav"}}', "not valid JSON in "),
     ],
-    ids=["repeated-alias", "truncated"],
+    ids=["repeated-alias", "truncated", "lone-surrogate"],
 )
 def test_a_resources_file_that_is_not_strict_json_fails_the_task(tmp_path, text, detail):
     config = base_config()

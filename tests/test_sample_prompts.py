@@ -285,6 +285,10 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
             "d_identify_duplicates",
             '{"findings": [{"ReqID_A": "1", "ReqID_B": "2", "Relation": ["x"]}]}',
         ),
+        (
+            "b_classify_requirements",
+            '{"rows": [{"ReqID": "1", "Function": "\\ud800", "Type": "FUNC", "Confidence": 90}]}',
+        ),
     ],
 )
 def test_a_malformed_raw_file_fails_its_delta_rerun(project, task, payload):
@@ -363,6 +367,48 @@ def test_an_api_key_file_that_is_not_utf8_fails_its_task_and_names_the_file(
     report = run_all(project / "params.json", backend=backend, version_tag="T")
     assert report.results[0].status == orchestrator.STATUS_FAILED
     assert report.results[0].detail.startswith(f"{key_file} is not UTF-8 text: 'utf-8' codec")
+    assert [r.name for r in report.results] == TASKS  # the run went on
+
+
+@pytest.mark.parametrize(
+    "fixture, task",
+    [
+        ("classify_requirements.json", "b_classify_requirements"),
+        ("duplicate_findings.json", "d_identify_duplicates"),
+    ],
+)
+def test_a_lone_surrogate_in_a_response_fails_its_task(project, fixture, task):
+    path = project / "fixtures" / fixture
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"The ', '"\\ud800The ', 1).replace('"High', '"\\ud800High', 1))
+    report, _ = run_sample(project)
+    assert [r.name for r in report.results] == TASKS  # the run went on
+    failed = next(r for r in report.results if r.name == task)
+    assert failed.status == orchestrator.STATUS_FAILED
+    assert failed.detail.startswith("response text is not valid Unicode: 'utf-8' codec")
+    assert failed.files[0].exists()  # the .partial marker
+    if task == "d_identify_duplicates":
+        assert statuses(report)["e_identify_contradictions"] == orchestrator.STATUS_SUCCEEDED
+        assert report.report_set.summary_path.exists()
+
+
+@pytest.mark.parametrize("source", ["file", "environment"])
+def test_an_api_key_that_is_not_ascii_fails_its_task(project, monkeypatch, source):
+    def post(*args, **kwargs):
+        raise AssertionError("a request went out with a key no header can carry")
+
+    monkeypatch.setattr("requests.post", post)
+    key_file = project / "key.txt"
+    if source == "file":
+        key_file.write_text("sk-\u20ac", encoding="utf-8")
+    monkeypatch.setenv("SAFEREQ_TEST_KEY", "sk-\u20ac")
+    backend = gateway.HttpBackend(
+        "http://localhost:9/v1", api_key_file=key_file, api_key_env="SAFEREQ_TEST_KEY"
+    )
+    report = run_all(project / "params.json", backend=backend, version_tag="T")
+    assert report.results[0].status == orchestrator.STATUS_FAILED
+    where = key_file if source == "file" else "$SAFEREQ_TEST_KEY"
+    assert report.results[0].detail == f"the API key in {where} is not ASCII text"
     assert [r.name for r in report.results] == TASKS  # the run went on
 
 
