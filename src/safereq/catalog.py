@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import NoPrimarySystemError, SchemaViolationError
 from .gateway import (
@@ -20,7 +21,7 @@ from .gateway import (
     PromptEnvelope,
     PromptResource,
     assemble_prompt,
-    extract_results_root,
+    checked_results_root,
     send,
 )
 from .opl import ArchitectureGraph, RelationKind, ThingKind
@@ -276,21 +277,38 @@ def extract_catalog(
     # leaves do not depend on the path taken to it: each is expanded once.
     acyclic: dict[str, list[str]] = {}
 
-    def leaves(process: str, visited: frozenset[str]) -> list[str]:
-        if process in acyclic:
-            return acyclic[process]
-        if process in visited:
-            catalog.warnings.append(f"cyclic process containment at {process!r}")
-            return []
-        if process not in parts:
-            return [process]
-        warned = len(catalog.warnings)
-        visited |= {process}
-        found = list(
-            dict.fromkeys(leaf for child in parts[process] for leaf in leaves(child, visited))
-        )
-        if len(catalog.warnings) == warned:
-            acyclic[process] = found
+    def leaves(process: str) -> list[str]:
+        # Depth first, children in order, on an explicit stack, so that no
+        # chain is too deep to walk. A frame is a process being expanded, the
+        # processes above it and itself, the warning count before it, its
+        # children left, and its leaves so far (a dict, to keep first sight).
+        stack: list[tuple[str, frozenset[str], int, Iterator[str], dict]] = []
+
+        def enter(name: str, visited: frozenset[str]) -> list[str] | None:
+            """The leaves of name when known at once; else stack name and return None."""
+            if name in acyclic:
+                return acyclic[name]
+            if name in visited:
+                catalog.warnings.append(f"cyclic process containment at {name!r}")
+                return []
+            if name not in parts:
+                return [name]
+            stack.append((name, visited | {name}, len(catalog.warnings), iter(parts[name]), {}))
+            return None
+
+        found = enter(process, frozenset())
+        while stack:
+            name, visited, warned, children, collected = stack[-1]
+            if found is not None:
+                collected.update(dict.fromkeys(found))
+            child = next(children, None)
+            if child is not None:
+                found = enter(child, visited)
+                continue
+            stack.pop()
+            found = list(collected)
+            if len(catalog.warnings) == warned:
+                acyclic[name] = found
         return found
 
     def add(primary: str, leaf: str, segments: list[str]) -> None:
@@ -318,12 +336,12 @@ def extract_catalog(
                     f"no primary ancestor for {obj!r}; skipping {process!r}"
                 )
                 continue
-            for leaf in leaves(process, frozenset()):
+            for leaf in leaves(process):
                 add(primary, leaf, [primary, leaf] if obj == primary else [primary, obj, leaf])
 
     # Root process trees act as their own functional roots.
     for root in root_processes:
-        for leaf in leaves(root, frozenset()):
+        for leaf in leaves(root):
             add(root, leaf, [root] if leaf == root else [root, leaf])
 
     if not catalog.entries:
@@ -375,7 +393,7 @@ def extract_catalog_llm(
         resources=(PromptResource(tag="architecture_model", body=model_text),),
     )
     result = send(assemble_prompt(envelope), params, backend)
-    root = extract_results_root(result.raw_text)
+    root = checked_results_root(result.raw_text)
     if not isinstance(root, dict):
         raise SchemaViolationError("function identification results must be a JSON object")
     warnings = []

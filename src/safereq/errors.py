@@ -176,7 +176,8 @@ class MalformedRawFileError(SafereqError):
 
 
 class MismatchedIdSetsError(SafereqError):
-    """Stability runs cover different requirement id sets."""
+    """Rows that must cover the same requirement ids, in stability runs or
+    in a raw file read back for its input, do not."""
 
 
 class AliasClosureViolationError(SafereqError):

@@ -210,6 +210,22 @@ def extract_results_root(raw: str) -> Any:
     raise MissingResultsRootError("response JSON has no 'results' root key")
 
 
+def checked_results_root(raw: str) -> Any:
+    """extract_results_root of raw, refused when it holds a lone surrogate.
+
+    Raises:
+        SchemaViolationError: the results hold a lone surrogate, as a
+            "\\ud800" escape can put there; no prompt hash or UTF-8 write
+            could encode it later.
+    """
+    root = extract_results_root(raw)
+    try:
+        check_encodable(root, raw)
+    except UnicodeEncodeError as exc:
+        raise SchemaViolationError(f"response text is not valid Unicode: {exc}") from exc
+    return root
+
+
 @dataclass
 class RecordSchema:
     """Field requirements applied to each parsed record."""
@@ -229,17 +245,10 @@ def parse_results_json(raw: str, schema: RecordSchema | None = None) -> ParsedRe
 
     Accepts the results container as a list of records or as a map whose
     values are records (the map key is injected as ReqID when absent).
-    Invalid records are collected in .rejected, never raised.
-
-    Raises:
-        SchemaViolationError: the results hold a lone surrogate, as a
-            "\\ud800" escape can put there.
+    Invalid records are collected in .rejected, never raised; a lone
+    surrogate raises as checked_results_root says.
     """
-    root = extract_results_root(raw)
-    try:
-        check_encodable(root, raw)
-    except UnicodeEncodeError as exc:
-        raise SchemaViolationError(f"response text is not valid Unicode: {exc}") from exc
+    root = checked_results_root(raw)
     if isinstance(root, list):
         candidates: list[Any] = root
     elif isinstance(root, dict):

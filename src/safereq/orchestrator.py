@@ -7,10 +7,12 @@ and request parameters, and "thresholds" overrides metric acceptance
 thresholds. Paths inside a task resolve against its project_dir, which
 itself resolves against the directory holding the config file.
 
-Each successful task writes its primary output to
-<output_path>/raw/<task>_<version tag>.json. A task with delta enabled
-is skipped (zero backend calls) when that file already exists. Its body
-then reads its results back from the file, as with execute false, and
+A task's primary output is its raw file,
+<output_path>/raw/<task>_<version tag>.json, and run_task alone reads
+and writes it. After a task body succeeds, run_task writes the body's
+record there, as the task's last write. A task with delta enabled is
+skipped (zero backend calls) when that file already exists: run_task
+reads its results back, as it does for execute false, and the body
 publishes them without writing anything, so downstream tasks and the
 final report set behave exactly as on the first run. Failures leave a
 .partial file beside the missing output instead; the next success
@@ -26,7 +28,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, get_type_hints
@@ -52,6 +54,7 @@ from .errors import (
     InvalidConfigError,
     MalformedJsonError,
     MalformedRawFileError,
+    MismatchedIdSetsError,
     MissingColumnError,
     SafereqError,
     UnknownAnalysisFunctionError,
@@ -89,7 +92,7 @@ from .reporting import (
     _write_json,
     emit_report_set,
 )
-from .requirements import load_requirements, read_csv
+from .requirements import Requirement, load_requirements, read_csv
 from .requirements import chunk as chunk_requirements
 
 TASK_TYPE = "GENERATIVE_ANALYSIS_TASK"
@@ -99,9 +102,6 @@ ANALYSIS_COMPLETENESS = "analyze_requirement_completeness"
 ANALYSIS_COVERAGE = "analyze_coverage_gaps"
 ANALYSIS_DUPLICATES = "analyze_duplicate_requirements"
 ANALYSIS_CONTRADICTIONS = "analyze_contradicting_requirements"
-
-# Coverage is computed locally; it never talks to the backend.
-LOCAL_FUNCTIONS = {ANALYSIS_COVERAGE}
 
 STATUS_SUCCEEDED = "Succeeded"
 STATUS_SKIPPED = "Skipped"
@@ -244,7 +244,7 @@ def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[P
         need(not unknown, "result_columns", "unknown result columns: " + ", ".join(unknown))
         if t.execute:
             need(bool(t.instructions), "instructions", "required when execute is true")
-    if t.analysis_function in LOCAL_FUNCTIONS:
+    if t.analysis_function == ANALYSIS_COVERAGE:
         need(not t.execute, "execute", "analysis is local; must be false")
     need(t.execute or t.analyze or not t.run, "analyze", "task neither executes nor analyzes")
     return problems
@@ -645,13 +645,6 @@ def _take_findings(
 # ---------------------------------------------------------------------------
 
 
-def _previous_raw(raw_path: Path) -> Path:
-    """The raw output a task with execute false analyzes again."""
-    if not raw_path.exists():
-        raise SafereqError("execute is false and no previous raw output exists")
-    return raw_path
-
-
 def _write_quarantine(
     ctx: PipelineContext, task: TaskConfig, quarantined: list[tuple[dict, str]]
 ) -> list[Path]:
@@ -663,14 +656,31 @@ def _write_quarantine(
     return [path]
 
 
+def _require_input_ids(
+    input_path: Path, inputs: list[Requirement], rows: list[ClassifiedRequirement]
+) -> None:
+    """Raise unless rows read back from the raw file hold the inputs' ids, in order.
+
+    The joined table pairs each input with the row at its position.
+    """
+    pairs = zip_longest((req.req_id for req in inputs), (row.req_id for row in rows))
+    for want, have in pairs:
+        if want != have:
+            raise MismatchedIdSetsError(
+                "execute is false but the previous raw output does not match "
+                f"{input_path}: ReqID {want if want is not None else have!r} differs; "
+                "execute the task again"
+            )
+
+
 def _task_completeness(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path, reuse: bool
-) -> tuple[list[Path], str]:
+    ctx: PipelineContext, task: TaskConfig, previous: tuple | None, reuse: bool
+) -> tuple[dict, list[Path], str]:
     if reuse:
-        rows, _ = _rows_from_raw(raw_path)
+        rows, _ = previous
         if task.analyze:
             _take_rows(ctx, task, _require_catalog(ctx, task), rows)
-        return [], f"reused {len(rows)} classified rows"
+        return {}, [], f"reused {len(rows)} classified rows"
 
     catalog = _require_catalog(ctx, task)
     input_path = _resolve(ctx.config, task, task.input_file)
@@ -694,7 +704,8 @@ def _task_completeness(
         outcome = classify(chunks, template, catalog, ctx.params, ctx.backend)
         rows, quarantined = outcome.rows, outcome.quarantined
     else:
-        rows, quarantined = _rows_from_raw(_previous_raw(raw_path))
+        rows, quarantined = previous
+        _require_input_ids(input_path, inputs, rows)
 
     files = _write_quarantine(ctx, task, quarantined)
     gold_value = None
@@ -711,26 +722,20 @@ def _task_completeness(
         files.append(joined_path)
         gold_value = _take_rows(ctx, task, catalog, rows)
 
-    _write_json(
-        raw_path,
-        {
-            "task": task.name,
-            "analysis_function": task.analysis_function,
-            "rows": [classified_record(row) for row in rows],
-            "quarantined": [[record, reason] for record, reason in quarantined],
-            "accuracy": gold_value,
-        },
-    )
-    files.insert(0, raw_path)
+    record = {
+        "rows": [classified_record(row) for row in rows],
+        "quarantined": [[rec, reason] for rec, reason in quarantined],
+        "accuracy": gold_value,
+    }
     detail = f"{len(rows)} requirements classified, {len(quarantined)} quarantined"
     if gold_value is not None:
         detail += f", accuracy {gold_value:.2f}"
-    return files, detail
+    return record, files, detail
 
 
 def _task_coverage(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path, reuse: bool
-) -> tuple[list[Path], str]:
+    ctx: PipelineContext, task: TaskConfig, previous: tuple | None, reuse: bool
+) -> tuple[dict, list[Path], str]:
     classified = _classified_for(ctx, task)
     catalog = _require_catalog(ctx, task)
     matrix = build_matrix(classified, catalog)
@@ -739,20 +744,13 @@ def _task_coverage(
         ctx.reports.coverage = matrix
         if ctx.reports.catalog is None:
             ctx.reports.catalog = catalog
-    _write_json(
-        raw_path,
-        {
-            "task": task.name,
-            "analysis_function": task.analysis_function,
-            "rows": [dict(zip(COVERAGE_COLUMNS, coverage_cells(row))) for row in matrix.rows],
-            "totals": list(matrix.totals),
-            "gap_ranking": [
-                {"Function": row.alias, "Shortfall": missing} for row, missing in gaps
-            ],
-        },
-    )
+    record = {
+        "rows": [dict(zip(COVERAGE_COLUMNS, coverage_cells(row))) for row in matrix.rows],
+        "totals": list(matrix.totals),
+        "gap_ranking": [{"Function": row.alias, "Shortfall": missing} for row, missing in gaps],
+    }
     detail = f"{len(matrix.rows)} functions, {len(gaps)} with missing coverage"
-    return [raw_path], detail
+    return record, [], detail
 
 
 @dataclass(frozen=True)
@@ -788,14 +786,14 @@ _PAIR_SPECS = {
 
 
 def _task_pairs(
-    ctx: PipelineContext, task: TaskConfig, raw_path: Path, reuse: bool
-) -> tuple[list[Path], str]:
+    ctx: PipelineContext, task: TaskConfig, previous: tuple | None, reuse: bool
+) -> tuple[dict, list[Path], str]:
     spec = _PAIR_SPECS[task.analysis_function]
     if reuse:
-        findings, _ = _findings_from_raw(raw_path)
+        findings, _ = previous
         if task.analyze:
             _take_findings(ctx, task, spec, findings)
-        return [], f"reused {len(findings)} findings"
+        return {}, [], f"reused {len(findings)} findings"
 
     classified = _classified_for(ctx, task)
     catalog = ctx.reports.catalog or _catalog_for(ctx, task)
@@ -804,35 +802,41 @@ def _task_pairs(
     if task.execute:
         detection = spec.detect(ctx, task, clusters)
     else:
-        detection = DetectionResult(*_findings_from_raw(_previous_raw(raw_path)))
+        detection = DetectionResult(*previous)
     files = _write_quarantine(ctx, task, detection.rejected)
 
     pair_score = _take_findings(ctx, task, spec, detection.findings) if task.analyze else None
     version = {"prompt_version": task.prompt_version} if spec.versioned else {}
-    _write_json(
-        raw_path,
-        {
-            "task": task.name,
-            "analysis_function": task.analysis_function,
-            **version,
-            "findings": [finding_record(f) for f in detection.findings],
-            "notes": detection.notes,
-            "score": asdict(pair_score) if pair_score else None,
-        },
-    )
+    record = {
+        **version,
+        "findings": [finding_record(f) for f in detection.findings],
+        "notes": detection.notes,
+        "score": asdict(pair_score) if pair_score else None,
+    }
     detail = f"{len(detection.findings)} findings across {len(clusters)} function clusters"
     if pair_score:
         detail += f", detection rate {pair_score.rate:.2f}"
-    return [raw_path, *files], detail
+    return record, files, detail
 
 
-# Each body takes the context, the task, its raw file and whether delta reuses
-# that file. On a reuse it reads its results back, publishes them, writes nothing.
+# Each body takes the context, the task, the results run_task read back from
+# the task's raw file (None when it read none) and whether delta reuses that
+# file. It returns the record run_task writes to the raw file, its other files
+# and its detail. On a reuse it publishes what was read back and writes nothing.
 BUILTIN_FUNCTIONS = {
     ANALYSIS_COMPLETENESS: _task_completeness,
     ANALYSIS_COVERAGE: _task_coverage,
     ANALYSIS_DUPLICATES: _task_pairs,
     ANALYSIS_CONTRADICTIONS: _task_pairs,
+}
+
+# The reader of each backend analysis' raw file, which run_task calls for a
+# delta reuse and for execute false. Coverage is computed locally, never talks
+# to the backend, and has none.
+RAW_READERS = {
+    ANALYSIS_COMPLETENESS: _rows_from_raw,
+    ANALYSIS_DUPLICATES: _findings_from_raw,
+    ANALYSIS_CONTRADICTIONS: _findings_from_raw,
 }
 
 
@@ -844,6 +848,9 @@ BUILTIN_FUNCTIONS = {
 def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> TaskResult:
     """Run (or skip) one task and return its outcome.
 
+    run_task is the only reader and writer of the task's raw file. It
+    reads the file back for a delta reuse or for execute false, and after
+    any other body that succeeds it writes the body's record there.
     A SafereqError or OSError comes back as a Failed result and leaves a
     .partial marker beside the raw output the task did not produce; any
     other exception is a bug and propagates. A task that succeeds removes
@@ -857,12 +864,9 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         return TaskResult(task.name, STATUS_SKIPPED, "run is false")
 
     # Local analyses recompute for free; delta only guards backend work.
+    reader = RAW_READERS.get(task.analysis_function)
     delta_hit = (
-        task.delta
-        and not ctx.force
-        and raw_path.exists()
-        and task.analysis_function not in LOCAL_FUNCTIONS
-        and task.execute
+        task.delta and not ctx.force and raw_path.exists() and reader is not None and task.execute
     )
     if dry_run:
         detail = (
@@ -872,13 +876,20 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
 
     calls_before = ctx.backend.calls
     try:
-        files, detail = BUILTIN_FUNCTIONS[task.analysis_function](
-            ctx, task, raw_path, delta_hit
+        previous = None
+        if reader is not None and (delta_hit or not task.execute):
+            if not raw_path.exists():
+                raise SafereqError("execute is false and no previous raw output exists")
+            previous = reader(raw_path)
+        record, files, detail = BUILTIN_FUNCTIONS[task.analysis_function](
+            ctx, task, previous, delta_hit
         )
         if delta_hit:
             result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {detail}")
         else:
-            result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=files)
+            raw = {"task": task.name, "analysis_function": task.analysis_function, **record}
+            _write_json(raw_path, raw)
+            result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=[raw_path, *files])
             partial.unlink(missing_ok=True)
     except (SafereqError, OSError) as exc:
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])

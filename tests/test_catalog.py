@@ -600,6 +600,25 @@ def test_four_thousand_colliding_processes_get_the_same_suffixes():
     assert aliases[:5] == ["M", "M2", "M3", "M7", "M4"]
 
 
+def test_a_chain_of_a_thousand_processes_gives_its_deepest_process():
+    # Each process consists of the next, so the walk goes 1,000 levels deep.
+    names = [f"Step {i}" for i in range(1000)]
+    graph = ArchitectureGraph(
+        things={
+            "Station": OplThing(name="Station", kind=ThingKind.OBJECT),
+            **{n: OplThing(name=n, kind=ThingKind.PROCESS) for n in names},
+        },
+        relations=[
+            OplRelation(RelationKind.EXHIBITION, "Station", (names[0],)),
+            *(OplRelation(RelationKind.AGGREGATION, a, (b,)) for a, b in zip(names, names[1:])),
+        ],
+    )
+    catalog = extract_catalog(graph)
+    functions = [e for e in catalog.entries if e.alias != CATCH_ALL_ALIAS]
+    assert [e.lineage for e in functions] == ["Station/Step 999"]
+    assert catalog.warnings == []
+
+
 def diamond_chain_outcome(k):
     """The catalog of diamond_chain(k) with a valve in every diamond, under
     hints naming every leaf: Stage k, then the valves from the bottom up."""
@@ -698,3 +717,9 @@ def test_llm_catalog_prompt_holds_the_model_in_its_tag():
     extract_catalog_llm("Drone exhibits Navigating.", LlmRequestParams(), backend)
     (prompt,) = backend.prompts
     assert "<architecture_model>\nDrone exhibits Navigating.\n</architecture_model>" in prompt
+
+
+def test_llm_catalog_refuses_a_lone_surrogate():
+    # json.dumps writes the lone surrogate as a "\ud800" escape.
+    with pytest.raises(SchemaViolationError, match="response text is not valid Unicode"):
+        llm_catalog({"Drone": {"NAV": "Drone/Nav\ud800igating"}})

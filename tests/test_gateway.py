@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -27,6 +28,7 @@ from safereq import (
     classify,
     detect_duplicates,
     extract_results_root,
+    gateway,
     parse_results_json,
     prompt_sha256,
     render_results,
@@ -732,15 +734,19 @@ def test_send_many_leaves_no_worker_thread_behind():
     assert not _send_threads()
 
 
-def test_send_many_keeps_a_computing_backend_on_the_calling_thread():
-    class Spinning(SleepyBackend):
+def test_send_many_keeps_a_computing_backend_on_the_calling_thread(monkeypatch):
+    # Both clocks the probe reads move only as the backend computes, so the
+    # first call reads as pure CPU, however long the host preempts it.
+    now = [0.0]
+    clocks = SimpleNamespace(perf_counter=lambda: now[0], thread_time=lambda: now[0])
+    monkeypatch.setattr(gateway, "time", clocks)
+
+    class Computing(SleepyBackend):
         def complete(self, prompt, params):
-            start = time.thread_time()
-            while time.thread_time() - start < 0.01:
-                pass
+            now[0] += 0.01
             return super().complete(prompt, params)
 
-    backend = Spinning()
+    backend = Computing()
     results = list(send_many([f"r{i}:0" for i in range(10)], LlmRequestParams(), backend))
     assert len(results) == 10
     assert backend.threads == {threading.get_ident()}

@@ -114,6 +114,14 @@ def set_max_concurrency(project, value):
     config_path.write_text(json.dumps(config), encoding="utf-8")
 
 
+def set_execute_false(project, *tasks):
+    config_path = project / "params.json"
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    for task in tasks:
+        config[task]["execute"] = False
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+
 def report_digests(project):
     reports = project / "B_Requirements" / "results" / "reports"
     return {
@@ -257,6 +265,7 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
     assert len(renders) == 2  # ARCHITECTURE and safety_function_type, once each
 
 
+@pytest.mark.parametrize("route", ["delta", "execute false"])
 @pytest.mark.parametrize(
     "task, payload",
     [
@@ -291,10 +300,12 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
         ),
     ],
 )
-def test_a_malformed_raw_file_fails_its_delta_rerun(project, task, payload):
+def test_a_malformed_raw_file_fails_its_delta_rerun(project, task, payload, route):
     assert not run_sample(project)[0].failed
     raw = project / "B_Requirements" / "results" / "raw" / f"{task}_T.json"
     raw.write_text(payload, encoding="utf-8")
+    if route == "execute false":
+        set_execute_false(project, task)
     report, _ = run_sample(project)
     by_name = {r.name: r for r in report.results}
     assert by_name[task].status == orchestrator.STATUS_FAILED
@@ -332,6 +343,54 @@ TASKS = [
 
 def statuses(report):
     return {r.name: r.status for r in report.results}
+
+
+BACKEND_TASKS = ["b_classify_requirements", "d_identify_duplicates", "e_identify_contradictions"]
+
+
+def results_tree(project):
+    results = project / "B_Requirements" / "results"
+    return {
+        path.relative_to(results): path.read_bytes()
+        for path in sorted(results.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_execute_false_on_every_backend_task_writes_the_same_results(project):
+    assert not run_sample(project)[0].failed
+    first = results_tree(project)
+    set_execute_false(project, *BACKEND_TASKS)
+    report, backend = run_sample(project)
+    assert [(r.name, r.status) for r in report.results] == [
+        (name, orchestrator.STATUS_SUCCEEDED) for name in TASKS
+    ]
+    assert [r.backend_calls for r in report.results] == [0, 0, 0, 0]
+    assert backend.prompts == []
+    assert results_tree(project) == first
+
+
+def test_execute_false_fails_when_the_input_ids_no_longer_match(project):
+    assert not run_sample(project)[0].failed
+    results = project / "B_Requirements" / "results"
+    joined = results / "joined" / "b_classify_requirements_joined.csv"
+    raw = results / "raw" / "b_classify_requirements_T.json"
+    before = joined.read_bytes(), raw.read_bytes()
+    csv_path = project / "B_Requirements" / "input" / "safety_requirements.csv"
+    header, rows = csv_path.read_text(encoding="utf-8").split("\n", 1)
+    new_row = "NEW-1,The drone shall blink a light."
+    csv_path.write_text(f"{header}\n{new_row}\n{rows}", encoding="utf-8")
+    set_execute_false(project, "b_classify_requirements")
+    backend = RecordingBackend(project / "fixtures")
+    report = run_all(project / "params.json", backend=backend, force=True, version_tag="T")
+    failed = report.results[0]
+    assert failed.status == orchestrator.STATUS_FAILED
+    assert failed.detail == (
+        "execute is false but the previous raw output does not match "
+        f"{csv_path.resolve()}: ReqID 'NEW-1' differs; execute the task again"
+    )
+    assert (joined.read_bytes(), raw.read_bytes()) == before
+    assert Path(f"{raw}.partial").exists()
 
 
 @pytest.mark.parametrize(
