@@ -146,6 +146,11 @@ def build_classification_prompt(
 # ---------------------------------------------------------------------------
 
 
+def _text(value) -> str:
+    """A record's field as stripped text; a missing or null one reads as empty."""
+    return "" if value is None else str(value).strip()
+
+
 def validate_records(
     records: list[dict],
     inputs: list[Requirement],
@@ -157,7 +162,9 @@ def validate_records(
     ids the backend never returned get placeholder rows (flag Unreturned,
     function _OF_, type _OT_); records with unknown or repeated ids are
     quarantined; a confidence that is not a finite number counts as 0, and
-    confidence below the threshold flags LowConfidence.
+    confidence below the threshold flags LowConfidence. A missing or null
+    field reads as empty text, but a blank system requirement falls back to
+    the requirement's own text, as an unreturned row's does.
     """
     known = {req.req_id: req for req in inputs}
     aliases = set(catalog.aliases)
@@ -192,12 +199,12 @@ def validate_records(
             continue
 
         flags: list[str] = []
-        function = str(record.get("Function", "")).strip()
+        function = _text(record.get("Function"))
         if function not in aliases:
             function = CATCH_ALL_ALIAS
             flags.append(FLAG_REMAPPED)
 
-        rtype = str(record.get("Type", "")).strip().upper()
+        rtype = _text(record.get("Type")).upper()
         if rtype not in TYPE_VALUES:
             rtype = OTHER_TYPE
 
@@ -205,17 +212,18 @@ def validate_records(
         if confidence < LOW_CONFIDENCE_THRESHOLD:
             flags.append(FLAG_LOW_CONFIDENCE)
 
+        system_requirement = _text(
+            record.get("System_Requirement", record.get("System Requirement"))
+        )
         rows.append(
             ClassifiedRequirement(
                 req_id=req.req_id,
                 function=function,
                 rtype=rtype,
                 confidence=confidence,
-                system_requirement=str(
-                    record.get("System_Requirement", record.get("System Requirement", ""))
-                ).strip(),
-                function_explanation=str(record.get("Function_Explanation", "")).strip(),
-                type_explanation=str(record.get("Type_Explanation", "")).strip(),
+                system_requirement=system_requirement or req.text,
+                function_explanation=_text(record.get("Function_Explanation")),
+                type_explanation=_text(record.get("Type_Explanation")),
                 flags=tuple(sorted(flags)),
             )
         )

@@ -31,7 +31,7 @@ from datetime import date
 from itertools import chain, zip_longest
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 from .catalog import (
     FunctionCatalog,
@@ -42,20 +42,16 @@ from .classify import (
     CLASSIFIED_COLUMNS,
     ClassifiedRequirement,
     accuracy,
-    clamp_confidence,
     classified_record,
     classified_table,
     classify,
 )
 from .coverage import COVERAGE_COLUMNS, build_matrix, coverage_cells, gap_ranking
 from .errors import (
-    EmptyDatasetError,
-    EmptyGoldError,
     InvalidConfigError,
     MalformedJsonError,
     MalformedRawFileError,
     MismatchedIdSetsError,
-    MissingColumnError,
     SafereqError,
     UnknownAnalysisFunctionError,
 )
@@ -92,7 +88,7 @@ from .reporting import (
     _write_json,
     emit_report_set,
 )
-from .requirements import Requirement, load_requirements, read_csv
+from .requirements import Requirement, load_requirements, read_keyed_csv
 from .requirements import chunk as chunk_requirements
 
 TASK_TYPE = "GENERATIVE_ANALYSIS_TASK"
@@ -455,14 +451,13 @@ def _resources_payload(ctx: PipelineContext, task: TaskConfig) -> dict:
     return payload
 
 
-def _catalog_for(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog | None:
-    """Catalog from the task's ARCHITECTURE resource, if one is configured.
+def _catalog_for(resources: dict) -> FunctionCatalog | None:
+    """Catalog from a task's ARCHITECTURE resource, if its resources hold one.
 
     Accepts the nested {system: {alias: lineage}} shape as well as the
     flat {alias: lineage} shape.
     """
-    payload = _resources_payload(ctx, task)
-    architecture = payload.get("ARCHITECTURE")
+    architecture = resources.get("ARCHITECTURE")
     if architecture is None:
         return None
     if not isinstance(architecture, dict):
@@ -472,8 +467,13 @@ def _catalog_for(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog | No
     return catalog_from_mapping(architecture)
 
 
-def _require_catalog(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog:
-    catalog = ctx.reports.catalog or _catalog_for(ctx, task)
+def _require_catalog(
+    ctx: PipelineContext, task: TaskConfig, resources: dict | None = None
+) -> FunctionCatalog:
+    """The run's catalog, else one built from resources, read from the task's file if None."""
+    catalog = ctx.reports.catalog or _catalog_for(
+        _resources_payload(ctx, task) if resources is None else resources
+    )
     if catalog is None:
         raise SafereqError(
             "no ARCHITECTURE resource configured; cannot build the function catalog"
@@ -481,38 +481,23 @@ def _require_catalog(ctx: PipelineContext, task: TaskConfig) -> FunctionCatalog:
     return catalog
 
 
-def _classified_from_file(path: Path, id_column: str) -> list[ClassifiedRequirement]:
-    """Reload classified rows from a joined CSV written by an earlier task."""
-    required = (id_column, "Function", "Type")
-    columns = (*required, "Confidence", "System Requirement", "Flags")
-    with read_csv(path, columns) as (header, table):
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise MissingColumnError(
-                f"columns missing from {path}: " + ", ".join(missing)
-            )
-        rows: list[ClassifiedRequirement] = []
-        for _, (req_id, function, rtype, confidence, requirement, flags) in table:
-            req_id = (req_id or "").strip()
-            if not req_id:
-                continue
-            rows.append(
-                ClassifiedRequirement(
-                    req_id=req_id,
-                    function=(function or "").strip(),
-                    rtype=(rtype or "").strip(),
-                    confidence=clamp_confidence(confidence),
-                    system_requirement=(requirement or "").strip(),
-                    flags=tuple(f for f in (flags or "").split("|") if f),
-                )
-            )
-    if not rows:
-        raise EmptyDatasetError(f"no classified rows in {path}")
-    return rows
+def _classified_from_file(
+    path: Path, id_column: str, columns: Sequence[str] = ("Function", "Type")
+) -> list[ClassifiedRequirement]:
+    """Classified rows of a joined CSV: only columns are read, other fields empty, confidence 0."""
+    _, table = read_keyed_csv(path, id_column, columns)
+    fields = ["req_id", *(CLASSIFIED_COLUMNS[name] for name in columns)]
+    unread = {"function": "", "rtype": "", "confidence": 0}
+    return [
+        ClassifiedRequirement(**{**unread, **dict(zip(fields, row))})
+        for row in zip(table[id_column], *(table[name] for name in columns))
+    ]
 
 
-def _classified_for(ctx: PipelineContext, task: TaskConfig) -> list[ClassifiedRequirement]:
-    """Classified rows from the pipeline context, else from input_file."""
+def _classified_for(
+    ctx: PipelineContext, task: TaskConfig, columns: Sequence[str]
+) -> list[ClassifiedRequirement]:
+    """Classified rows from the pipeline context, else columns of input_file."""
     if ctx.reports.classified is not None:
         return ctx.reports.classified
     path = _resolve(ctx.config, task, task.input_file)
@@ -520,7 +505,7 @@ def _classified_for(ctx: PipelineContext, task: TaskConfig) -> list[ClassifiedRe
         if _under_some_output(ctx.config, path):
             raise SafereqError(f"missing upstream output: {path}")
         raise SafereqError(f"input file not found: {path}")
-    return _classified_from_file(path, task.dataset_id_column)
+    return _classified_from_file(path, task.dataset_id_column, columns)
 
 
 @contextmanager
@@ -597,15 +582,8 @@ def _findings_from_raw(path: Path) -> tuple[list[PairFinding], list[str]]:
 
 
 def _load_gold_labels(path: Path) -> dict[str, tuple[str, str]]:
-    gold: dict[str, tuple[str, str]] = {}
-    with read_csv(path, ("ReqID", "Function", "Type")) as (_, table):
-        for _, (req_id, function, rtype) in table:
-            req_id = (req_id or "").strip()
-            if req_id:
-                gold[req_id] = ((function or "").strip(), (rtype or "").strip())
-    if not gold:
-        raise EmptyGoldError(f"no gold labels in {path}")
-    return gold
+    _, table = read_keyed_csv(path, "ReqID", ("Function", "Type"))
+    return dict(zip(table["ReqID"], zip(table["Function"], table["Type"])))
 
 
 def _take_rows(
@@ -682,7 +660,8 @@ def _task_completeness(
             _take_rows(ctx, task, _require_catalog(ctx, task), rows)
         return {}, [], f"reused {len(rows)} classified rows"
 
-    catalog = _require_catalog(ctx, task)
+    resources = _resources_payload(ctx, task)
+    catalog = _require_catalog(ctx, task, resources)
     input_path = _resolve(ctx.config, task, task.input_file)
     if not input_path.exists():
         raise SafereqError(f"input file not found: {input_path}")
@@ -696,8 +675,7 @@ def _task_completeness(
         template = PromptEnvelope(
             instructions=_read_instructions(ctx, task),
             resources=tuple(
-                PromptResource(tag=key, body=value)
-                for key, value in _resources_payload(ctx, task).items()
+                PromptResource(tag=key, body=value) for key, value in resources.items()
             ),
             dataset_name=task.dataset_name,
         )
@@ -736,7 +714,7 @@ def _task_completeness(
 def _task_coverage(
     ctx: PipelineContext, task: TaskConfig, previous: tuple | None, reuse: bool
 ) -> tuple[dict, list[Path], str]:
-    classified = _classified_for(ctx, task)
+    classified = _classified_for(ctx, task, ("Function", "Type"))
     catalog = _require_catalog(ctx, task)
     matrix = build_matrix(classified, catalog)
     gaps = gap_ranking(matrix)
@@ -795,8 +773,8 @@ def _task_pairs(
             _take_findings(ctx, task, spec, findings)
         return {}, [], f"reused {len(findings)} findings"
 
-    classified = _classified_for(ctx, task)
-    catalog = ctx.reports.catalog or _catalog_for(ctx, task)
+    classified = _classified_for(ctx, task, ("Function", "System Requirement"))
+    catalog = ctx.reports.catalog or _catalog_for(_resources_payload(ctx, task))
     clusters = cluster_by_function(classified, catalog)
 
     if task.execute:

@@ -19,6 +19,7 @@ from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .classify import ClassifiedRequirement
 from .errors import (
     AliasClosureViolationError,
+    BlankReqIdError,
     EmptyGoldError,
     FindingConflictError,
 )
@@ -30,7 +31,7 @@ from .gateway import (
     ask_many,
     encode_row,
 )
-from .requirements import read_csv
+from .requirements import read_csv, require_columns
 from .rounding import percentage
 
 KIND_DUPLICATE = "Duplicate"
@@ -394,13 +395,26 @@ def detect_contradictions(
 
 
 def load_gold_pairs(path: str | Path, kind: str) -> GoldPairs:
-    """Load a two-column CSV (req_a, req_b) of gold pairs for one kind."""
+    """Load a two-column CSV (req_a, req_b) of gold pairs for one kind.
+
+    Raises:
+        MissingColumnError: req_a or req_b absent from the header, all named.
+        MalformedCsvError: a line that is not UTF-8 or not readable CSV.
+        BlankReqIdError: rows with a blank side.
+        EmptyGoldError: a header but no pairs.
+    """
     pairs: set[tuple[str, str]] = set()
-    with read_csv(path, ("req_a", "req_b")) as (_, table):
-        for _, (a, b) in table:
+    blank_rows: list[int] = []
+    with read_csv(path, ("req_a", "req_b")) as (header, table):
+        require_columns(path, header, ("req_a", "req_b"))
+        for line, (a, b) in table:
             a, b = (a or "").strip(), (b or "").strip()
             if a and b:
                 pairs.add((min(a, b), max(a, b)))
+            else:
+                blank_rows.append(line)
+    if blank_rows:
+        raise BlankReqIdError(blank_rows)
     if not pairs:
         raise EmptyGoldError(f"no gold pairs in {path}")
     return GoldPairs(kind=kind, pairs=frozenset(pairs))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -93,63 +94,85 @@ def _checked(reader: Iterator[list[str]], path: str | Path) -> Iterator[list[str
         raise MalformedCsvError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from exc
 
 
-def load_requirements(
-    path: str | Path, id_column: str, data_columns: list[str]
-) -> list[Requirement]:
-    """Load one Requirement per data row from an RFC-4180 CSV file.
+def require_columns(path: str | Path, header: Sequence[str], names: Sequence[str]) -> None:
+    """Raise MissingColumnError naming every one of names that header lacks."""
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise MissingColumnError(f"columns missing from {path}: " + ", ".join(missing))
 
-    A single data column becomes the text verbatim; several are joined as
-    "column: value" lines, which is also how prompts will render them.
-    Row order is preserved. A UTF-8 BOM and quoted embedded newlines are
-    tolerated.
+
+def read_keyed_csv(
+    path: str | Path, id_column: str, columns: Sequence[str]
+) -> tuple[list[int], dict[str, list[str]]]:
+    """Read a CSV file keyed by id_column by the one set of rules for such files.
+
+    Gives the line each data row ends on and the rows' stripped cells by
+    column: id_column's, then every other header name's, in header order.
+    Rows are read as read_csv reads them, the whole file before any id.
 
     Raises:
-        MissingColumnError: id or data column absent from the header.
+        MissingColumnError: id_column or columns absent from the header, all named.
         MalformedCsvError: a line that is not UTF-8 or not readable CSV.
+        DuplicateReqIdError: the same id on two rows (the first two named).
         BlankReqIdError: rows whose id is blank.
-        DuplicateReqIdError: the same id on two rows (both rows named).
-        EmptyRequirementTextError: rows whose data columns are all blank.
         EmptyDatasetError: a header but no data rows.
     """
     with read_csv(path) as (header, table):
-        missing = [c for c in [id_column, *data_columns] if c not in header]
-        if missing:
-            raise MissingColumnError(
-                f"columns missing from {path}: " + ", ".join(missing)
-            )
+        require_columns(path, header, [id_column, *columns])
+        body = list(table)
+    if not body:
+        raise EmptyDatasetError(f"no data rows in {path}")
+    lines = list(map(itemgetter(0), body))
+    rows = list(map(itemgetter(1), body))
+    last = {name: i for i, name in enumerate(header)}
+    cells: dict[str, list[str]] = {}
+    for name in dict.fromkeys([id_column, *header]):
+        column = list(map(itemgetter(last[name]), rows))
+        if None in column:  # the cells past a short row's end
+            column = [cell or "" for cell in column]
+        cells[name] = list(map(str.strip, column))
 
-        rows: list[Requirement] = []
+    ids = cells[id_column]
+    if len(set(ids)) < len(ids) or "" in ids:
         first_row_of: dict[str, int] = {}
-        blank_ids: list[int] = []
-        blank_rows: list[int] = []
-        for line, cells in table:
-            # As DictReader's dict: a repeated name keeps its last cell.
-            row = {col: (cell or "").strip() for col, cell in zip(header, cells)}
-            req_id = row[id_column]
-            if not req_id:
-                blank_ids.append(line)
-                continue
-            if req_id in first_row_of:
+        for line, req_id in zip(lines, ids):
+            if req_id and req_id in first_row_of:
                 raise DuplicateReqIdError(req_id, first_row_of[req_id], line)
             first_row_of[req_id] = line
+        raise BlankReqIdError([line for line, req_id in zip(lines, ids) if not req_id])
+    return lines, cells
 
-            values = [(col, row[col]) for col in data_columns]
-            if not any(v for _, v in values):
-                blank_rows.append(line)
-                continue
-            if len(values) == 1:
-                text = values[0][1]
-            else:
-                text = "\n".join(f"{col}: {v}" for col, v in values)
-            del row[id_column]
-            rows.append(Requirement(req_id=req_id, text=text, extra=row))
 
-    if blank_ids:
-        raise BlankReqIdError(blank_ids)
+def load_requirements(
+    path: str | Path, id_column: str, data_columns: list[str]
+) -> list[Requirement]:
+    """Load one Requirement per data row, in order, by read_keyed_csv's rules.
+
+    A single data column becomes the text verbatim; several are joined as
+    "column: value" lines, which is also how prompts will render them.
+    Every column but the id lands in extra.
+
+    Raises:
+        the errors of read_keyed_csv, then
+        EmptyRequirementTextError: rows whose data columns are all blank.
+    """
+    lines, table = read_keyed_csv(path, id_column, data_columns)
+    rows: list[Requirement] = []
+    blank_rows: list[int] = []
+    for line, cells in zip(lines, zip(*table.values())):
+        row = dict(zip(table, cells))
+        values = [(col, row[col]) for col in data_columns]
+        if not any(v for _, v in values):
+            blank_rows.append(line)
+            continue
+        if len(values) == 1:
+            text = values[0][1]
+        else:
+            text = "\n".join(f"{col}: {v}" for col, v in values)
+        req_id = row.pop(id_column)
+        rows.append(Requirement(req_id=req_id, text=text, extra=row))
     if blank_rows:
         raise EmptyRequirementTextError(blank_rows)
-    if not rows:
-        raise EmptyDatasetError(f"no data rows in {path}")
     return rows
 
 

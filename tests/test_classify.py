@@ -159,6 +159,30 @@ def test_confidence_clamped_and_low_confidence_flagged():
         assert FLAG_LOW_CONFIDENCE in by_id[rid].flags
 
 
+def test_a_missing_blank_or_null_system_requirement_falls_back_to_the_requirement_text():
+    without = record("1")
+    del without["System_Requirement"]
+    outcome = validate_records(
+        [
+            without,
+            record("2", System_Requirement=None, Function_Explanation=None),
+            record("3", System_Requirement="  ", Type_Explanation=None),
+            record("4"),
+        ],
+        reqs("1", "2", "3", "4"),
+        small_catalog(),
+    )
+    assert [r.system_requirement for r in outcome.rows] == [
+        "The system shall 1.",
+        "The system shall 2.",
+        "The system shall 3.",
+        "The drone shall 4.",
+    ]
+    assert outcome.rows[1].function_explanation == ""
+    assert outcome.rows[2].type_explanation == ""
+    assert outcome.rows[3].function_explanation == "because"
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)

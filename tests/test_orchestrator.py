@@ -1002,6 +1002,69 @@ def test_non_finite_confidence_in_a_joined_table_reads_as_zero(tmp_path):
     assert [r.confidence for r in rows] == [0, 0, 0, 0]
 
 
+def append_a_copy_of_the_first_row(joined):
+    with open(joined, encoding="utf-8", newline="") as handle:
+        table = list(csv.reader(handle))
+    with open(joined, "a", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerow(table[1])
+
+
+def test_a_repeated_reqid_in_a_joined_table_fails_coverage(tmp_path):
+    run_project(tmp_path)
+    append_a_copy_of_the_first_row(tmp_path / "results" / "joined" / "b_classify_joined.csv")
+    report = run_all(tmp_path / "params.json", version_tag="TEST", only_task="c_coverage")
+    (result,) = report.results
+    assert result.status == "Failed"
+    assert result.detail == "duplicate req_id '2000' at rows 2 and 6"
+
+
+class RecordingBackend(MockBackend):
+    def __init__(self, fixture_dir):
+        super().__init__(fixture_dir)
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return super().complete(prompt, params)
+
+
+def test_a_pair_task_run_alone_sends_what_the_full_run_sent(tmp_path):
+    config_path = make_project(tmp_path)
+    full = RecordingBackend(tmp_path / "fixtures")
+    run_all(config_path, backend=full, version_tag="TEST")
+    alone = RecordingBackend(tmp_path / "fixtures")
+    report = run_all(
+        config_path, backend=alone, version_tag="TEST", only_task="d_duplicates", force=True
+    )
+    assert [r.status for r in report.results] == ["Succeeded"]
+    assert "The system shall satisfy 2000." in alone.prompts[0]
+    assert sorted(alone.prompts) == sorted(p for p in full.prompts if p in alone.prompts)
+    assert len(alone.prompts) == 2
+
+
+def test_a_pair_task_run_alone_needs_the_system_requirement_column_but_not_type(tmp_path):
+    config = base_config()
+    config["defaults"]["result_columns"] = ["Function", "Type", "Confidence"]
+    run_project(tmp_path, config=config)
+    report = run_all(
+        tmp_path / "params.json", version_tag="TEST", only_task="d_duplicates", force=True
+    )
+    (result,) = report.results
+    assert result.status == "Failed"
+    assert result.detail.endswith("b_classify_joined.csv: System Requirement")
+
+    config["defaults"]["result_columns"] = ["Function", "System Requirement"]
+    (tmp_path / "params.json").write_text(json.dumps(config), encoding="utf-8")
+    run_all(tmp_path / "params.json", version_tag="TEST", force=True)
+    results = {
+        task: run_all(tmp_path / "params.json", version_tag="T2", only_task=task).results[0]
+        for task in ("c_coverage", "d_duplicates")
+    }
+    assert results["c_coverage"].status == "Failed"
+    assert results["c_coverage"].detail.endswith("b_classify_joined.csv: Type")
+    assert results["d_duplicates"].status == "Succeeded"
+
+
 def test_gold_file_scores_classification(tmp_path):
     config = base_config()
     config["b_classify"]["gold_file"] = "gold.csv"
@@ -1073,6 +1136,73 @@ def test_execute_false_without_raw_output_fails(tmp_path):
     by_name = {r.name: r for r in report.results}
     assert by_name["b_classify"].status == "Failed"
     assert "no previous raw output" in by_name["b_classify"].detail
+
+
+def test_classification_with_analyze_false_writes_raw_and_quarantine_but_publishes_nothing(
+    tmp_path,
+):
+    config = base_config()
+    config["b_classify"]["analyze"] = False
+    classify_results = [
+        classify_record(req_id, "NAV", "FUNC", 90) for req_id in ("2000", "2001", "2002", "2003")
+    ] + [classify_record("9999", "NAV", "FUNC", 90)]
+    config_path = make_project(tmp_path, config, classify_results=classify_results)
+    report = run_all(config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST")
+
+    by_name = {r.name: r for r in report.results}
+    results = (tmp_path / "results").resolve()
+    assert by_name["b_classify"].status == "Succeeded"
+    assert by_name["b_classify"].files == [
+        results / "raw" / "b_classify_TEST.json",
+        results / "quarantine" / "b_classify_TEST.json",
+    ]
+    assert not (results / "joined").exists()
+    for name in ("c_coverage", "d_duplicates", "e_contradictions"):
+        assert by_name[name].status == "Failed"
+        assert by_name[name].detail.startswith("missing upstream output: ")
+    assert report.report_set is None
+    assert not (results / "reports").exists()
+
+
+def test_a_delta_rerun_with_analyze_false_calls_no_backend_and_builds_no_catalog(tmp_path):
+    config = base_config()
+    config["b_classify"]["analyze"] = False
+    config_path = make_project(tmp_path, config)
+    first = run_all(
+        config_path,
+        backend=MockBackend(tmp_path / "fixtures"),
+        version_tag="TEST",
+        only_task="b_classify",
+    )
+    assert first.results[0].files == [(tmp_path / "results/raw/b_classify_TEST.json").resolve()]
+    (tmp_path / "resources.json").unlink()  # a catalog could only come from here
+
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
+    report = run_all(config_path, backend=backend, version_tag="TEST", only_task="b_classify")
+    (result,) = report.results
+    assert (result.status, result.detail) == ("Skipped", "delta: reused 4 classified rows")
+    assert backend.calls == 0
+    assert report.report_set is None
+
+
+def test_an_executed_classification_reads_its_resources_file_once(tmp_path, monkeypatch):
+    config_path = make_project(tmp_path)
+    reads = []
+    read_json = orchestrator._read_json
+
+    def counted(path):
+        reads.append(path.name)
+        return read_json(path)
+
+    monkeypatch.setattr(orchestrator, "_read_json", counted)
+    report = run_all(
+        config_path,
+        backend=MockBackend(tmp_path / "fixtures"),
+        version_tag="TEST",
+        only_task="b_classify",
+    )
+    assert report.results[0].status == "Succeeded"
+    assert reads.count("resources.json") == 1
 
 
 def test_verbose_prints_task_lines(tmp_path, capsys):

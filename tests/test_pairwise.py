@@ -32,8 +32,10 @@ from safereq import (
 from safereq import pairwise
 from safereq.errors import (
     AliasClosureViolationError,
+    BlankReqIdError,
     EmptyGoldError,
     FindingConflictError,
+    MissingColumnError,
 )
 
 # CaptureBackend answers by call order, so calls must stay sequential.
@@ -394,6 +396,21 @@ def test_load_gold_pairs_empty_raises(tmp_path):
     path.write_text("req_a,req_b\n")
     with pytest.raises(EmptyGoldError):
         load_gold_pairs(path, KIND_DUPLICATE)
+
+
+def test_load_gold_pairs_names_every_missing_column(tmp_path):
+    path = tmp_path / "gold.csv"
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(MissingColumnError, match="req_a, req_b"):
+        load_gold_pairs(path, KIND_DUPLICATE)
+
+
+def test_load_gold_pairs_refuses_a_row_with_a_blank_side_naming_its_line(tmp_path):
+    path = tmp_path / "gold.csv"
+    path.write_text("req_a,req_b\n1,2\n3, \n4,5\n,6\n")
+    with pytest.raises(BlankReqIdError) as exc:
+        load_gold_pairs(path, KIND_DUPLICATE)
+    assert exc.value.rows == [3, 5]
 
 
 def gold_of(n, kind=KIND_DUPLICATE):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from safereq import Requirement, chunk, load_gold_pairs, load_requirements
 from safereq.orchestrator import _classified_from_file, _load_gold_labels
-from safereq.requirements import read_csv
+from safereq.requirements import read_csv, read_keyed_csv
 from safereq.errors import (
     BlankReqIdError,
     DuplicateReqIdError,
@@ -186,6 +186,85 @@ def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, read, at):
     with pytest.raises(MalformedCsvError) as exc:
         read(path)
     assert str(exc.value) == f"{path}, line {at}: not UTF-8 (invalid start byte)"
+
+
+# Every reader of a CSV file keyed by ReqID; each needs Function and Type or Text.
+KEYED_READERS = {
+    name: CSV_READERS[name] for name in ("requirements", "classified rows", "gold labels")
+}
+KEYED_HEADER = "ReqID,Text,Function,Type\n"
+
+
+@pytest.mark.parametrize("read", KEYED_READERS.values(), ids=KEYED_READERS.keys())
+def test_every_keyed_reader_refuses_a_repeated_id_naming_both_rows(tmp_path, read):
+    path = write_csv(tmp_path, KEYED_HEADER + "1,a,NAV,FUNC\n2,b,EN,PROB\n 1 ,c,EN,FUNC\n")
+    with pytest.raises(DuplicateReqIdError, match="duplicate req_id '1' at rows 2 and 4"):
+        read(path)
+
+
+@pytest.mark.parametrize("read", KEYED_READERS.values(), ids=KEYED_READERS.keys())
+def test_every_keyed_reader_refuses_blank_ids_naming_their_lines(tmp_path, read):
+    path = write_csv(tmp_path, KEYED_HEADER + "1,a,NAV,FUNC\n ,b,EN,PROB\n,c,EN,FUNC\n")
+    with pytest.raises(BlankReqIdError) as exc:
+        read(path)
+    assert exc.value.rows == [3, 4]
+
+
+@pytest.mark.parametrize("read", KEYED_READERS.values(), ids=KEYED_READERS.keys())
+def test_every_keyed_reader_refuses_a_file_without_data_rows(tmp_path, read):
+    with pytest.raises(EmptyDatasetError):
+        read(write_csv(tmp_path, KEYED_HEADER + "\n"))
+
+
+@pytest.mark.parametrize(
+    "name, missing",
+    [
+        ("requirements", "ReqID, Text"),
+        ("classified rows", "ReqID, Function, Type"),
+        ("gold labels", "ReqID, Function, Type"),
+    ],
+)
+def test_every_keyed_reader_names_all_its_missing_columns(tmp_path, name, missing):
+    path = write_csv(tmp_path, "Id,Kind\n1,a\n")
+    with pytest.raises(MissingColumnError) as exc:
+        KEYED_READERS[name](path)
+    assert str(exc.value) == f"columns missing from {path}: {missing}"
+
+
+def test_gold_labels_need_a_type_column_and_distinct_ids(tmp_path):
+    path = write_csv(tmp_path, "ReqID,Function,Kind\n1,EN,x\n1,NAV,y\n2,NAV,z\n")
+    with pytest.raises(MissingColumnError, match="columns missing from .*: Type$"):
+        _load_gold_labels(path)
+    path.write_text("ReqID,Function,Type\n1,EN,FUNC\n1,NAV,PROB\n2,NAV,FUNC\n")
+    with pytest.raises(DuplicateReqIdError, match="rows 2 and 3"):
+        _load_gold_labels(path)
+
+
+def test_a_joined_csv_is_read_for_the_columns_asked_for_only(tmp_path):
+    path = write_csv(
+        tmp_path,
+        "ReqID,Function,Type,Confidence,System Requirement,Flags\n"
+        "1, NAV ,FUNC,95,The drone shall hover.,LowConfidence\n",
+    )
+    (coverage,) = _classified_from_file(path, "ReqID")
+    (pair,) = _classified_from_file(path, "ReqID", ("Function", "System Requirement"))
+    assert (coverage.function, coverage.rtype, coverage.system_requirement) == ("NAV", "FUNC", "")
+    assert (pair.function, pair.rtype, pair.system_requirement) == (
+        "NAV", "", "The drone shall hover."
+    )
+    assert (pair.confidence, pair.flags, pair.function_explanation) == (0, (), "")
+    path.write_text("ReqID,Function,Type\n1,NAV,FUNC\n")
+    with pytest.raises(MissingColumnError, match="System Requirement"):
+        _classified_from_file(path, "ReqID", ("Function", "System Requirement"))
+
+
+def test_read_keyed_csv_gives_stripped_cells_by_column_with_the_id_first(tmp_path):
+    path = write_csv(tmp_path, "x,ReqID,x,Text\n1, a ,2,t\n\n3,b\n")
+    lines, table = read_keyed_csv(path, "ReqID", ["Text"])
+    assert lines == [2, 4]
+    # A repeated name reads its last cell; a short row's missing cells read blank.
+    assert table == {"ReqID": ["a", "b"], "x": ["2", ""], "Text": ["t", ""]}
+    assert list(table) == ["ReqID", "x", "Text"]
 
 
 # ---------------------------------------------------------------------------
