@@ -3,7 +3,7 @@
 Runs every task of the sample project (classification, coverage gaps,
 duplicates, contradictions) against the mock backend, then runs it a
 second time to show the delta logic reusing the first run's outputs
-without a single backend call.
+without a single backend call, and the unchanged report set kept as it is.
 
 Equivalent to:
 
@@ -25,7 +25,8 @@ def show(report):
             line += f" [{result.backend_calls} backend calls]"
         print(line)
     if report.report_set is not None:
-        print("  reports:", report.report_set.summary_path.parent)
+        unchanged = " (unchanged)" if report.report_set.reused else ""
+        print(f"  reports: {report.report_set.summary_path.parent}{unchanged}")
     print("  backend calls in total:", sum(r.backend_calls for r in report.results))
 
 

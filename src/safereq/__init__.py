@@ -11,6 +11,9 @@ replays canned responses so every part runs offline.
 
 from __future__ import annotations
 
+# Set before the imports: reporting reads it as they run.
+__version__ = "0.1.0"
+
 from . import errors
 from .catalog import (
     CATCH_ALL_ALIAS,
@@ -115,8 +118,6 @@ from .reporting import (
 from .requirements import Requirement, RequirementChunk, chunk, load_requirements
 from .rounding import percentage, round_half_up
 from .xmi import parse_xmi_bdd
-
-__version__ = "0.1.0"
 
 __all__ = [
     "errors",

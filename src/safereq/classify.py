@@ -83,12 +83,12 @@ CLASSIFIED_COLUMNS = {
     "Type_Explanation": "type_explanation",
     "Flags": "flags",
 }
-_VALUES = attrgetter(*CLASSIFIED_COLUMNS.values())
+classified_cells = attrgetter(*CLASSIFIED_COLUMNS.values())
 
 
 def classified_record(row: ClassifiedRequirement) -> dict:
     """row keyed by CLASSIFIED_COLUMNS, as the raw file stores it: Flags unjoined."""
-    return dict(zip(CLASSIFIED_COLUMNS, _VALUES(row)))
+    return dict(zip(CLASSIFIED_COLUMNS, classified_cells(row)))
 
 
 def classified_table(
@@ -100,7 +100,7 @@ def classified_table(
     """
     at = None if columns is None else [list(CLASSIFIED_COLUMNS).index(c) for c in columns]
     for row in rows:
-        cells = list(_VALUES(row))
+        cells = list(classified_cells(row))
         cells[-1] = "|".join(row.flags)  # Flags is the last column
         yield cells if at is None else [cells[i] for i in at]
 

@@ -28,7 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to the pipeline config JSON")
     run.add_argument("--task", help="run only this task")
     run.add_argument(
-        "--force", action="store_true", help="re-run tasks even when delta is satisfied"
+        "--force",
+        action="store_true",
+        help="re-run tasks even when delta is satisfied, and rewrite an unchanged report set",
     )
     run.add_argument(
         "--backend",
@@ -73,8 +75,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.verbose:
             for path in result.files:
                 print(f"  wrote {path}")
-    if report.report_set is not None and report.report_set.summary_path is not None:
-        print(f"reports: {report.report_set.summary_path.parent}")
+    report_set = report.report_set
+    if report_set is not None and report_set.summary_path is not None:
+        unchanged = " (unchanged)" if report_set.reused else ""
+        print(f"reports: {report_set.summary_path.parent}{unchanged}")
     return 1 if report.failed else 0
 
 

@@ -79,6 +79,17 @@ class BlankReqIdError(SafereqError):
         super().__init__("blank req_id at rows: " + ", ".join(str(r) for r in self.rows))
 
 
+class SelfPairError(SafereqError):
+    """One or more gold pair rows pair a requirement with itself."""
+
+    def __init__(self, rows: list[int]):
+        self.rows = list(rows)
+        super().__init__(
+            "gold pair of a requirement with itself at rows: "
+            + ", ".join(str(r) for r in self.rows)
+        )
+
+
 class MalformedCsvError(SafereqError):
     """A CSV file is not UTF-8, or the csv module cannot read one of its rows."""
 

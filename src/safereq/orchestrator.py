@@ -16,8 +16,9 @@ reads its results back, as it does for execute false, and the body
 publishes them without writing anything, so downstream tasks and the
 final report set behave exactly as on the first run. Failures leave a
 .partial file beside the missing output instead; the next success
-removes it. Every file is written to a temp file beside it and moved
-into place, so a crash never leaves a truncated file a later run trusts.
+removes it. Every file is written to a temp file beside it, synced to
+disk and moved into place, so neither a crash nor a power loss leaves a
+truncated file a later run trusts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from itertools import chain, zip_longest
@@ -87,6 +88,9 @@ from .reporting import (
     _write_csv,
     _write_json,
     emit_report_set,
+    report_key,
+    reused_report_set,
+    write_report_record,
 )
 from .requirements import Requirement, load_requirements, read_keyed_csv
 from .requirements import chunk as chunk_requirements
@@ -421,6 +425,10 @@ def _raw_path(cfg: PipelineConfig, task: TaskConfig, tag: str) -> Path:
 
 def _joined_path(cfg: PipelineConfig, task: TaskConfig) -> Path:
     return _out_dir(cfg, task) / "joined" / f"{task.name}_joined.csv"
+
+
+def _report_record_path(cfg: PipelineConfig, tag: str) -> Path:
+    return cfg.config_dir / ".safereq" / f"reports_{tag}.json"
 
 
 def _under_some_output(cfg: PipelineConfig, path: Path) -> bool:
@@ -897,6 +905,12 @@ def run_all(
     task and covers whatever artifacts the run produced (results that
     delta-skipped tasks read back included); missing parts appear as not
     run in the summary.
+
+    After writing the set, the run records its content key (report_key)
+    and each file's sha256 in <config dir>/.safereq/reports_<tag>.json.
+    A run that is not forced, whose key matches that record and whose
+    files still hash as recorded, writes nothing and returns the
+    recorded set, marked reused.
     """
     cfg = load_config(config_path)
     if only_task is not None and all(t.name != only_task for t in cfg.tasks):
@@ -919,8 +933,17 @@ def run_all(
     parts = (inputs.classified, inputs.coverage, inputs.duplicates, inputs.contradictions)
     if not dry_run and selected and any(part is not None for part in parts):
         reports_dir = _out_dir(cfg, selected[-1]) / "reports"
-        try:
-            report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
-        except OSError as exc:
-            raise SafereqError(f"cannot write the report set to {reports_dir}: {exc}") from exc
+        record = _report_record_path(cfg, ctx.version_tag)
+        key = report_key(inputs, ctx.version_tag)
+        if not force:
+            report_set = reused_report_set(record, key, reports_dir)
+        if report_set is None:
+            try:
+                report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
+            except OSError as exc:
+                raise SafereqError(f"cannot write the report set to {reports_dir}: {exc}") from exc
+            # The record only spares a later run the writes; without it, that run
+            # writes again. A path that is not UTF-8 cannot go into its JSON.
+            with suppress(OSError, UnicodeError):
+                write_report_record(record, key, report_set, reports_dir)
     return RunReport(results=results, report_set=report_set)

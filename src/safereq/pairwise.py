@@ -22,6 +22,7 @@ from .errors import (
     BlankReqIdError,
     EmptyGoldError,
     FindingConflictError,
+    SelfPairError,
 )
 from .gateway import (
     Backend,
@@ -401,20 +402,27 @@ def load_gold_pairs(path: str | Path, kind: str) -> GoldPairs:
         MissingColumnError: req_a or req_b absent from the header, all named.
         MalformedCsvError: a line that is not UTF-8 or not readable CSV.
         BlankReqIdError: rows with a blank side.
+        SelfPairError: rows whose two sides are one requirement, which no
+            finding can pair.
         EmptyGoldError: a header but no pairs.
     """
     pairs: set[tuple[str, str]] = set()
     blank_rows: list[int] = []
+    self_rows: list[int] = []
     with read_csv(path, ("req_a", "req_b")) as (header, table):
         require_columns(path, header, ("req_a", "req_b"))
         for line, (a, b) in table:
             a, b = (a or "").strip(), (b or "").strip()
-            if a and b:
-                pairs.add((min(a, b), max(a, b)))
-            else:
+            if not (a and b):
                 blank_rows.append(line)
+            elif a == b:
+                self_rows.append(line)
+            else:
+                pairs.add((min(a, b), max(a, b)))
     if blank_rows:
         raise BlankReqIdError(blank_rows)
+    if self_rows:
+        raise SelfPairError(self_rows)
     if not pairs:
         raise EmptyGoldError(f"no gold pairs in {path}")
     return GoldPairs(kind=kind, pairs=frozenset(pairs))

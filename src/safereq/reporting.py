@@ -8,6 +8,7 @@ wall-clock time; the version tag is the only run identifier.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -16,8 +17,14 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
+from . import __version__
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
-from .classify import CLASSIFIED_COLUMNS, ClassifiedRequirement, classified_table
+from .classify import (
+    CLASSIFIED_COLUMNS,
+    ClassifiedRequirement,
+    classified_cells,
+    classified_table,
+)
 from .coverage import COVERAGE_COLUMNS, CoverageMatrix, coverage_cells, gap_ranking
 from .errors import SafereqError
 from .pairwise import PAIR_COLUMNS, PairFinding, finding_cells
@@ -60,6 +67,8 @@ class ReportInputs:
 @dataclass
 class ReportSet:
     files: dict[str, Path] = field(default_factory=dict)
+    # True when the files on disk were kept, not written: see reused_report_set.
+    reused: bool = field(default=False, compare=False)
 
     @property
     def summary_path(self) -> Path | None:
@@ -77,13 +86,17 @@ def _replacing(path: Path, newline: str | None = None):
 
     A write that raises, or a process that dies, midway leaves the old
     file, if any, untouched. An exception also removes the temp file; a
-    killed process leaves it, under a dot name no reader looks for.
+    killed process leaves it, under a dot name no reader looks for. The
+    temp file reaches the disk before the move, so a power loss cannot
+    leave an empty file under path either.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", newline=newline) as handle:
             yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -397,3 +410,69 @@ def emit_report_set(inputs: ReportInputs, out_dir: str | Path, version_tag: str)
     files["summary"] = out / f"summary_{version_tag}.md"
     _write_text(files["summary"], render_summary(inputs, version_tag))
     return ReportSet(files)
+
+
+# ---------------------------------------------------------------------------
+# Reuse of an unchanged report set
+# ---------------------------------------------------------------------------
+
+
+def report_key(inputs: ReportInputs, version_tag: str) -> str:
+    """sha256 over everything emit_report_set reads, the tag and the package version.
+
+    emit_report_set writes the same bytes for inputs with the same key.
+    Each part is one C encoder call over its cells, which keeps every
+    value's type and every row's flags apart; a NUL, which JSON text
+    never holds, ends each part.
+    """
+    matrix = inputs.coverage
+    parts = (
+        [version_tag, __version__],
+        None if inputs.classified is None else list(map(classified_cells, inputs.classified)),
+        None if inputs.catalog is None else list(inputs.catalog.alias_map().items()),
+        None if matrix is None else [list(matrix.totals), list(map(coverage_cells, matrix.rows))],
+        None if inputs.duplicates is None else list(map(finding_cells, inputs.duplicates)),
+        None if inputs.contradictions is None else list(map(finding_cells, inputs.contradictions)),
+        list(inputs.scores.items()),
+        None if inputs.thresholds is None else list(inputs.thresholds.items()),
+    )
+    digest = hashlib.sha256()
+    for part in parts:
+        # A lone surrogate hashes here and fails the write, as it did before.
+        digest.update(_CELL_ENCODER.encode(part).encode("utf-8", "surrogatepass"))
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_report_record(record: Path, key: str, report_set: ReportSet, reports_dir: Path) -> None:
+    """Record that report_set, written to reports_dir, holds the reports of key.
+
+    The record lists each file by report name, with its name and sha256.
+    """
+    files = {name: [path.name, _file_sha256(path)] for name, path in report_set.files.items()}
+    _write_json(record, {"reports_dir": str(reports_dir), "key": key, "files": files})
+
+
+def reused_report_set(record: Path, key: str, reports_dir: Path) -> ReportSet | None:
+    """The report set record lists, if it still holds the reports of key in reports_dir.
+
+    It does when the record names key and reports_dir and every file it
+    lists still has its recorded sha256. A missing, unreadable or
+    malformed record, like any mismatch, gives None.
+    """
+    try:
+        saved = json.loads(record.read_bytes())
+        if saved["key"] != key or saved["reports_dir"] != str(reports_dir):
+            return None
+        files = {}
+        for report, (name, sha256) in saved["files"].items():
+            if Path(name).name != name or _file_sha256(reports_dir / name) != sha256:
+                return None
+            files[report] = reports_dir / name
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
+        return None
+    return ReportSet(files, reused=True)

@@ -140,15 +140,18 @@ def test_second_run_skips_via_delta_and_force_reruns(tmp_path, capsys):
     run_cli(config_path)
     capsys.readouterr()
 
+    reports = tmp_path / "results" / "reports"
     code = run_cli(config_path)
     out = capsys.readouterr().out
     assert code == 0
     assert "b_classify: Skipped (delta: reused 2 classified rows)" in out
+    assert out.splitlines()[-1] == f"reports: {reports} (unchanged)"
 
     code = run_cli(config_path, "--force")
     out = capsys.readouterr().out
     assert code == 0
     assert "b_classify: Succeeded" in out
+    assert out.splitlines()[-1] == f"reports: {reports}"
 
 
 def test_dry_run_plans_without_writing(tmp_path, capsys):

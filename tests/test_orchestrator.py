@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import re
 from datetime import date
 from pathlib import Path
@@ -706,6 +707,7 @@ def test_dry_run_plans_without_writing(tmp_path):
     assert backend.calls == 0
     assert report.report_set is None
     assert not (tmp_path / "results").exists()
+    assert not (tmp_path / ".safereq").exists()
 
 
 def test_dry_run_after_real_run_reports_delta_reuse(tmp_path):
@@ -719,6 +721,111 @@ def test_dry_run_after_real_run_reports_delta_reuse(tmp_path):
     details = {r.name: r.detail for r in report.results}
     assert details["b_classify"] == "delta: would reuse b_classify_TEST.json"
     assert details["c_coverage"] == "would execute"  # local analyses never skip
+
+
+# ---------------------------------------------------------------------------
+# Report set reuse
+# ---------------------------------------------------------------------------
+
+
+def report_files(tmp_path):
+    """Each report's bytes, inode and mtime: a file moved into place changes its inode."""
+    return {
+        path.name: (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in sorted((tmp_path / "results" / "reports").iterdir())
+    }
+
+
+def rerun(tmp_path, **kwargs):
+    backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
+    return run_all(tmp_path / "params.json", backend=backend, **{"version_tag": "TEST", **kwargs})
+
+
+def test_an_unchanged_rerun_keeps_every_report_and_returns_the_set_reused(tmp_path):
+    first, _ = run_project(tmp_path)
+    before = report_files(tmp_path)
+    second = rerun(tmp_path)
+    assert report_files(tmp_path) == before
+    assert second.report_set == first.report_set
+    assert second.report_set.reused and not first.report_set.reused
+    assert (tmp_path / ".safereq" / "reports_TEST.json").is_file()
+
+
+def write(path, text):
+    path.write_text(text, encoding="utf-8")
+
+
+def edit_json(path, edit):
+    value = json.loads(path.read_text(encoding="utf-8"))
+    edit(value)
+    write(path, json.dumps(value))
+
+
+# Each edit changes the project, or returns the run_all arguments of the runs after it.
+REPORT_SET_EDITS = {
+    "gold-file": lambda tmp_path: write(
+        tmp_path / "gold_pairs.csv", "req_a,req_b\n2000,2001\n2002,2003\n"
+    ),
+    "threshold": lambda tmp_path: edit_json(
+        tmp_path / "params.json", lambda config: config["thresholds"].update(duplicates=90.0)
+    ),
+    "tag": lambda tmp_path: {"version_tag": "TEST2"},
+    "catalog-lineage": lambda tmp_path: edit_json(
+        tmp_path / "resources.json",
+        lambda resources: resources["ARCHITECTURE"].update(NAV="Drone/Navigation/Flying"),
+    ),
+    "report-deleted": lambda tmp_path: (
+        tmp_path / "results" / "reports" / "coverage_TEST.csv"
+    ).unlink(),
+    "report-edited": lambda tmp_path: write(
+        tmp_path / "results" / "reports" / "summary_TEST.md", "edited\n"
+    ),
+    "record-corrupt": lambda tmp_path: write(tmp_path / ".safereq" / "reports_TEST.json", "{"),
+    "force": lambda tmp_path: {"force": True},
+}
+
+
+@pytest.mark.parametrize("edit", REPORT_SET_EDITS.values(), ids=REPORT_SET_EDITS)
+def test_a_changed_input_report_or_record_or_force_writes_the_set_again(tmp_path, edit):
+    config = base_config()
+    config["thresholds"] = {"duplicates": 80.0}
+    config["d_duplicates"]["gold_file"] = "gold_pairs.csv"
+    config_path = make_project(tmp_path, config)
+    write(tmp_path / "gold_pairs.csv", "req_a,req_b\n2000,2001\n")
+    run_all(config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST")
+    before = report_files(tmp_path)
+
+    kwargs = edit(tmp_path) or {}
+    again = rerun(tmp_path, **kwargs)
+    reports = tmp_path / "results" / "reports"
+    assert not again.report_set.reused
+    assert all(path.parent == reports for path in again.report_set.files.values())
+    written = report_files(tmp_path)
+    for path in again.report_set.files.values():
+        assert written[path.name][1:] != before.get(path.name, (None,))[1:], path.name
+
+    # The fresh record lets the next run with the same inputs keep the set.
+    third = rerun(tmp_path, **{**kwargs, "force": False})
+    assert third.report_set.reused
+    assert third.report_set == again.report_set
+    assert report_files(tmp_path) == written
+
+
+@pytest.mark.parametrize(
+    "where, blocked",
+    [(".", True), (os.fsdecode(b"not-utf8-\xff"), False)],
+    ids=["record-dir-is-a-file", "path-not-utf8"],
+)
+def test_a_record_that_cannot_be_written_leaves_the_run_to_succeed(tmp_path, where, blocked):
+    tmp_path = tmp_path / where
+    tmp_path.mkdir(exist_ok=True)
+    if blocked:
+        write(tmp_path / ".safereq", "a file, not a directory")
+    first, _ = run_project(tmp_path)
+    assert first.failed == [] and not first.report_set.reused
+    second = rerun(tmp_path)
+    assert not second.report_set.reused
+    assert second.report_set == first.report_set
 
 
 def test_only_task_restricts_the_run(tmp_path):

@@ -36,6 +36,7 @@ from safereq.errors import (
     EmptyGoldError,
     FindingConflictError,
     MissingColumnError,
+    SelfPairError,
 )
 
 # CaptureBackend answers by call order, so calls must stay sequential.
@@ -411,6 +412,15 @@ def test_load_gold_pairs_refuses_a_row_with_a_blank_side_naming_its_line(tmp_pat
     with pytest.raises(BlankReqIdError) as exc:
         load_gold_pairs(path, KIND_DUPLICATE)
     assert exc.value.rows == [3, 5]
+
+
+def test_load_gold_pairs_refuses_a_requirement_paired_with_itself_naming_its_lines(tmp_path):
+    # No finding pairs a requirement with itself, so such a row would cap the rate below 100.
+    path = tmp_path / "gold.csv"
+    path.write_text("req_a,req_b\n1000,1000\n1000,1001\n7 , 7\n")
+    with pytest.raises(SelfPairError, match="at rows: 2, 4") as exc:
+        load_gold_pairs(path, KIND_DUPLICATE)
+    assert exc.value.rows == [2, 4]
 
 
 def gold_of(n, kind=KIND_DUPLICATE):

@@ -1,7 +1,11 @@
-"""Tests for report emission, the metric gate, and the Markdown summary."""
+"""Tests for report emission, the metric gate, the Markdown summary and report reuse."""
 
+import copy
+import dataclasses
+import hashlib
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 
 from safereq import (
     ClassifiedRequirement,
+    CoverageMatrix,
+    CoverageRow,
     PairFinding,
     ReportInputs,
     build_matrix,
@@ -477,6 +483,24 @@ def test_interrupted_replace_keeps_the_earlier_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["summary.md"]
 
 
+def test_a_written_file_reaches_the_disk_before_it_is_moved_into_place(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_size))  # every byte flushed by now
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(reporting.os, "fsync", fsync)
+    monkeypatch.setattr(reporting.os, "replace", replace)
+    reporting._write_text(tmp_path / "summary.md", "new\n")
+    assert calls == [("fsync", 4), ("replace", "summary.md")]
+
+
 # ---------------------------------------------------------------------------
 # Markdown summary
 # ---------------------------------------------------------------------------
@@ -683,3 +707,227 @@ def _complete_coverage_inputs():
 )
 def test_summary_text_is_pinned(make_inputs, expected):
     assert render_summary(make_inputs(), "V1") == expected
+
+
+# ---------------------------------------------------------------------------
+# Report reuse: the content key and the record
+# ---------------------------------------------------------------------------
+
+
+texts = st.text(max_size=6)
+numbers = st.floats(allow_nan=False, allow_infinity=False)
+mappings = st.dictionaries(texts, numbers, max_size=3)
+classified_rows = st.builds(
+    ClassifiedRequirement,
+    req_id=texts,
+    function=texts,
+    rtype=texts,
+    confidence=st.integers(0, 100),
+    system_requirement=texts,
+    function_explanation=texts,
+    type_explanation=texts,
+    flags=st.lists(texts, max_size=3).map(tuple),
+)
+findings = st.builds(PairFinding, texts, texts, texts, texts, texts)
+coverage_rows = st.builds(
+    CoverageRow,
+    alias=texts,
+    lineage=texts,
+    n_func=st.integers(0, 9),
+    n_prob=st.integers(0, 9),
+    n_other=st.integers(0, 9),
+    verdict=texts,
+    is_triage_bucket=st.booleans(),
+)
+lineages = st.text(alphabet="ab/", min_size=1, max_size=6).filter(lambda s: s.count("/") < 3)
+
+report_inputs = st.builds(
+    ReportInputs,
+    classified=st.none() | st.lists(classified_rows, max_size=3),
+    catalog=st.none() | st.dictionaries(texts, lineages, max_size=3).map(catalog_from_alias_map),
+    coverage=st.none()
+    | st.builds(
+        CoverageMatrix,
+        rows=st.lists(coverage_rows, max_size=3),
+        totals=st.tuples(*[st.integers(0, 99)] * 3),
+    ),
+    duplicates=st.none() | st.lists(findings, max_size=3),
+    contradictions=st.none() | st.lists(findings, max_size=3),
+    scores=mappings,
+    thresholds=st.none() | mappings,
+)
+
+
+def changed(value):
+    """A value of value's type that is not value."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return math.nextafter(value, math.inf)
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return (*value, "x")
+    raise TypeError(f"no edit for {value!r}")
+
+
+def edit_items(data, items):
+    """None for a list, a list for None, else one field of one item changed."""
+    if not items:
+        return [] if items is None else None
+    at = data.draw(st.integers(0, len(items) - 1))
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(items[at])]))
+    edited = dataclasses.replace(items[at], **{name: changed(getattr(items[at], name))})
+    return [*items[:at], edited, *items[at + 1 :]]
+
+
+def edit_mapping(data, mapping):
+    if not mapping:
+        return {"classification": 1.0}
+    key = data.draw(st.sampled_from(list(mapping)))
+    return {**mapping, key: changed(mapping[key])}
+
+
+def edit_catalog(data, catalog):
+    if catalog is None:
+        return catalog_from_alias_map({})
+    lineage_of = catalog.alias_map()
+    alias = data.draw(st.sampled_from(list(lineage_of)))
+    return catalog_from_alias_map({**lineage_of, alias: lineage_of[alias] + "x"})
+
+
+def edit_coverage(data, matrix):
+    if matrix is None:
+        return CoverageMatrix(rows=[], totals=(0, 0, 0))
+    if matrix.rows and data.draw(st.booleans()):
+        return dataclasses.replace(matrix, rows=edit_items(data, matrix.rows))
+    return dataclasses.replace(matrix, totals=(*matrix.totals[:2], matrix.totals[2] + 1))
+
+
+# One edit per ReportInputs field: a field without one fails the property below.
+REPORT_INPUT_EDITS = {
+    "classified": edit_items,
+    "catalog": edit_catalog,
+    "coverage": edit_coverage,
+    "duplicates": edit_items,
+    "contradictions": edit_items,
+    "scores": edit_mapping,
+    "thresholds": lambda data, mapping: {} if mapping is None else edit_mapping(data, mapping),
+}
+
+
+@settings(max_examples=200)
+@given(report_inputs, st.data())
+def test_an_edit_to_any_report_input_changes_the_key_and_an_equal_copy_keeps_it(inputs, data):
+    key = reporting.report_key(inputs, "V1")
+    assert reporting.report_key(copy.deepcopy(inputs), "V1") == key
+    for field in dataclasses.fields(ReportInputs):
+        edited = REPORT_INPUT_EDITS[field.name](data, getattr(inputs, field.name))
+        edited_inputs = dataclasses.replace(inputs, **{field.name: edited})
+        assert reporting.report_key(edited_inputs, "V1") != key, field.name
+
+
+def test_the_key_covers_the_tag_and_the_package_version(monkeypatch):
+    key = reporting.report_key(full_inputs(), "V1")
+    assert reporting.report_key(full_inputs(), "V2") != key
+    monkeypatch.setattr(reporting, "__version__", "0.0.0-other")
+    assert reporting.report_key(full_inputs(), "V1") != key
+
+
+def test_the_key_follows_the_score_order_the_metrics_report_keeps():
+    scores = full_inputs().scores
+    reordered = dict(reversed(scores.items()))
+    assert reordered == scores
+    keys = {
+        reporting.report_key(ReportInputs(scores=mapping), "V1") for mapping in (scores, reordered)
+    }
+    assert len(keys) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, other",
+    [(("a|b",), ("a", "b")), (("",), ()), (("a",), ("a", ""))],
+)
+def test_the_key_tells_apart_flags_that_join_alike(flags, other):
+    # The tables join flags with "|", but the summary's triage reads them unjoined.
+    keys = {
+        reporting.report_key(ReportInputs(classified=[crow("1000", flags=f)]), "V1")
+        for f in (flags, other)
+    }
+    assert len(keys) == 2
+
+
+def recorded(tmp_path):
+    """A report set emitted to tmp_path/reports and recorded; returns (record, key, set)."""
+    inputs, reports = full_inputs(), tmp_path / "reports"
+    key = reporting.report_key(inputs, "V1")
+    report_set = emit_report_set(inputs, reports, "V1")
+    record = tmp_path / ".safereq" / "reports_V1.json"
+    reporting.write_report_record(record, key, report_set, reports)
+    return record, key, report_set
+
+
+def test_a_recorded_set_is_reused_while_its_files_hold(tmp_path):
+    record, key, report_set = recorded(tmp_path)
+    reused = reporting.reused_report_set(record, key, tmp_path / "reports")
+    assert reused == report_set
+    assert reused.reused and not report_set.reused
+    saved = json.loads(record.read_text(encoding="utf-8"))
+    assert saved["key"] == key
+    assert saved["files"]["summary"] == [
+        "summary_V1.md",
+        hashlib.sha256(report_set.summary_path.read_bytes()).hexdigest(),
+    ]
+
+
+def _rewrite_record(record, edit):
+    saved = json.loads(record.read_text(encoding="utf-8"))
+    edit(saved)
+    record.write_text(json.dumps(saved), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda record, reports: record.unlink(),
+        lambda record, reports: record.write_text("", encoding="utf-8"),
+        lambda record, reports: record.write_bytes(b"\xff\xfe"),
+        lambda record, reports: record.write_text("[]", encoding="utf-8"),
+        lambda record, reports: record.write_text("[" * 100_000, encoding="utf-8"),
+        lambda record, reports: _rewrite_record(record, lambda r: r.pop("files")),
+        lambda record, reports: _rewrite_record(record, lambda r: r.update(files=[])),
+        lambda record, reports: _rewrite_record(record, lambda r: r["files"].update(summary=[1, 2])),
+        lambda record, reports: _rewrite_record(
+            record, lambda r: r["files"].update(summary=["summary_V1.md"])
+        ),
+        lambda record, reports: _rewrite_record(record, lambda r: r.update(key="0" * 64)),
+        lambda record, reports: _rewrite_record(record, lambda r: r.update(reports_dir="elsewhere")),
+        lambda record, reports: _rewrite_record(
+            record, lambda r: r["files"]["summary"].__setitem__(0, "../reports/summary_V1.md")
+        ),
+        lambda record, reports: (reports / "coverage_V1.csv").unlink(),
+        lambda record, reports: (reports / "summary_V1.md").write_text("edited", encoding="utf-8"),
+    ],
+    ids=[
+        "missing",
+        "empty",
+        "not-utf8",
+        "a-list",
+        "too-deep",
+        "no-files",
+        "files-a-list",
+        "file-not-names",
+        "file-without-sha",
+        "other-key",
+        "other-directory",
+        "file-outside-the-directory",
+        "report-deleted",
+        "report-edited",
+    ],
+)
+def test_a_spoiled_record_or_report_is_not_reused(tmp_path, spoil):
+    record, key, _ = recorded(tmp_path)
+    spoil(record, tmp_path / "reports")
+    assert reporting.reused_report_set(record, key, tmp_path / "reports") is None
