@@ -11,7 +11,7 @@ replays canned responses so every part runs offline.
 
 from __future__ import annotations
 
-# Set before the imports: reporting reads it as they run.
+# Set before the imports: reporting and store read it as they run.
 __version__ = "0.1.0"
 
 from . import errors

@@ -22,6 +22,11 @@ from pathlib import Path
 from threading import Lock
 from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .errors import (
     AuthMissingError,
     ChunkTooLargeError,
@@ -80,7 +85,6 @@ class LlmResult:
 
     raw_text: str
     usage: dict = field(default_factory=dict)
-    prompt_sha256: str = ""
 
 
 def encode_row(req_id: str, text: str) -> str:
@@ -535,12 +539,19 @@ def send(
         base = getattr(last, "base_message", str(last))
         raise TransportError(base, attempts=attempts) from last
 
-    return LlmResult(raw_text=raw, usage=usage, prompt_sha256=prompt_sha256(prompt))
+    return LlmResult(raw_text=raw, usage=usage)
 
 
 # The first call of send_many must wait at least this long off-CPU, and
 # longer than it computed, before the rest go to worker threads.
 PROBE_MIN_WAIT_S = 0.001
+
+
+def _voluntary_switches() -> int | None:
+    """How often the calling thread has given up the CPU to wait, where the OS counts it."""
+    if getattr(resource, "RUSAGE_THREAD", None) is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw
 
 
 def send_many(
@@ -560,22 +571,26 @@ def send_many(
     pool only when that call waited (wall time minus thread CPU time) at
     least PROBE_MIN_WAIT_S and longer than it computed, as a network
     call does; a backend that never blocks stays sequential, because
-    threads would only add GIL handoffs. The first failing prompt's
-    exception propagates; queued prompts are cancelled and every worker
-    thread has ended by the time it does.
+    threads would only add GIL handoffs. Where the OS counts a thread's
+    voluntary context switches, the call must also have made one: time
+    the host took the CPU away (preemption) is not waiting on a backend.
+    The first failing prompt's exception propagates; queued prompts are
+    cancelled and every worker thread has ended by the time it does.
     """
     limit = params.max_concurrency
     prompts = iter(prompts)
     first = next(prompts, None)
     if first is None:
         return
+    switches = _voluntary_switches()
     started, cpu_started = time.perf_counter(), time.thread_time()
     result = send(first, params, backend, sleep)
     cpu = time.thread_time() - cpu_started
     waited = time.perf_counter() - started - cpu
+    blocked = switches is None or _voluntary_switches() > switches
     yield result
 
-    if limit <= 1 or waited < PROBE_MIN_WAIT_S or waited <= cpu:
+    if limit <= 1 or waited < PROBE_MIN_WAIT_S or waited <= cpu or not blocked:
         for prompt in prompts:
             yield send(prompt, params, backend, sleep)
         return

@@ -10,29 +10,36 @@ itself resolves against the directory holding the config file.
 A task's primary output is its raw file,
 <output_path>/raw/<task>_<version tag>.json, and run_task alone reads
 and writes it. After a task body succeeds, run_task writes the body's
-record there, as the task's last write. A task with delta enabled is
-skipped (zero backend calls) when that file already exists: run_task
-reads its results back, as it does for execute false, and the body
-publishes them without writing anything, so downstream tasks and the
-final report set behave exactly as on the first run. Failures leave a
-.partial file beside the missing output instead; the next success
-removes it. Every file is written to a temp file beside it, synced to
-disk and moved into place, so neither a crash nor a power loss leaves a
-truncated file a later run trusts.
+record there, as the task's last write, and records the file's sha256,
+its row or finding count and its score under <config_dir>/.safereq/
+(see store). A task with delta enabled is skipped (zero backend calls)
+when that file already exists. If the file still hashes as recorded,
+the body publishes its rows or findings unparsed: they are parsed once,
+when a later task or a report set that must be written again first
+reads them, and the recorded score stands while the gold file's sha256
+and the scoring settings match. Otherwise run_task reads and checks the
+file at once, as it does for execute false, and records it for the next
+run. Either way downstream tasks and the final report set behave exactly
+as on the first run. Failures leave a .partial file beside the missing
+output instead; the next success removes it. Every file is written to a
+temp file beside it, synced to disk and moved into place, so neither a
+crash nor a power loss leaves a truncated file a later run trusts.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from itertools import chain, zip_longest
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 from .catalog import (
     FunctionCatalog,
@@ -89,9 +96,9 @@ from .reporting import (
     _write_json,
     emit_report_set,
     report_key,
-    reused_report_set,
-    write_report_record,
 )
+from .store import file_sha256, record, reused_report_set, write_report_record
+from .store import load as load_record
 from .requirements import Requirement, load_requirements, read_keyed_csv
 from .requirements import chunk as chunk_requirements
 
@@ -376,6 +383,9 @@ class PipelineContext:
     verbose: bool = False
     # What the tasks publish: the catalog, their results and their scores.
     reports: ReportInputs = field(default_factory=ReportInputs)
+    # For a published part, by ReportInputs field: the part and the sha256
+    # of the raw file it was read from or written to, for report_key.
+    digests: dict[str, tuple[object, str]] = field(default_factory=dict)
 
     def __post_init__(self):
         # Counted here, so TaskResult.backend_calls holds for any Backend.
@@ -427,8 +437,8 @@ def _joined_path(cfg: PipelineConfig, task: TaskConfig) -> Path:
     return _out_dir(cfg, task) / "joined" / f"{task.name}_joined.csv"
 
 
-def _report_record_path(cfg: PipelineConfig, tag: str) -> Path:
-    return cfg.config_dir / ".safereq" / f"reports_{tag}.json"
+def _record_path(cfg: PipelineConfig, name: str) -> Path:
+    return cfg.config_dir / ".safereq" / f"{name}.json"
 
 
 def _under_some_output(cfg: PipelineConfig, path: Path) -> bool:
@@ -517,22 +527,38 @@ def _classified_for(
 
 
 @contextmanager
-def _raw_payload(path: Path) -> Iterator[dict]:
-    """The JSON object in a raw file.
+def _raw_errors(path: Path) -> Iterator[None]:
+    """Raise MalformedRawFileError for what the raw file at path trips in the with block."""
+    try:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise MalformedRawFileError(f"malformed raw file {path}: {exc!r}") from exc
+
+
+def _raw_text(path: Path) -> tuple[str, str]:
+    """The text of the raw file at path, and the sha256 of its bytes.
+
+    The bytes go once decoded, so a parse that comes later holds the text alone.
+    """
+    data = path.read_bytes()
+    with _raw_errors(path):
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+
+
+@contextmanager
+def _raw_payload(path: Path, text: str) -> Iterator[dict]:
+    """The JSON object in text, read from the raw file at path.
 
     A payload of another shape, met here or in the with block as it is
     read, and a string that holds a lone surrogate raise
     MalformedRawFileError instead of whatever they tripped.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
+    with _raw_errors(path):
         payload = json.loads(text)
         check_encodable(payload, text)
         if not isinstance(payload, dict):
             raise TypeError(f"the root is a JSON {type(payload).__name__}, not an object")
         yield payload
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise MalformedRawFileError(f"malformed raw file {path}: {exc!r}") from exc
 
 
 _ROW_TEXT = (
@@ -547,18 +573,20 @@ def _require_text(values: Iterable, what: str) -> None:
         raise TypeError(f"a {what} value is not a string")
 
 
-def _rows_from_raw(path: Path) -> tuple[list[ClassifiedRequirement], list[tuple[dict, str]]]:
-    with _raw_payload(path) as payload:
-        rows = [
+def _rows_from_raw(
+    path: Path, text: str
+) -> tuple[list[ClassifiedRequirement], list[tuple[dict, str]]]:
+    with _raw_payload(path, text) as payload:
+        rows = [  # the fields in order: positional arguments bind faster
             ClassifiedRequirement(
-                req_id=str(r["ReqID"]),
-                function=r["Function"],
-                rtype=r["Type"],
-                confidence=int(r["Confidence"]),
-                system_requirement=r.get("System Requirement", ""),
-                function_explanation=r.get("Function_Explanation", ""),
-                type_explanation=r.get("Type_Explanation", ""),
-                flags=tuple(r.get("Flags", [])),
+                str(r["ReqID"]),
+                r["Function"],
+                r["Type"],
+                int(r["Confidence"]),
+                r.get("System Requirement", ""),
+                r.get("Function_Explanation", ""),
+                r.get("Type_Explanation", ""),
+                tuple(r.get("Flags", ())),
             )
             for r in payload.get("rows", [])
         ]
@@ -570,8 +598,8 @@ def _rows_from_raw(path: Path) -> tuple[list[ClassifiedRequirement], list[tuple[
     return rows, quarantined
 
 
-def _findings_from_raw(path: Path) -> tuple[list[PairFinding], list[str]]:
-    with _raw_payload(path) as payload:
+def _findings_from_raw(path: Path, text: str) -> tuple[list[PairFinding], list[str]]:
+    with _raw_payload(path, text) as payload:
         findings = [
             PairFinding(
                 req_a=str(f["ReqID_A"]),
@@ -589,6 +617,42 @@ def _findings_from_raw(path: Path) -> tuple[list[PairFinding], list[str]]:
     return findings, notes
 
 
+class _Unread(Sequence):
+    """A raw file's rows or findings, parsed on first use, once.
+
+    run_task publishes one for a raw file whose bytes hash as recorded,
+    so a rerun that reads no row parses none. Its length is the recorded
+    count, and parse reads the text of the bytes that were hashed, not
+    the file as it may be by then.
+    """
+
+    def __init__(self, parse: Callable[[], list], count: int):
+        self._parse, self._count, self._items = parse, count, None
+
+    def _parsed(self) -> list:
+        if self._items is None:
+            self._items, self._parse = self._parse(), None
+        return self._items
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, at):
+        return self._parsed()[at]
+
+    def __iter__(self):
+        return iter(self._parsed())
+
+
+@dataclass
+class _Previous:
+    """A task's results as run_task read them back from its raw file."""
+
+    items: Sequence  # classified rows or findings
+    extra: list  # quarantined records or notes; empty when unparsed
+    score: float | None = None  # recorded for the current gold file and settings
+
+
 def _load_gold_labels(path: Path) -> dict[str, tuple[str, str]]:
     _, table = read_keyed_csv(path, "ReqID", ("Function", "Type"))
     return dict(zip(table["ReqID"], zip(table["Function"], table["Type"])))
@@ -598,37 +662,64 @@ def _take_rows(
     ctx: PipelineContext,
     task: TaskConfig,
     catalog: FunctionCatalog,
-    rows: list[ClassifiedRequirement],
+    rows: Sequence[ClassifiedRequirement],
+    value: float | None = None,
 ) -> float | None:
-    """Publish classified rows and their catalog, and score the rows against gold."""
+    """Publish classified rows, their catalog and their accuracy.
+
+    The accuracy is value, if given; else the rows are scored against gold.
+    """
     ctx.reports.catalog = catalog
     ctx.reports.classified = rows
     if not task.gold_file:
         return None
-    gold = _load_gold_labels(_resolve(ctx.config, task, task.gold_file))
-    value = accuracy(rows, gold, include_type=task.gold_include_type)
+    if value is None:
+        gold = _load_gold_labels(_resolve(ctx.config, task, task.gold_file))
+        value = accuracy(rows, gold, include_type=task.gold_include_type)
     ctx.reports.scores[task.metric or "classification"] = value
     return value
 
 
 def _take_findings(
-    ctx: PipelineContext, task: TaskConfig, spec: _PairSpec, findings: list[PairFinding]
+    ctx: PipelineContext,
+    task: TaskConfig,
+    spec: _PairSpec,
+    findings: Sequence[PairFinding],
+    rate: float | None = None,
 ) -> PairScore | None:
-    """Publish findings to the spec's report slot and score them against gold."""
+    """Publish findings to the spec's report slot and their detection rate.
+
+    The rate is rate, if given; else the findings are scored against gold,
+    and the score is returned.
+    """
     setattr(ctx.reports, spec.slot, findings)
     if not task.gold_file:
         return None
-    gold = load_gold_pairs(_resolve(ctx.config, task, task.gold_file), spec.kind)
     metric = task.metric or spec.slot
-    threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(metric, 80.0)
-    pair_score = score(findings, gold, threshold=threshold)
-    ctx.reports.scores[metric] = pair_score.rate
+    pair_score = None
+    if rate is None:
+        gold = load_gold_pairs(_resolve(ctx.config, task, task.gold_file), spec.kind)
+        threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(metric, 80.0)
+        pair_score = score(findings, gold, threshold=threshold)
+        rate = pair_score.rate
+    ctx.reports.scores[metric] = rate
     return pair_score
 
 
 # ---------------------------------------------------------------------------
 # Task bodies
 # ---------------------------------------------------------------------------
+
+
+class _Done(NamedTuple):
+    """What a task body hands back to run_task."""
+
+    record: dict  # what run_task writes to the raw file; nothing on a reuse
+    files: list[Path]  # the body's other files
+    detail: str
+    part: str = ""  # the ReportInputs field the body published, if any
+    count: int = 0  # the rows or findings in record, and their score:
+    score: float | None = None  # run_task records both beside the raw file's sha256
 
 
 def _write_quarantine(
@@ -660,13 +751,14 @@ def _require_input_ids(
 
 
 def _task_completeness(
-    ctx: PipelineContext, task: TaskConfig, previous: tuple | None, reuse: bool
-) -> tuple[dict, list[Path], str]:
+    ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
+) -> _Done:
+    part = "classified" if task.analyze else ""
     if reuse:
-        rows, _ = previous
+        rows, value = previous.items, previous.score
         if task.analyze:
-            _take_rows(ctx, task, _require_catalog(ctx, task), rows)
-        return {}, [], f"reused {len(rows)} classified rows"
+            value = _take_rows(ctx, task, _require_catalog(ctx, task), rows, value)
+        return _Done({}, [], f"reused {len(rows)} classified rows", part, len(rows), value)
 
     resources = _resources_payload(ctx, task)
     catalog = _require_catalog(ctx, task, resources)
@@ -690,7 +782,7 @@ def _task_completeness(
         outcome = classify(chunks, template, catalog, ctx.params, ctx.backend)
         rows, quarantined = outcome.rows, outcome.quarantined
     else:
-        rows, quarantined = previous
+        rows, quarantined = previous.items, previous.extra
         _require_input_ids(input_path, inputs, rows)
 
     files = _write_quarantine(ctx, task, quarantined)
@@ -716,12 +808,12 @@ def _task_completeness(
     detail = f"{len(rows)} requirements classified, {len(quarantined)} quarantined"
     if gold_value is not None:
         detail += f", accuracy {gold_value:.2f}"
-    return record, files, detail
+    return _Done(record, files, detail, part, len(rows), gold_value)
 
 
 def _task_coverage(
-    ctx: PipelineContext, task: TaskConfig, previous: tuple | None, reuse: bool
-) -> tuple[dict, list[Path], str]:
+    ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
+) -> _Done:
     classified = _classified_for(ctx, task, ("Function", "Type"))
     catalog = _require_catalog(ctx, task)
     matrix = build_matrix(classified, catalog)
@@ -736,7 +828,7 @@ def _task_coverage(
         "gap_ranking": [{"Function": row.alias, "Shortfall": missing} for row, missing in gaps],
     }
     detail = f"{len(matrix.rows)} functions, {len(gaps)} with missing coverage"
-    return record, [], detail
+    return _Done(record, [], detail, "coverage" if task.analyze else "")
 
 
 @dataclass(frozen=True)
@@ -772,14 +864,16 @@ _PAIR_SPECS = {
 
 
 def _task_pairs(
-    ctx: PipelineContext, task: TaskConfig, previous: tuple | None, reuse: bool
-) -> tuple[dict, list[Path], str]:
+    ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
+) -> _Done:
     spec = _PAIR_SPECS[task.analysis_function]
+    part = spec.slot if task.analyze else ""
     if reuse:
-        findings, _ = previous
+        findings, rate = previous.items, previous.score
         if task.analyze:
-            _take_findings(ctx, task, spec, findings)
-        return {}, [], f"reused {len(findings)} findings"
+            pair_score = _take_findings(ctx, task, spec, findings, rate)
+            rate = pair_score.rate if pair_score else rate
+        return _Done({}, [], f"reused {len(findings)} findings", part, len(findings), rate)
 
     classified = _classified_for(ctx, task, ("Function", "System Requirement"))
     catalog = ctx.reports.catalog or _catalog_for(_resources_payload(ctx, task))
@@ -788,7 +882,7 @@ def _task_pairs(
     if task.execute:
         detection = spec.detect(ctx, task, clusters)
     else:
-        detection = DetectionResult(*previous)
+        detection = DetectionResult(previous.items, previous.extra)
     files = _write_quarantine(ctx, task, detection.rejected)
 
     pair_score = _take_findings(ctx, task, spec, detection.findings) if task.analyze else None
@@ -802,13 +896,14 @@ def _task_pairs(
     detail = f"{len(detection.findings)} findings across {len(clusters)} function clusters"
     if pair_score:
         detail += f", detection rate {pair_score.rate:.2f}"
-    return record, files, detail
+    rate = pair_score.rate if pair_score else None
+    return _Done(record, files, detail, part, len(detection.findings), rate)
 
 
 # Each body takes the context, the task, the results run_task read back from
 # the task's raw file (None when it read none) and whether delta reuses that
-# file. It returns the record run_task writes to the raw file, its other files
-# and its detail. On a reuse it publishes what was read back and writes nothing.
+# file, and returns a _Done. On a reuse it publishes what was read back and
+# writes nothing.
 BUILTIN_FUNCTIONS = {
     ANALYSIS_COMPLETENESS: _task_completeness,
     ANALYSIS_COVERAGE: _task_coverage,
@@ -831,12 +926,39 @@ RAW_READERS = {
 # ---------------------------------------------------------------------------
 
 
+def _score_key(ctx: PipelineContext, task: TaskConfig) -> str:
+    """What a task's score is computed from besides its raw file: its analysis,
+    gold_include_type and its gold file's sha256 (None without a readable one)."""
+    gold = None
+    if task.gold_file:
+        with suppress(OSError):
+            gold = file_sha256(_resolve(ctx.config, task, task.gold_file))
+    return json.dumps([task.analysis_function, task.gold_include_type, gold])
+
+
+def _read_back(
+    reader: Callable[[Path, str], tuple], raw_path: Path, saved: dict | None
+) -> tuple[_Previous, str]:
+    """What reader reads in a raw file, and the sha256 of the bytes it came from.
+
+    If saved, the file's record, still lists the file by that sha256, the
+    results stay unparsed and carry the recorded score. Otherwise they
+    are parsed and checked now.
+    """
+    text, sha = _raw_text(raw_path)
+    if saved is not None and saved["files"] == {"raw": [raw_path.name, sha]}:
+        items = _Unread(lambda: reader(raw_path, text)[0], saved["count"])
+        return _Previous(items, [], saved["score"]), sha
+    return _Previous(*reader(raw_path, text)), sha
+
+
 def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> TaskResult:
     """Run (or skip) one task and return its outcome.
 
     run_task is the only reader and writer of the task's raw file. It
     reads the file back for a delta reuse or for execute false, and after
-    any other body that succeeds it writes the body's record there.
+    any other body that succeeds it writes the body's record there and,
+    for a backend analysis, records the file (see the module docstring).
     A SafereqError or OSError comes back as a Failed result and leaves a
     .partial marker beside the raw output the task did not produce; any
     other exception is a bug and propagates. A task that succeeds removes
@@ -846,6 +968,7 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         raise UnknownAnalysisFunctionError(task.analysis_function)
     raw_path = _raw_path(ctx.config, task, ctx.version_tag)
     partial = Path(str(raw_path) + ".partial")
+    trace = _record_path(ctx.config, f"raw_{task.name}_{ctx.version_tag}")
     if not task.run:
         return TaskResult(task.name, STATUS_SKIPPED, "run is false")
 
@@ -862,21 +985,33 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
 
     calls_before = ctx.backend.calls
     try:
-        previous = None
+        # Taken before the body reads the gold file, so a record never pairs
+        # a later gold file with a score of an earlier one.
+        key = _score_key(ctx, task) if reader is not None else ""
+        previous = sha = None
         if reader is not None and (delta_hit or not task.execute):
             if not raw_path.exists():
                 raise SafereqError("execute is false and no previous raw output exists")
-            previous = reader(raw_path)
-        record, files, detail = BUILTIN_FUNCTIONS[task.analysis_function](
-            ctx, task, previous, delta_hit
-        )
+            saved = load_record(trace, key, raw_path.parent) if delta_hit else None
+            previous, sha = _read_back(reader, raw_path, saved)
+        done = BUILTIN_FUNCTIONS[task.analysis_function](ctx, task, previous, delta_hit)
         if delta_hit:
-            result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {detail}")
+            result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {done.detail}")
         else:
-            raw = {"task": task.name, "analysis_function": task.analysis_function, **record}
-            _write_json(raw_path, raw)
-            result = TaskResult(task.name, STATUS_SUCCEEDED, detail, files=[raw_path, *files])
+            raw = {"task": task.name, "analysis_function": task.analysis_function, **done.record}
+            sha = _write_json(raw_path, raw)
+            written = [raw_path, *done.files]
+            result = TaskResult(task.name, STATUS_SUCCEEDED, done.detail, files=written)
             partial.unlink(missing_ok=True)
+        # Record each raw file written, and one a delta reuse had to check,
+        # so the next run trusts it. A record only spares a later run the
+        # parse; a path that is not UTF-8 cannot go into its JSON.
+        if reader is not None and not (delta_hit and isinstance(previous.items, _Unread)):
+            raw_file = {"raw": (raw_path.name, sha)}
+            with suppress(OSError, UnicodeError):
+                record(trace, key, raw_path.parent, raw_file, count=done.count, score=done.score)
+        if done.part:
+            ctx.digests[done.part] = (getattr(ctx.reports, done.part), sha)
     except (SafereqError, OSError) as exc:
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
         try:
@@ -908,9 +1043,10 @@ def run_all(
 
     After writing the set, the run records its content key (report_key)
     and each file's sha256 in <config dir>/.safereq/reports_<tag>.json.
-    A run that is not forced, whose key matches that record and whose
-    files still hash as recorded, writes nothing and returns the
-    recorded set, marked reused.
+    A part read from or written to a raw file enters the key as that
+    file's sha256, so the key needs no row. A run that is not forced,
+    whose key matches that record and whose files still hash as
+    recorded, writes nothing and returns the recorded set, marked reused.
     """
     cfg = load_config(config_path)
     if only_task is not None and all(t.name != only_task for t in cfg.tasks):
@@ -933,10 +1069,13 @@ def run_all(
     parts = (inputs.classified, inputs.coverage, inputs.duplicates, inputs.contradictions)
     if not dry_run and selected and any(part is not None for part in parts):
         reports_dir = _out_dir(cfg, selected[-1]) / "reports"
-        record = _report_record_path(cfg, ctx.version_tag)
-        key = report_key(inputs, ctx.version_tag)
+        saved = _record_path(cfg, f"reports_{ctx.version_tag}")
+        digests = {
+            name: sha for name, (part, sha) in ctx.digests.items() if getattr(inputs, name) is part
+        }
+        key = report_key(inputs, ctx.version_tag, digests)
         if not force:
-            report_set = reused_report_set(record, key, reports_dir)
+            report_set = reused_report_set(saved, key, reports_dir)
         if report_set is None:
             try:
                 report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
@@ -945,5 +1084,5 @@ def run_all(
             # The record only spares a later run the writes; without it, that run
             # writes again. A path that is not UTF-8 cannot go into its JSON.
             with suppress(OSError, UnicodeError):
-                write_report_record(record, key, report_set, reports_dir)
+                write_report_record(saved, key, report_set, reports_dir)
     return RunReport(results=results, report_set=report_set)

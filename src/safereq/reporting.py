@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from . import __version__
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
@@ -55,11 +55,11 @@ class ReportInputs:
     None, or no scores, marks a part as not run.
     """
 
-    classified: list[ClassifiedRequirement] | None = None
+    classified: Sequence[ClassifiedRequirement] | None = None
     catalog: FunctionCatalog | None = None
     coverage: CoverageMatrix | None = None
-    duplicates: list[PairFinding] | None = None
-    contradictions: list[PairFinding] | None = None
+    duplicates: Sequence[PairFinding] | None = None
+    contradictions: Sequence[PairFinding] | None = None
     scores: dict[str, float] = field(default_factory=dict)
     thresholds: dict[str, float] | None = None
 
@@ -67,7 +67,9 @@ class ReportInputs:
 @dataclass
 class ReportSet:
     files: dict[str, Path] = field(default_factory=dict)
-    # True when the files on disk were kept, not written: see reused_report_set.
+    # Each file's sha256 by report name, as it was written or verified.
+    digests: dict[str, str] = field(default_factory=dict, compare=False)
+    # True when the files on disk were kept, not written: see store.reused_report_set.
     reused: bool = field(default=False, compare=False)
 
     @property
@@ -80,39 +82,67 @@ class ReportSet:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _replacing(path: Path, newline: str | None = None):
-    """Write path through a temp file beside it, moved into place on success.
+class _Hashing(io.RawIOBase):
+    """A file's raw stream that hashes every byte as it goes to the file."""
 
-    A write that raises, or a process that dies, midway leaves the old
-    file, if any, untouched. An exception also removes the temp file; a
-    killed process leaves it, under a dot name no reader looks for. The
-    temp file reaches the disk before the move, so a power loss cannot
-    leave an empty file under path either.
+    def __init__(self, raw: io.RawIOBase):
+        super().__init__()
+        self.raw, self.digest = raw, hashlib.sha256()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        written = self.raw.write(data)
+        self.digest.update(memoryview(data)[:written])
+        return written
+
+    def fileno(self) -> int:
+        return self.raw.fileno()
+
+    def close(self) -> None:
+        super().close()
+        self.raw.close()
+
+
+def _replacing(path: Path, write: Callable[[TextIO], object], newline: str | None = None) -> str:
+    """Have write fill path through a temp file beside it, moved into place on success.
+
+    Returns the sha256 of the bytes written, taken as they went to the
+    file, so no record of the file reads it back. A write that raises, or
+    a process that dies, midway leaves the old file, if any, untouched. An
+    exception also removes the temp file; a killed process leaves it,
+    under a dot name no reader looks for. The temp file reaches the disk
+    before the move, so a power loss cannot leave an empty file under
+    path either.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    raw = _Hashing(io.FileIO(temp, "w"))
     try:
-        with open(temp, "w", encoding="utf-8", newline=newline) as handle:
-            yield handle
+        with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline=newline) as handle:
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
     except BaseException:
+        raw.close()
         temp.unlink(missing_ok=True)
         raise
+    return raw.digest.hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
-    with _replacing(path, newline="") as handle:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> str:
+    def write(handle: TextIO) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
+    return _replacing(path, write, newline="")
 
-def _write_text(path: Path, text: str) -> None:
-    with _replacing(path) as handle:
-        handle.write(text)
+
+def _write_text(path: Path, text: str) -> str:
+    return _replacing(path, lambda handle: handle.write(text))
 
 
 # Any indent sends json.dumps through the pure-Python encoder; a flat list
@@ -122,7 +152,7 @@ _CELL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=("\n", ": "))
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: Path, payload) -> str:
     """Write payload as json.dumps(payload, indent=2, ensure_ascii=False) + "\n".
 
     Byte for byte, at a fraction of the cost: every leaf goes through one
@@ -133,10 +163,10 @@ def _write_json(path: Path, payload) -> None:
         TypeError: a value or a key json.dumps cannot encode.
     """
     leaves: list = []
-    _write_document(path, _layout(payload, "\n", leaves), leaves)
+    return _write_document(path, _layout(payload, "\n", leaves), leaves)
 
 
-def _write_table_json(path: Path, header: list[str], table: list[list]) -> None:
+def _write_table_json(path: Path, header: list[str], table: list[list]) -> str:
     """Write table as _write_json writes a list of one {header: cell} dict per row.
 
     Every cell is a leaf, so the rows share one object template, and no
@@ -155,19 +185,17 @@ def _write_table_json(path: Path, header: list[str], table: list[list]) -> None:
         raise ValueError("every table row must be as wide as the header")
     row = _object_template(_heads(header, "\n  "), "\n  ")
     template = "[\n  " + ",\n  ".join([row] * len(table)) + "\n]" if table else "[]"
-    _write_document(path, template, cells)
+    return _write_document(path, template, cells)
 
 
-def _write_document(path: Path, template: str, leaves: list) -> None:
+def _write_document(path: Path, template: str, leaves: list) -> str:
     """Write template, each %s slot filled by its leaf's JSON, and a newline.
 
     The leaves take one C encoder call. The newline is written on its own,
     so no copy of the whole document is made to append it.
     """
     text = template % tuple(_encoded_items(leaves))
-    with _replacing(path) as handle:
-        handle.write(text)
-        handle.write("\n")
+    return _replacing(path, lambda handle: handle.writelines((text, "\n")))
 
 
 def _encoded_items(items: list) -> list[str]:
@@ -372,12 +400,13 @@ def emit_report_set(inputs: ReportInputs, out_dir: str | Path, version_tag: str)
     """
     out = Path(out_dir)
     files: dict[str, Path] = {}
+    digests: dict[str, str] = {}
 
     def table(stem: str, header: list[str], rows: list) -> None:
         files[stem] = out / f"{stem}_{version_tag}.csv"
         files[f"{stem}_json"] = out / f"{stem}_{version_tag}.json"
-        _write_csv(files[stem], header, rows)
-        _write_table_json(files[f"{stem}_json"], header, rows)
+        digests[stem] = _write_csv(files[stem], header, rows)
+        digests[f"{stem}_json"] = _write_table_json(files[f"{stem}_json"], header, rows)
 
     # Each table is written before the next is built, so one is held at a time.
     if inputs.classified is not None:
@@ -401,78 +430,53 @@ def emit_report_set(inputs: ReportInputs, out_dir: str | Path, version_tag: str)
             cells[-1] = "yes" if cells[-1] else ""  # Triage is the last column
         rows.append(["TOTAL", "", *inputs.coverage.totals, "", ""])
         files["coverage"] = out / f"coverage_{version_tag}.csv"
-        _write_csv(files["coverage"], list(COVERAGE_COLUMNS), rows)
+        digests["coverage"] = _write_csv(files["coverage"], list(COVERAGE_COLUMNS), rows)
     if inputs.scores:
         # MetricRow's field order is the key order.
         metrics = [asdict(m) for m in metrics_summary(inputs.scores, inputs.thresholds)]
         files["metrics"] = out / f"metrics_{version_tag}.json"
-        _write_json(files["metrics"], {"metrics": metrics})
+        digests["metrics"] = _write_json(files["metrics"], {"metrics": metrics})
     files["summary"] = out / f"summary_{version_tag}.md"
-    _write_text(files["summary"], render_summary(inputs, version_tag))
-    return ReportSet(files)
+    digests["summary"] = _write_text(files["summary"], render_summary(inputs, version_tag))
+    return ReportSet(files, digests)
 
 
 # ---------------------------------------------------------------------------
-# Reuse of an unchanged report set
+# The key of a report set
 # ---------------------------------------------------------------------------
 
+# How each ReportInputs part enters report_key, in field order.
+_KEY_CELLS = {
+    "classified": lambda rows: list(map(classified_cells, rows)),
+    "catalog": lambda catalog: list(catalog.alias_map().items()),
+    "coverage": lambda matrix: [list(matrix.totals), list(map(coverage_cells, matrix.rows))],
+    "duplicates": lambda findings: list(map(finding_cells, findings)),
+    "contradictions": lambda findings: list(map(finding_cells, findings)),
+    "scores": lambda scores: list(scores.items()),
+    "thresholds": lambda thresholds: list(thresholds.items()),
+}
 
-def report_key(inputs: ReportInputs, version_tag: str) -> str:
+
+def report_key(inputs: ReportInputs, version_tag: str, digests: Mapping[str, str] = {}) -> str:
     """sha256 over everything emit_report_set reads, the tag and the package version.
 
     emit_report_set writes the same bytes for inputs with the same key.
     Each part is one C encoder call over its cells, which keeps every
     value's type and every row's flags apart; a NUL, which JSON text
-    never holds, ends each part.
+    never holds, ends each part. A part named in digests enters as that
+    sha256 instead: the digest of the raw file the part was read from or
+    written to, which determines its cells.
     """
-    matrix = inputs.coverage
-    parts = (
-        [version_tag, __version__],
-        None if inputs.classified is None else list(map(classified_cells, inputs.classified)),
-        None if inputs.catalog is None else list(inputs.catalog.alias_map().items()),
-        None if matrix is None else [list(matrix.totals), list(map(coverage_cells, matrix.rows))],
-        None if inputs.duplicates is None else list(map(finding_cells, inputs.duplicates)),
-        None if inputs.contradictions is None else list(map(finding_cells, inputs.contradictions)),
-        list(inputs.scores.items()),
-        None if inputs.thresholds is None else list(inputs.thresholds.items()),
-    )
+    parts: list = [[version_tag, __version__]]
+    for name, cells in _KEY_CELLS.items():
+        value = getattr(inputs, name)
+        if name in digests:
+            parts.append({"sha256": digests[name]})
+        else:
+            parts.append(None if value is None else cells(value))
     digest = hashlib.sha256()
     for part in parts:
         # A lone surrogate hashes here and fails the write, as it did before.
         digest.update(_CELL_ENCODER.encode(part).encode("utf-8", "surrogatepass"))
         digest.update(b"\0")
     return digest.hexdigest()
-
-
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def write_report_record(record: Path, key: str, report_set: ReportSet, reports_dir: Path) -> None:
-    """Record that report_set, written to reports_dir, holds the reports of key.
-
-    The record lists each file by report name, with its name and sha256.
-    """
-    files = {name: [path.name, _file_sha256(path)] for name, path in report_set.files.items()}
-    _write_json(record, {"reports_dir": str(reports_dir), "key": key, "files": files})
-
-
-def reused_report_set(record: Path, key: str, reports_dir: Path) -> ReportSet | None:
-    """The report set record lists, if it still holds the reports of key in reports_dir.
-
-    It does when the record names key and reports_dir and every file it
-    lists still has its recorded sha256. A missing, unreadable or
-    malformed record, like any mismatch, gives None.
-    """
-    try:
-        saved = json.loads(record.read_bytes())
-        if saved["key"] != key or saved["reports_dir"] != str(reports_dir):
-            return None
-        files = {}
-        for report, (name, sha256) in saved["files"].items():
-            if Path(name).name != name or _file_sha256(reports_dir / name) != sha256:
-                return None
-            files[report] = reports_dir / name
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
-        return None
-    return ReportSet(files, reused=True)

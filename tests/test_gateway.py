@@ -36,6 +36,8 @@ from safereq import (
     send_many,
 )
 from safereq.errors import (
+    AuthMissingError,
+    ChunkTooLargeError,
     MissingResultsRootError,
     NoJsonFoundError,
     NotFixturedError,
@@ -274,7 +276,6 @@ def test_send_parses_records_and_hashes_prompt():
     result = send("p", LlmRequestParams(), backend)
     assert result.raw_text == '{"results": [{"ReqID": "1"}]}'
     assert parse_results_json(result.raw_text).records == [{"ReqID": "1"}]
-    assert result.prompt_sha256 == prompt_sha256("p")
     assert send("p", LlmRequestParams(), backend).raw_text == "total garbage"
 
 
@@ -357,6 +358,57 @@ def test_send_waits_for_retry_after_on_429(monkeypatch, retry_after, slept):
     assert sleeps == slept
     assert result.raw_text == '{"results": []}'
     assert backend.calls == 2
+
+
+class _Response:
+    def __init__(self, status_code, text="", body=None):
+        self.status_code, self.text, self.headers = status_code, text, {}
+        self._body = body
+
+    def json(self):
+        if self._body is None:
+            raise ValueError("no JSON body")
+        return self._body
+
+
+@pytest.mark.parametrize(
+    "response, error",
+    [
+        (_Response(413, "Payload Too Large"), ChunkTooLargeError),
+        (_Response(400, '{"error": {"code": "context_length_exceeded"}}'), ChunkTooLargeError),
+        (_Response(400, "This model's maximum context length is 8192 tokens"), ChunkTooLargeError),
+        (_Response(500, "maximum context"), TransportError),
+        (_Response(503), TransportError),
+        (_Response(401), AuthMissingError),
+        (_Response(403), AuthMissingError),
+        (_Response(400, "unknown model"), SafereqError),
+        (_Response(404), SafereqError),
+        (_Response(200, body={"usage": {}}), SchemaViolationError),
+        (_Response(200, body={"choices": []}), SchemaViolationError),
+        (_Response(200), SchemaViolationError),
+    ],
+    ids=[
+        "413",
+        "400-context-length-code",
+        "400-maximum-context",
+        "500-naming-the-length",
+        "503",
+        "401",
+        "403",
+        "400-other",
+        "404",
+        "200-without-choices",
+        "200-with-no-choice",
+        "200-not-json",
+    ],
+)
+def test_http_backend_maps_each_status_to_its_error(monkeypatch, response, error):
+    monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: response)
+    backend = HttpBackend("http://localhost:9/v1", api_key_env="SAFEREQ_TEST_KEY")
+    with pytest.raises(SafereqError) as excinfo:
+        backend.complete("p", LlmRequestParams())
+    assert type(excinfo.value) is error
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +802,44 @@ def test_send_many_keeps_a_computing_backend_on_the_calling_thread(monkeypatch):
     results = list(send_many([f"r{i}:0" for i in range(10)], LlmRequestParams(), backend))
     assert len(results) == 10
     assert backend.threads == {threading.get_ident()}
+
+
+def _count_voluntary_switches(monkeypatch, counts):
+    """Have the probe read counts, in turn, as the thread's voluntary context switches."""
+    reads = iter(counts)
+    rusage = SimpleNamespace(
+        RUSAGE_THREAD=1, getrusage=lambda who: SimpleNamespace(ru_nvcsw=next(reads))
+    )
+    monkeypatch.setattr(gateway, "resource", rusage)
+
+
+def test_send_many_keeps_a_preempted_backend_on_the_calling_thread(monkeypatch):
+    # The first call spends its time off-CPU without once giving the CPU
+    # up itself: the host took it away, so there is no backend to overlap.
+    _count_voluntary_switches(monkeypatch, [5, 5])
+    backend = SleepyBackend()
+    results = list(send_many([f"r{i}:0.002" for i in range(10)], LlmRequestParams(), backend))
+    assert len(results) == 10
+    assert backend.threads == {threading.get_ident()}
+
+
+def test_send_many_threads_a_backend_whose_first_call_gave_up_the_cpu(monkeypatch):
+    _count_voluntary_switches(monkeypatch, [5, 6])
+    backend = SleepyBackend()
+    results = list(send_many([f"r{i}:0.002" for i in range(10)], LlmRequestParams(), backend))
+    assert len(results) == 10
+    assert len(backend.threads) > 1
+
+
+@pytest.mark.parametrize(
+    "rusage", [None, SimpleNamespace()], ids=["no-resource-module", "no-thread-usage"]
+)
+def test_send_many_without_per_thread_usage_judges_by_the_wait_alone(monkeypatch, rusage):
+    monkeypatch.setattr(gateway, "resource", rusage)
+    backend = SleepyBackend()
+    results = list(send_many([f"r{i}:0.002" for i in range(10)], LlmRequestParams(), backend))
+    assert len(results) == 10
+    assert len(backend.threads) > 1
 
 
 def test_send_many_of_nothing_sends_nothing():

@@ -828,6 +828,29 @@ def test_a_record_that_cannot_be_written_leaves_the_run_to_succeed(tmp_path, whe
     assert second.report_set == first.report_set
 
 
+def test_a_part_whose_raw_file_was_not_written_enters_the_report_key_by_its_cells(tmp_path):
+    # b_second publishes its rows, then cannot write its raw file. b_classify,
+    # reused from its raw file, must not lend that file's digest to them.
+    config = base_config()
+    for name in ("c_coverage", "d_duplicates", "e_contradictions"):
+        del config[name]
+    config["b_second"] = {**config["b_classify"], "output_path": "second"}
+    config_path = make_project(tmp_path, config)
+    (tmp_path / "second").mkdir()
+    write(tmp_path / "second" / "raw", "a file where the raw directory would be")
+    run_all(config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST")
+
+    edit_json(
+        tmp_path / "fixtures" / "classify.json",
+        lambda answer: answer["results"][0].update(Function="EN"),
+    )
+    again = rerun(tmp_path)
+    assert [r.status for r in again.results] == ["Skipped", "Failed"]
+    assert not again.report_set.reused
+    report = (tmp_path / "second" / "reports" / "classification_TEST.csv").read_text("utf-8")
+    assert report.splitlines()[1].startswith("2000,EN,")
+
+
 def test_only_task_restricts_the_run(tmp_path):
     config_path = make_project(tmp_path)
     backend = CountingBackend(MockBackend(tmp_path / "fixtures"))

@@ -23,7 +23,7 @@ from safereq import (
     metrics_summary,
     render_summary,
 )
-from safereq import reporting
+from safereq import reporting, store
 from safereq.errors import SafereqError
 
 
@@ -865,13 +865,13 @@ def recorded(tmp_path):
     key = reporting.report_key(inputs, "V1")
     report_set = emit_report_set(inputs, reports, "V1")
     record = tmp_path / ".safereq" / "reports_V1.json"
-    reporting.write_report_record(record, key, report_set, reports)
+    store.write_report_record(record, key, report_set, reports)
     return record, key, report_set
 
 
 def test_a_recorded_set_is_reused_while_its_files_hold(tmp_path):
     record, key, report_set = recorded(tmp_path)
-    reused = reporting.reused_report_set(record, key, tmp_path / "reports")
+    reused = store.reused_report_set(record, key, tmp_path / "reports")
     assert reused == report_set
     assert reused.reused and not report_set.reused
     saved = json.loads(record.read_text(encoding="utf-8"))
@@ -930,4 +930,4 @@ def _rewrite_record(record, edit):
 def test_a_spoiled_record_or_report_is_not_reused(tmp_path, spoil):
     record, key, _ = recorded(tmp_path)
     spoil(record, tmp_path / "reports")
-    assert reporting.reused_report_set(record, key, tmp_path / "reports") is None
+    assert store.reused_report_set(record, key, tmp_path / "reports") is None
