@@ -65,7 +65,6 @@ from .gateway import (
     extract_results_root,
     parse_results_json,
     prompt_sha256,
-    render_results,
     send,
     send_many,
 )
@@ -116,7 +115,7 @@ from .reporting import (
     render_summary,
 )
 from .requirements import Requirement, RequirementChunk, chunk, load_requirements
-from .rounding import percentage, round_half_up
+from .rounding import percentage
 from .xmi import parse_xmi_bdd
 
 __all__ = [
@@ -156,7 +155,6 @@ __all__ = [
     "extract_results_root",
     "parse_results_json",
     "prompt_sha256",
-    "render_results",
     "send",
     "send_many",
     # classification
@@ -221,5 +219,4 @@ __all__ = [
     "run_task",
     # numeric conventions
     "percentage",
-    "round_half_up",
 ]

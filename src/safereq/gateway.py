@@ -297,11 +297,6 @@ def _check_schema(record: dict, schema: RecordSchema) -> str | None:
     return None
 
 
-def render_results(records: list[dict]) -> str:
-    """Serialize records to the canonical results document (round-trips)."""
-    return json.dumps({"results": records}, indent=2, ensure_ascii=False)
-
-
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------

@@ -7,6 +7,15 @@ and request parameters, and "thresholds" overrides metric acceptance
 thresholds. Paths inside a task resolve against its project_dir, which
 itself resolves against the directory holding the config file.
 
+ANALYSES holds one Analysis per analysis function: its body, its raw
+file's reader (None for a local analysis), the task keys it reads besides
+COMMON_KEYS, the ReportInputs field it publishes and its gold pair kind.
+A key set in a task's own block that its analysis does not read fails
+load_config; defaults may carry keys for any task. A task whose
+input_file is an earlier task's joined CSV takes that task's rows as
+published in the same run, and reads the file only when it published
+none; naming the joined CSV of a task that runs later fails load_config.
+
 A task's primary output is its raw file,
 <output_path>/raw/<task>_<version tag>.json, and run_task alone reads
 and writes it. After a task body succeeds, run_task writes the body's
@@ -130,7 +139,6 @@ class TaskConfig:
     run: bool = True
     delta: bool = False
     project_dir: str = "."
-    readme: str = ""  # accepted, never read
     input_file: str = ""
     dataset_name: str = "Requirements"
     dataset_id_column: str = "ReqID"
@@ -157,6 +165,8 @@ class PipelineConfig:
     llm: dict
     thresholds: dict[str, float]
     config_dir: Path
+    # Each task whose input_file is an earlier task's joined CSV, and that task.
+    upstream: dict[str, str] = field(default_factory=dict)
 
     def task(self, name: str) -> TaskConfig:
         for task in self.tasks:
@@ -186,6 +196,11 @@ _ADMITS: dict[object, tuple[Callable[[object], bool], str]] = {
 }
 
 _TASK_TYPES = {k: t for k, t in get_type_hints(TaskConfig).items() if k != "name"}
+# The keys every task reads; Analysis.reads names the rest.
+COMMON_KEYS = frozenset(
+    "type run project_dir input_file dataset_id_column output_path execute analyze"
+    " analysis_function verbose".split()
+)
 _BACKEND_KEYS = ("backend", "fixture_dir", "endpoint_url", "api_key_file", "api_key_env")
 _LLM_TYPES = {**get_type_hints(LlmRequestParams), **dict.fromkeys(_BACKEND_KEYS, str)}
 
@@ -233,27 +248,47 @@ def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[P
     need(t.chunk_size >= 1, "chunk_size", "must be a positive integer")
     need(t.max_items >= -1, "max_items", "must be an integer >= -1 (-1 means no limit)")
     for key, known in (
-        ("analysis_function", BUILTIN_FUNCTIONS),
+        ("analysis_function", ANALYSES),
         ("prompt_version", DUPLICATE_PROMPTS),
     ):
         expected = "unknown; expected one of " + ", ".join(sorted(known))
         need(getattr(t, key) in known, key, expected)
-    need(
-        not t.metric or t.metric in {**DEFAULT_THRESHOLDS, **thresholds},
-        "metric",
-        f"no threshold configured for {t.metric!r}",
-    )
+    metrics = {**DEFAULT_THRESHOLDS, **thresholds}
+    need(not t.metric or t.metric in metrics, "metric", f"no threshold configured for {t.metric!r}")
 
-    if t.analysis_function == ANALYSIS_COMPLETENESS:
+    analysis = ANALYSES.get(t.analysis_function)
+    reads = analysis.reads if analysis else frozenset()
+    if "dataset_columns" in reads:
         need(bool(t.dataset_columns), "dataset_columns", "must name at least one column")
+    if "result_columns" in reads:
         # The id column leads every joined row already.
         unknown = [c for c in t.result_columns if c == "ReqID" or c not in CLASSIFIED_COLUMNS]
         need(not unknown, "result_columns", "unknown result columns: " + ", ".join(unknown))
-        if t.execute:
-            need(bool(t.instructions), "instructions", "required when execute is true")
-    if t.analysis_function == ANALYSIS_COVERAGE:
+    if "instructions" in reads and t.execute:
+        need(bool(t.instructions), "instructions", "required when execute is true")
+    if analysis and analysis.reader is None:
         need(not t.execute, "execute", "analysis is local; must be false")
     need(t.execute or t.analyze or not t.run, "analyze", "task neither executes nor analyzes")
+    return problems
+
+
+def _link_upstream(config: PipelineConfig) -> list[Problem]:
+    """Fill config.upstream; a problem for each task reading a joined CSV not written before it."""
+    joined = {
+        _joined_path(config, t): at
+        for at, t in enumerate(config.tasks)
+        if ANALYSES[t.analysis_function].slot == "classified"
+    }
+    problems: list[Problem] = []
+    for at, t in enumerate(config.tasks):
+        producer = joined.get(_resolve(config, t, t.input_file))
+        if producer is None:
+            continue
+        name = config.tasks[producer].name
+        if producer < at:
+            config.upstream[t.name] = name
+        else:
+            problems.append((t.name, "input_file", f"{name}'s joined CSV, not written before it"))
     return problems
 
 
@@ -328,17 +363,27 @@ def load_config(path: str | Path) -> PipelineConfig:
             continue
         fields, found = _typed(name, {**blocks["defaults"], **body}, _TASK_TYPES)
         task = TaskConfig(name=name, **fields)
+        refused = {key for _, key, _ in found}
         problems += found
-        problems += _validate_task(task, thresholds, {key for _, key, _ in found})
+        problems += _validate_task(task, thresholds, refused)
+        # Only keys its analysis reads may be set in a task's own block.
+        analysis = ANALYSES.get(task.analysis_function)
+        if analysis and "analysis_function" not in refused:
+            read = COMMON_KEYS | analysis.reads
+            unread = f"not read by {task.analysis_function}"
+            problems += [(name, k, unread) for k in body if k in _TASK_TYPES and k not in read]
         tasks.append(task)
 
     if not tasks and not problems:
         problems.append(("", "config", "no tasks defined"))
-    if problems:
-        raise InvalidConfigError(problems)
-    return PipelineConfig(
+    config = PipelineConfig(
         tasks=tasks, llm=llm, thresholds=thresholds, config_dir=config_path.parent.resolve()
     )
+    if not problems:  # a path that holds a NUL cannot be resolved
+        problems += _link_upstream(config)
+    if problems:
+        raise InvalidConfigError(problems)
+    return config
 
 
 def params_from_llm_config(llm: dict) -> LlmRequestParams:
@@ -354,9 +399,7 @@ def build_backend(llm: dict, config_dir: Path, kind: str | None = None) -> Backe
     if kind == "http":
         endpoint = llm.get("endpoint_url", "")
         if not endpoint:
-            raise InvalidConfigError(
-                [("llm", "endpoint_url", "required for the http backend")]
-            )
+            raise InvalidConfigError([("llm", "endpoint_url", "required for the http backend")])
         key_file = llm.get("api_key_file")
         return HttpBackend(
             endpoint,
@@ -383,9 +426,9 @@ class PipelineContext:
     verbose: bool = False
     # What the tasks publish: the catalog, their results and their scores.
     reports: ReportInputs = field(default_factory=ReportInputs)
-    # For a published part, by ReportInputs field: the part and the sha256
-    # of the raw file it was read from or written to, for report_key.
-    digests: dict[str, tuple[object, str]] = field(default_factory=dict)
+    # By task name, what each task published: its ReportInputs field, the
+    # part and the sha256 of the raw file it was read from or written to.
+    published: dict[str, tuple[str, object, str]] = field(default_factory=dict)
 
     def __post_init__(self):
         # Counted here, so TaskResult.backend_calls holds for any Backend.
@@ -441,10 +484,6 @@ def _record_path(cfg: PipelineConfig, name: str) -> Path:
     return cfg.config_dir / ".safereq" / f"{name}.json"
 
 
-def _under_some_output(cfg: PipelineConfig, path: Path) -> bool:
-    return any(path.is_relative_to(_out_dir(cfg, task)) for task in cfg.tasks)
-
-
 # ---------------------------------------------------------------------------
 # Shared task ingredients
 # ---------------------------------------------------------------------------
@@ -493,9 +532,7 @@ def _require_catalog(
         _resources_payload(ctx, task) if resources is None else resources
     )
     if catalog is None:
-        raise SafereqError(
-            "no ARCHITECTURE resource configured; cannot build the function catalog"
-        )
+        raise SafereqError("no ARCHITECTURE resource configured; cannot build the function catalog")
     return catalog
 
 
@@ -514,13 +551,14 @@ def _classified_from_file(
 
 def _classified_for(
     ctx: PipelineContext, task: TaskConfig, columns: Sequence[str]
-) -> list[ClassifiedRequirement]:
-    """Classified rows from the pipeline context, else columns of input_file."""
-    if ctx.reports.classified is not None:
-        return ctx.reports.classified
+) -> Sequence[ClassifiedRequirement]:
+    """The rows the task's upstream published in this run, else columns of input_file."""
+    producer = ctx.config.upstream.get(task.name)
+    if producer in ctx.published:
+        return ctx.published[producer][1]
     path = _resolve(ctx.config, task, task.input_file)
     if not path.exists():
-        if _under_some_output(ctx.config, path):
+        if producer is not None:
             raise SafereqError(f"missing upstream output: {path}")
         raise SafereqError(f"input file not found: {path}")
     return _classified_from_file(path, task.dataset_id_column, columns)
@@ -533,16 +571,6 @@ def _raw_errors(path: Path) -> Iterator[None]:
         yield
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedRawFileError(f"malformed raw file {path}: {exc!r}") from exc
-
-
-def _raw_text(path: Path) -> tuple[str, str]:
-    """The text of the raw file at path, and the sha256 of its bytes.
-
-    The bytes go once decoded, so a parse that comes later holds the text alone.
-    """
-    data = path.read_bytes()
-    with _raw_errors(path):
-        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
 @contextmanager
@@ -561,9 +589,7 @@ def _raw_payload(path: Path, text: str) -> Iterator[dict]:
         yield payload
 
 
-_ROW_TEXT = (
-    "function", "rtype", "system_requirement", "function_explanation", "type_explanation"
-)
+_ROW_TEXT = ("function", "rtype", "system_requirement", "function_explanation", "type_explanation")
 _FINDING_TEXT = ("kind", "function", "rationale")
 
 
@@ -579,14 +605,9 @@ def _rows_from_raw(
     with _raw_payload(path, text) as payload:
         rows = [  # the fields in order: positional arguments bind faster
             ClassifiedRequirement(
-                str(r["ReqID"]),
-                r["Function"],
-                r["Type"],
-                int(r["Confidence"]),
-                r.get("System Requirement", ""),
-                r.get("Function_Explanation", ""),
-                r.get("Type_Explanation", ""),
-                tuple(r.get("Flags", ())),
+                str(r["ReqID"]), r["Function"], r["Type"], int(r["Confidence"]),
+                r.get("System Requirement", ""), r.get("Function_Explanation", ""),
+                r.get("Type_Explanation", ""), tuple(r.get("Flags", ())),
             )
             for r in payload.get("rows", [])
         ]
@@ -601,12 +622,9 @@ def _rows_from_raw(
 def _findings_from_raw(path: Path, text: str) -> tuple[list[PairFinding], list[str]]:
     with _raw_payload(path, text) as payload:
         findings = [
-            PairFinding(
-                req_a=str(f["ReqID_A"]),
-                req_b=str(f["ReqID_B"]),
-                kind=f["Relation"],
-                function=f.get("Function", ""),
-                rationale=f.get("Rationale", ""),
+            PairFinding(  # req_a, req_b, kind, function, rationale
+                str(f["ReqID_A"]), str(f["ReqID_B"]), f["Relation"],
+                f.get("Function", ""), f.get("Rationale", ""),
             )
             for f in payload.get("findings", [])
         ]
@@ -683,22 +701,22 @@ def _take_rows(
 def _take_findings(
     ctx: PipelineContext,
     task: TaskConfig,
-    spec: _PairSpec,
+    analysis: Analysis,
     findings: Sequence[PairFinding],
     rate: float | None = None,
 ) -> PairScore | None:
-    """Publish findings to the spec's report slot and their detection rate.
+    """Publish findings to the analysis' report slot and their detection rate.
 
     The rate is rate, if given; else the findings are scored against gold,
     and the score is returned.
     """
-    setattr(ctx.reports, spec.slot, findings)
+    setattr(ctx.reports, analysis.slot, findings)
     if not task.gold_file:
         return None
-    metric = task.metric or spec.slot
+    metric = task.metric or analysis.slot
     pair_score = None
     if rate is None:
-        gold = load_gold_pairs(_resolve(ctx.config, task, task.gold_file), spec.kind)
+        gold = load_gold_pairs(_resolve(ctx.config, task, task.gold_file), analysis.gold)
         threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(metric, 80.0)
         pair_score = score(findings, gold, threshold=threshold)
         rate = pair_score.rate
@@ -717,7 +735,6 @@ class _Done(NamedTuple):
     record: dict  # what run_task writes to the raw file; nothing on a reuse
     files: list[Path]  # the body's other files
     detail: str
-    part: str = ""  # the ReportInputs field the body published, if any
     count: int = 0  # the rows or findings in record, and their score:
     score: float | None = None  # run_task records both beside the raw file's sha256
 
@@ -753,21 +770,18 @@ def _require_input_ids(
 def _task_completeness(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    part = "classified" if task.analyze else ""
     if reuse:
         rows, value = previous.items, previous.score
         if task.analyze:
             value = _take_rows(ctx, task, _require_catalog(ctx, task), rows, value)
-        return _Done({}, [], f"reused {len(rows)} classified rows", part, len(rows), value)
+        return _Done({}, [], f"reused {len(rows)} classified rows", len(rows), value)
 
     resources = _resources_payload(ctx, task)
     catalog = _require_catalog(ctx, task, resources)
     input_path = _resolve(ctx.config, task, task.input_file)
     if not input_path.exists():
         raise SafereqError(f"input file not found: {input_path}")
-    requirements = load_requirements(
-        input_path, task.dataset_id_column, list(task.dataset_columns)
-    )
+    requirements = load_requirements(input_path, task.dataset_id_column, task.dataset_columns)
     chunks = chunk_requirements(requirements, task.chunk_size, task.max_items)
     inputs = [req for piece in chunks for req in piece.rows]
 
@@ -808,7 +822,7 @@ def _task_completeness(
     detail = f"{len(rows)} requirements classified, {len(quarantined)} quarantined"
     if gold_value is not None:
         detail += f", accuracy {gold_value:.2f}"
-    return _Done(record, files, detail, part, len(rows), gold_value)
+    return _Done(record, files, detail, len(rows), gold_value)
 
 
 def _task_coverage(
@@ -818,77 +832,47 @@ def _task_coverage(
     catalog = _require_catalog(ctx, task)
     matrix = build_matrix(classified, catalog)
     gaps = gap_ranking(matrix)
-    if task.analyze:
-        ctx.reports.coverage = matrix
-        if ctx.reports.catalog is None:
-            ctx.reports.catalog = catalog
+    if task.analyze:  # catalog is the run's catalog, if it has one
+        ctx.reports.coverage, ctx.reports.catalog = matrix, catalog
     record = {
         "rows": [dict(zip(COVERAGE_COLUMNS, coverage_cells(row))) for row in matrix.rows],
         "totals": list(matrix.totals),
         "gap_ranking": [{"Function": row.alias, "Shortfall": missing} for row, missing in gaps],
     }
     detail = f"{len(matrix.rows)} functions, {len(gaps)} with missing coverage"
-    return _Done(record, [], detail, "coverage" if task.analyze else "")
-
-
-@dataclass(frozen=True)
-class _PairSpec:
-    """What the one pair-task body needs to know about a pair analysis."""
-
-    detect: Callable[[PipelineContext, TaskConfig, dict], DetectionResult]
-    kind: str  # the gold kind findings are scored as
-    slot: str  # ReportInputs field for the findings; also the default metric
-    versioned: bool  # the raw file records prompt_version
-
-
-# The detectors are looked up when called, so wrapping the module-level
-# names (as a tracer does) still takes effect.
-_PAIR_SPECS = {
-    ANALYSIS_DUPLICATES: _PairSpec(
-        detect=lambda ctx, task, clusters: detect_duplicates(
-            clusters, ctx.params, ctx.backend, prompt_version=task.prompt_version
-        ),
-        kind=KIND_DUPLICATE,
-        slot="duplicates",
-        versioned=True,
-    ),
-    ANALYSIS_CONTRADICTIONS: _PairSpec(
-        detect=lambda ctx, task, clusters: detect_contradictions(
-            clusters, ctx.params, ctx.backend, duplicates=ctx.reports.duplicates or []
-        ),
-        kind=KIND_CONTRADICTION,
-        slot="contradictions",
-        versioned=False,
-    ),
-}
+    return _Done(record, [], detail)
 
 
 def _task_pairs(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    spec = _PAIR_SPECS[task.analysis_function]
-    part = spec.slot if task.analyze else ""
+    analysis = ANALYSES[task.analysis_function]
     if reuse:
         findings, rate = previous.items, previous.score
         if task.analyze:
-            pair_score = _take_findings(ctx, task, spec, findings, rate)
+            pair_score = _take_findings(ctx, task, analysis, findings, rate)
             rate = pair_score.rate if pair_score else rate
-        return _Done({}, [], f"reused {len(findings)} findings", part, len(findings), rate)
+        return _Done({}, [], f"reused {len(findings)} findings", len(findings), rate)
 
     classified = _classified_for(ctx, task, ("Function", "System Requirement"))
     catalog = ctx.reports.catalog or _catalog_for(_resources_payload(ctx, task))
     clusters = cluster_by_function(classified, catalog)
 
-    if task.execute:
-        detection = spec.detect(ctx, task, clusters)
-    else:
+    # The detectors are looked up when called, so wrapping the module-level
+    # names (as a tracer does) still takes effect.
+    args = (clusters, ctx.params, ctx.backend)
+    if not task.execute:
         detection = DetectionResult(previous.items, previous.extra)
+    elif analysis.gold == KIND_DUPLICATE:
+        detection = detect_duplicates(*args, prompt_version=task.prompt_version)
+    else:  # contradictions skip the pairs duplicates found earlier in the run
+        detection = detect_contradictions(*args, duplicates=ctx.reports.duplicates or [])
     files = _write_quarantine(ctx, task, detection.rejected)
 
-    pair_score = _take_findings(ctx, task, spec, detection.findings) if task.analyze else None
-    version = {"prompt_version": task.prompt_version} if spec.versioned else {}
+    pair_score = _take_findings(ctx, task, analysis, detection.findings) if task.analyze else None
+    versioned = "prompt_version" in analysis.reads
     record = {
-        **version,
+        **({"prompt_version": task.prompt_version} if versioned else {}),
         "findings": [finding_record(f) for f in detection.findings],
         "notes": detection.notes,
         "score": asdict(pair_score) if pair_score else None,
@@ -897,27 +881,40 @@ def _task_pairs(
     if pair_score:
         detail += f", detection rate {pair_score.rate:.2f}"
     rate = pair_score.rate if pair_score else None
-    return _Done(record, files, detail, part, len(detection.findings), rate)
+    return _Done(record, files, detail, len(detection.findings), rate)
 
 
-# Each body takes the context, the task, the results run_task read back from
-# the task's raw file (None when it read none) and whether delta reuses that
-# file, and returns a _Done. On a reuse it publishes what was read back and
-# writes nothing.
-BUILTIN_FUNCTIONS = {
-    ANALYSIS_COMPLETENESS: _task_completeness,
-    ANALYSIS_COVERAGE: _task_coverage,
-    ANALYSIS_DUPLICATES: _task_pairs,
-    ANALYSIS_CONTRADICTIONS: _task_pairs,
-}
+@dataclass(frozen=True)
+class Analysis:
+    """What load_config and run_task know of one analysis function."""
 
-# The reader of each backend analysis' raw file, which run_task calls for a
-# delta reuse and for execute false. Coverage is computed locally, never talks
-# to the backend, and has none.
-RAW_READERS = {
-    ANALYSIS_COMPLETENESS: _rows_from_raw,
-    ANALYSIS_DUPLICATES: _findings_from_raw,
-    ANALYSIS_CONTRADICTIONS: _findings_from_raw,
+    # (ctx, task, the raw file read back or None, reuse): a reuse only publishes.
+    body: Callable[[PipelineContext, TaskConfig, _Previous | None, bool], _Done]
+    # Parses the raw file for a delta reuse and for execute false; None for a
+    # local analysis, which calls no backend and recomputes instead.
+    reader: Callable[[Path, str], tuple] | None
+    slot: str  # the ReportInputs field it publishes when analyze is true
+    gold: str  # the kind gold pairs are scored as; "" for gold labels or none
+    reads: frozenset[str]  # the TaskConfig keys it reads besides COMMON_KEYS
+
+
+ANALYSES = {
+    ANALYSIS_COMPLETENESS: Analysis(
+        _task_completeness, _rows_from_raw, "classified", "",
+        frozenset(
+            "delta dataset_name dataset_columns result_columns instructions resources"
+            " chunk_size max_items gold_file metric gold_include_type".split()
+        ),
+    ),
+    ANALYSIS_COVERAGE: Analysis(_task_coverage, None, "coverage", "", frozenset({"resources"})),
+    ANALYSIS_DUPLICATES: Analysis(
+        _task_pairs, _findings_from_raw, "duplicates", KIND_DUPLICATE,
+        frozenset("delta resources prompt_version gold_file metric".split()),
+    ),
+    ANALYSIS_CONTRADICTIONS: Analysis(
+        _task_pairs, _findings_from_raw, "contradictions", KIND_CONTRADICTION,
+        frozenset("delta resources gold_file metric".split()),
+    ),
 }
 
 
@@ -926,14 +923,15 @@ RAW_READERS = {
 # ---------------------------------------------------------------------------
 
 
-def _score_key(ctx: PipelineContext, task: TaskConfig) -> str:
-    """What a task's score is computed from besides its raw file: its analysis,
-    gold_include_type and its gold file's sha256 (None without a readable one)."""
+def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str:
+    """What a task's score comes from besides its raw file: its analysis, the
+    gold_include_type it reads, if any, and its gold file's sha256, if readable."""
     gold = None
     if task.gold_file:
         with suppress(OSError):
             gold = file_sha256(_resolve(ctx.config, task, task.gold_file))
-    return json.dumps([task.analysis_function, task.gold_include_type, gold])
+    include_type = task.gold_include_type if "gold_include_type" in analysis.reads else None
+    return json.dumps([task.analysis_function, include_type, gold])
 
 
 def _read_back(
@@ -945,7 +943,10 @@ def _read_back(
     results stay unparsed and carry the recorded score. Otherwise they
     are parsed and checked now.
     """
-    text, sha = _raw_text(raw_path)
+    data = raw_path.read_bytes()
+    with _raw_errors(raw_path):
+        text, sha = data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    del data  # a parse, now or later, holds the text alone
     if saved is not None and saved["files"] == {"raw": [raw_path.name, sha]}:
         items = _Unread(lambda: reader(raw_path, text)[0], saved["count"])
         return _Previous(items, [], saved["score"]), sha
@@ -964,7 +965,8 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
     other exception is a bug and propagates. A task that succeeds removes
     a marker left by an earlier failure.
     """
-    if task.analysis_function not in BUILTIN_FUNCTIONS:
+    analysis = ANALYSES.get(task.analysis_function)
+    if analysis is None:
         raise UnknownAnalysisFunctionError(task.analysis_function)
     raw_path = _raw_path(ctx.config, task, ctx.version_tag)
     partial = Path(str(raw_path) + ".partial")
@@ -973,28 +975,26 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         return TaskResult(task.name, STATUS_SKIPPED, "run is false")
 
     # Local analyses recompute for free; delta only guards backend work.
-    reader = RAW_READERS.get(task.analysis_function)
+    reader = analysis.reader
     delta_hit = (
         task.delta and not ctx.force and raw_path.exists() and reader is not None and task.execute
     )
     if dry_run:
-        detail = (
-            f"delta: would reuse {raw_path.name}" if delta_hit else "would execute"
-        )
+        detail = f"delta: would reuse {raw_path.name}" if delta_hit else "would execute"
         return TaskResult(task.name, STATUS_PLANNED, detail)
 
     calls_before = ctx.backend.calls
     try:
         # Taken before the body reads the gold file, so a record never pairs
         # a later gold file with a score of an earlier one.
-        key = _score_key(ctx, task) if reader is not None else ""
+        key = _score_key(ctx, task, analysis) if reader is not None else ""
         previous = sha = None
         if reader is not None and (delta_hit or not task.execute):
             if not raw_path.exists():
                 raise SafereqError("execute is false and no previous raw output exists")
             saved = load_record(trace, key, raw_path.parent) if delta_hit else None
             previous, sha = _read_back(reader, raw_path, saved)
-        done = BUILTIN_FUNCTIONS[task.analysis_function](ctx, task, previous, delta_hit)
+        done = analysis.body(ctx, task, previous, delta_hit)
         if delta_hit:
             result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {done.detail}")
         else:
@@ -1010,8 +1010,8 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
             raw_file = {"raw": (raw_path.name, sha)}
             with suppress(OSError, UnicodeError):
                 record(trace, key, raw_path.parent, raw_file, count=done.count, score=done.score)
-        if done.part:
-            ctx.digests[done.part] = (getattr(ctx.reports, done.part), sha)
+        if task.analyze:
+            ctx.published[task.name] = (analysis.slot, getattr(ctx.reports, analysis.slot), sha)
     except (SafereqError, OSError) as exc:
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
         try:
@@ -1070,9 +1070,8 @@ def run_all(
     if not dry_run and selected and any(part is not None for part in parts):
         reports_dir = _out_dir(cfg, selected[-1]) / "reports"
         saved = _record_path(cfg, f"reports_{ctx.version_tag}")
-        digests = {
-            name: sha for name, (part, sha) in ctx.digests.items() if getattr(inputs, name) is part
-        }
+        published = ctx.published.values()
+        digests = {slot: sha for slot, part, sha in published if getattr(inputs, slot) is part}
         key = report_key(inputs, ctx.version_tag, digests)
         if not force:
             report_set = reused_report_set(saved, key, reports_dir)

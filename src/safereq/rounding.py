@@ -5,12 +5,6 @@ from __future__ import annotations
 from decimal import ROUND_HALF_UP, Decimal
 
 
-def round_half_up(value: float, places: int = 2) -> float:
-    """Round half away from zero, the convention for reported percentages."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
 def percentage(numerator: int, denominator: int, places: int = 2) -> float:
     """100 * numerator / denominator, rounded half-up."""
     if denominator == 0:

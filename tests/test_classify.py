@@ -22,10 +22,14 @@ from safereq import (
     chunk,
     classify,
     consistency,
-    render_results,
     validate_records,
 )
 from safereq.errors import MismatchedIdSetsError
+
+
+def render_results(records: list[dict]) -> str:
+    """The canonical results document a backend answers with."""
+    return json.dumps({"results": records}, indent=2, ensure_ascii=False)
 
 
 def small_catalog():

@@ -31,7 +31,6 @@ from safereq import (
     gateway,
     parse_results_json,
     prompt_sha256,
-    render_results,
     send,
     send_many,
 )
@@ -48,6 +47,7 @@ from safereq.errors import (
 )
 from safereq import gateway
 from safereq.gateway import RecordSchema, ask_many, encode_row
+from test_classify import render_results
 
 # The malformed payload shape a model actually returned: a brace where
 # the record list's bracket belongs and two missing commas.

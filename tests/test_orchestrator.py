@@ -5,14 +5,18 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 from datetime import date
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from safereq import (
+    DEFAULT_THRESHOLDS,
+    DUPLICATE_PROMPTS,
     CountingBackend,
     HttpBackend,
     LlmRequestParams,
@@ -1357,3 +1361,150 @@ def test_run_task_rejects_unregistered_analysis_function(tmp_path):
     )
     with pytest.raises(UnknownAnalysisFunctionError):
         run_task(ctx, task)
+
+
+# ---------------------------------------------------------------------------
+# The analysis table: the keys each analysis reads, and upstream edges
+# ---------------------------------------------------------------------------
+
+TASK_OF = {
+    orchestrator.ANALYSIS_COMPLETENESS: "b_classify",
+    orchestrator.ANALYSIS_COVERAGE: "c_coverage",
+    orchestrator.ANALYSIS_DUPLICATES: "d_duplicates",
+    orchestrator.ANALYSIS_CONTRADICTIONS: "e_contradictions",
+}
+KEY_TYPES = {k: t for k, t in get_type_hints(TaskConfig).items() if k != "name"}
+UNREAD = [
+    (function, key)
+    for function, analysis in orchestrator.ANALYSES.items()
+    for key in sorted(KEY_TYPES)
+    if key not in orchestrator.COMMON_KEYS | analysis.reads
+]
+
+
+def test_every_task_key_is_read_by_some_analysis():
+    reads = [analysis.reads for analysis in orchestrator.ANALYSES.values()]
+    assert orchestrator.COMMON_KEYS.union(*reads) == set(KEY_TYPES)
+
+
+@pytest.mark.parametrize("function, key", UNREAD, ids=[f"{TASK_OF[f]}-{k}" for f, k in UNREAD])
+def test_a_key_its_analysis_does_not_read_is_refused_in_a_task_block(tmp_path, function, key):
+    task = TASK_OF[function]
+    config = base_config()
+    config[task][key] = dataclasses.asdict(TaskConfig(name=task))[key]  # the default
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, config))
+    assert (task, key, f"not read by {function}") in err.value.problems
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=6)
+_VALID = {
+    bool: st.booleans(),
+    int: st.integers(1, 50),
+    str: _TEXT,
+    list[str]: st.lists(
+        st.sampled_from(["Function", "Type", "Confidence", "System Requirement"]),
+        min_size=1,
+        max_size=3,
+    ),
+    "metric": st.sampled_from(["", *DEFAULT_THRESHOLDS]),
+    "prompt_version": st.sampled_from(sorted(DUPLICATE_PROMPTS)),
+}
+
+
+@st.composite
+def unread_defaults(draw):
+    """An analysis, and valid values for the keys it does not read."""
+    function = draw(st.sampled_from(sorted(orchestrator.ANALYSES)))
+    keys = [key for f, key in UNREAD if f == function]
+    return function, {key: draw(_VALID.get(key, _VALID[KEY_TYPES[key]])) for key in keys}
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(drawn=unread_defaults())
+def test_defaults_for_keys_an_analysis_does_not_read_leave_its_files_alone(tmp_path, drawn):
+    function, values = drawn
+    first = tmp_path / "first"
+    if not first.exists():
+        run_all(make_project(first), version_tag="TEST")
+
+    def run_alone(defaults):
+        project = tmp_path / "project"
+        shutil.rmtree(project, ignore_errors=True)
+        shutil.copytree(first, project)
+        config = base_config()
+        config["defaults"].update(defaults)
+        (project / "params.json").write_text(json.dumps(config), encoding="utf-8")
+        backend = RecordingBackend(project / "fixtures")
+        task = TASK_OF[function]
+        report = run_all(
+            project / "params.json", backend, version_tag="TEST", only_task=task, force=True
+        )
+        assert [r.status for r in report.results] == ["Succeeded"]
+        parts = ("raw", "quarantine", "joined")
+        return backend.prompts, {part: tree_bytes(project / "results" / part) for part in parts}
+
+    assert run_alone(values) == run_alone({})
+
+
+def test_load_config_links_each_task_to_the_task_whose_joined_csv_it_reads(tmp_path):
+    config = base_config()
+    config["d_duplicates"]["input_file"] = "other.csv"
+    cfg = load_config(make_project(tmp_path, config))
+    assert cfg.upstream == {"c_coverage": "b_classify", "e_contradictions": "b_classify"}
+
+
+def test_a_task_listed_before_the_task_whose_joined_csv_it_reads_fails_at_load(tmp_path):
+    base = base_config()
+    order = ("defaults", "llm", "c_coverage", "b_classify", "d_duplicates", "e_contradictions")
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, {key: base[key] for key in order}))
+    assert problems_of(err) == [("c_coverage", "input_file")]
+    assert "b_classify's joined CSV, not written before it" in str(err.value)
+
+
+def test_a_classification_that_reads_its_own_joined_csv_fails_at_load(tmp_path):
+    config = base_config()
+    del config["b_classify"]["input_file"]  # the defaults name b_classify's joined CSV
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(make_project(tmp_path, config))
+    assert problems_of(err) == [("b_classify", "input_file")]
+
+
+def test_tasks_with_their_own_input_file_build_from_it_with_or_without_classification(tmp_path):
+    config, tasks = base_config(), ("c_coverage", "d_duplicates")
+    for task in tasks:
+        config[task]["input_file"] = "other.csv"
+    config_path = make_project(tmp_path, config)
+    # Hand labels that put every requirement under EN; classification puts two under NAV.
+    (tmp_path / "other.csv").write_text(
+        "ReqID,Function,Type,System Requirement\n"
+        + "".join(f"{i},EN,PROB,The system shall satisfy {i}.\n" for i in range(2000, 2004)),
+        encoding="utf-8",
+    )
+    assert run_all(config_path, version_tag="TEST").failed == []
+    raw = tmp_path / "results" / "raw"
+    together = {task: (raw / f"{task}_TEST.json").read_bytes() for task in tasks}
+    coverage = json.loads(together["c_coverage"])
+    assert {row["Function"]: row["N_FUNC"] for row in coverage["rows"]}["NAV"] == 0
+    for task, written in together.items():
+        report = run_all(config_path, version_tag="TEST", only_task=task, force=True)
+        assert report.failed == []
+        assert (raw / f"{task}_TEST.json").read_bytes() == written
+
+
+def test_a_task_run_alone_reads_the_joined_csv_an_earlier_run_wrote(tmp_path):
+    config_path = make_project(tmp_path)
+    run_all(config_path, version_tag="TEST")
+    raw = tmp_path / "results" / "raw" / "c_coverage_TEST.json"
+    written = raw.read_bytes()
+    raw.unlink()
+    report = run_all(config_path, version_tag="TEST", only_task="c_coverage")
+    assert [r.status for r in report.results] == ["Succeeded"]
+    assert raw.read_bytes() == written
+
+    (tmp_path / "results" / "joined" / "b_classify_joined.csv").unlink()
+    (result,) = run_all(config_path, version_tag="TEST", only_task="c_coverage").results
+    assert result.detail.startswith("missing upstream output: ")

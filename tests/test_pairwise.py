@@ -26,10 +26,10 @@ from safereq import (
     detect_contradictions,
     detect_duplicates,
     load_gold_pairs,
-    render_results,
     score,
 )
 from safereq import pairwise
+from test_classify import render_results
 from safereq.errors import (
     AliasClosureViolationError,
     BlankReqIdError,

@@ -5,21 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from safereq import percentage, round_half_up
+from safereq import percentage
 
 
-def test_round_half_up_basic():
-    assert round_half_up(2.5, 0) == 3.0
-    assert round_half_up(3.5, 0) == 4.0
-    assert round_half_up(1.005) == 1.01
-    assert round_half_up(1.004) == 1.0
-    assert round_half_up(-2.5, 0) == -3.0
+def test_percentage_rounds_half_up():
+    assert percentage(5, 200, 0) == 3.0  # 2.5
+    assert percentage(7, 200, 0) == 4.0  # 3.5
+    assert percentage(1005, 100000) == 1.01
+    assert percentage(1004, 100000) == 1.0
+    assert percentage(-5, 200, 0) == -3.0  # -2.5, away from zero
 
 
-def test_round_half_up_is_not_bankers_rounding():
+def test_percentage_is_not_bankers_rounding():
     # round() ties to even; the reporting convention must not.
     assert round(2.5) == 2
-    assert round_half_up(2.5, 0) == 3.0
+    assert percentage(1, 40, 0) == 3.0
 
 
 def test_percentage_published_rates():

@@ -8,6 +8,7 @@ outcome it has when the store is deleted first.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -193,8 +194,9 @@ def refuse_reads_without_need(monkeypatch):
 
     monkeypatch.setattr(orchestrator, "_load_gold_labels", refuse)
     monkeypatch.setattr(orchestrator, "load_gold_pairs", refuse)
-    for analysis in (orchestrator.ANALYSIS_DUPLICATES, orchestrator.ANALYSIS_CONTRADICTIONS):
-        monkeypatch.setitem(orchestrator.RAW_READERS, analysis, refuse)
+    for name in (orchestrator.ANALYSIS_DUPLICATES, orchestrator.ANALYSIS_CONTRADICTIONS):
+        analysis = dataclasses.replace(orchestrator.ANALYSES[name], reader=refuse)
+        monkeypatch.setitem(orchestrator.ANALYSES, name, analysis)
 
 
 @pytest.mark.parametrize("force", [False, True], ids=["after-unforced-run", "after-forced-run"])
