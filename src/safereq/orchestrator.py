@@ -17,33 +17,34 @@ published in the same run, and reads the file only when it published
 none; naming the joined CSV of a task that runs later fails load_config.
 
 A task's primary output is its raw file,
-<output_path>/raw/<task>_<version tag>.json, and run_task alone reads
-and writes it. After a task body succeeds, run_task writes the body's
-record there, as the task's last write, and records the file's sha256,
-its row or finding count and its score under <config_dir>/.safereq/
-(see store). A task with delta enabled is skipped (zero backend calls)
-when that file already exists. If the file still hashes as recorded,
-the body publishes its rows or findings unparsed: they are parsed once,
-when a later task or a report set that must be written again first
-reads them, and the recorded score stands while the gold file's sha256
-and the scoring settings match. Otherwise run_task reads and checks the
-file at once, as it does for execute false, and records it for the next
-run. Either way downstream tasks and the final report set behave exactly
-as on the first run. Failures leave a .partial file beside the missing
-output instead; the next success removes it. Every file is written to a
-temp file beside it, synced to disk and moved into place, so neither a
-crash nor a power loss leaves a truncated file a later run trusts.
+<output_path>/raw/<task>_<version tag>.json; run_task alone reads and
+writes it, as the task's last write. After a backend task executes,
+run_task records the file's sha256, row or finding count and score
+under <config_dir>/.safereq/ (see store), keyed by _task_key: a digest
+of everything the file is built from. A delta task is skipped (zero
+backend calls) only while that record loads for its current key and the
+file still hashes as recorded. Its rows or findings are then published
+unparsed, and its recorded score stands while the gold file and scoring
+settings match. An upstream's rows enter a key as the upstream's raw
+sha256, so an upstream that executes again into the same bytes leaves
+its consumers skipped (early cutoff). execute false reads the file back,
+checked, and never records it. A failed task publishes nothing and
+leaves a .partial file beside the missing output; the next success
+removes it. Every file is written to a temp file beside it, synced to
+disk and moved into place, so neither a crash nor a power loss leaves a
+truncated file a later run trusts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from itertools import chain, zip_longest
 from operator import attrgetter
@@ -274,14 +275,15 @@ def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[P
 
 def _link_upstream(config: PipelineConfig) -> list[Problem]:
     """Fill config.upstream; a problem for each task reading a joined CSV not written before it."""
+    # Normalized spellings, so "results/../results/joined/x.csv" names x.csv too.
     joined = {
-        _joined_path(config, t): at
+        os.path.normpath(_joined_path(config, t)): at
         for at, t in enumerate(config.tasks)
         if ANALYSES[t.analysis_function].slot == "classified"
     }
     problems: list[Problem] = []
     for at, t in enumerate(config.tasks):
-        producer = joined.get(_resolve(config, t, t.input_file))
+        producer = joined.get(os.path.normpath(_resolve(config, t, t.input_file)))
         if producer is None:
             continue
         name = config.tasks[producer].name
@@ -636,13 +638,8 @@ def _findings_from_raw(path: Path, text: str) -> tuple[list[PairFinding], list[s
 
 
 class _Unread(Sequence):
-    """A raw file's rows or findings, parsed on first use, once.
-
-    run_task publishes one for a raw file whose bytes hash as recorded,
-    so a rerun that reads no row parses none. Its length is the recorded
-    count, and parse reads the text of the bytes that were hashed, not
-    the file as it may be by then.
-    """
+    """A verified raw file's rows or findings, parsed on first use, once, from
+    the text of the bytes that were hashed; its length is the recorded count."""
 
     def __init__(self, parse: Callable[[], list], count: int):
         self._parse, self._count, self._items = parse, count, None
@@ -770,11 +767,10 @@ def _require_input_ids(
 def _task_completeness(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    if reuse:
-        rows, value = previous.items, previous.score
+    if reuse:  # publish only; run_task records nothing
         if task.analyze:
-            value = _take_rows(ctx, task, _require_catalog(ctx, task), rows, value)
-        return _Done({}, [], f"reused {len(rows)} classified rows", len(rows), value)
+            _take_rows(ctx, task, _require_catalog(ctx, task), previous.items, previous.score)
+        return _Done({}, [], f"reused {len(previous.items)} classified rows")
 
     resources = _resources_payload(ctx, task)
     catalog = _require_catalog(ctx, task, resources)
@@ -847,12 +843,10 @@ def _task_pairs(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
     analysis = ANALYSES[task.analysis_function]
-    if reuse:
-        findings, rate = previous.items, previous.score
+    if reuse:  # publish only; run_task records nothing
         if task.analyze:
-            pair_score = _take_findings(ctx, task, analysis, findings, rate)
-            rate = pair_score.rate if pair_score else rate
-        return _Done({}, [], f"reused {len(findings)} findings", len(findings), rate)
+            _take_findings(ctx, task, analysis, previous.items, previous.score)
+        return _Done({}, [], f"reused {len(previous.items)} findings")
 
     classified = _classified_for(ctx, task, ("Function", "System Requirement"))
     catalog = ctx.reports.catalog or _catalog_for(_resources_payload(ctx, task))
@@ -896,6 +890,7 @@ class Analysis:
     slot: str  # the ReportInputs field it publishes when analyze is true
     gold: str  # the kind gold pairs are scored as; "" for gold labels or none
     reads: frozenset[str]  # the TaskConfig keys it reads besides COMMON_KEYS
+    takes: frozenset[str] = frozenset()  # the ReportInputs fields other tasks published it reads
 
 
 ANALYSES = {
@@ -913,7 +908,7 @@ ANALYSES = {
     ),
     ANALYSIS_CONTRADICTIONS: Analysis(
         _task_pairs, _findings_from_raw, "contradictions", KIND_CONTRADICTION,
-        frozenset("delta resources gold_file metric".split()),
+        frozenset("delta resources gold_file metric".split()), frozenset({"duplicates"}),
     ),
 }
 
@@ -921,6 +916,35 @@ ANALYSES = {
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
+
+
+# The keys that decide only whether or how loudly a task runs, or only its score.
+_UNKEYED = frozenset("run delta verbose execute gold_file metric gold_include_type".split())
+
+
+def _task_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str:
+    """sha256 over what a backend task's raw file is built from: the keys its
+    analysis reads but _UNKEYED, the bytes of its input, instructions and
+    resources files (an input_file a producer published in this run: its raw
+    sha256), each part it takes by raw sha256, the catalog and request settings."""
+    reads = COMMON_KEYS | analysis.reads
+    producer = ctx.config.upstream.get(task.name)
+    published = {slot: sha for slot, _, sha in ctx.published.values()}  # the last of each slot
+
+    def digest(key: str) -> str | None:
+        if key == "input_file" and producer in ctx.published:
+            return ctx.published[producer][2]
+        with suppress(OSError):  # a file the body cannot read fails it there
+            return file_sha256(_resolve(ctx.config, task, getattr(task, key)))
+
+    parts = [
+        {key: getattr(task, key) for key in sorted(reads - _UNKEYED)},
+        [digest(key) for key in ("input_file", "instructions", "resources") if key in reads],
+        [published.get(slot) for slot in sorted(analysis.takes)],
+        None if ctx.reports.catalog is None else ctx.reports.catalog.alias_map(),
+        [ctx.params.model_id, ctx.params.temperature, ctx.params.system_context],
+    ]
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
 def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str:
@@ -934,36 +958,36 @@ def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> st
     return json.dumps([task.analysis_function, include_type, gold])
 
 
-def _read_back(
-    reader: Callable[[Path, str], tuple], raw_path: Path, saved: dict | None
-) -> tuple[_Previous, str]:
-    """What reader reads in a raw file, and the sha256 of the bytes it came from.
+def _reused(
+    reader: Callable[[Path, str], tuple], raw_path: Path, saved: dict, score_key: str
+) -> tuple[_Previous, str] | None:
+    """The raw file saved records, unparsed, and its sha256; None if it no
+    longer hashes as recorded. The recorded score stands while score_key does."""
+    with suppress(OSError):
+        data = raw_path.read_bytes()
+        sha = hashlib.sha256(data).hexdigest()
+        if saved["files"] == {"raw": [raw_path.name, sha]}:
+            text = data.decode("utf-8")  # bytes a run wrote
+            del data  # a later parse holds the text alone
+            items = _Unread(lambda: reader(raw_path, text)[0], saved["count"])
+            score = saved["score"] if saved["score_key"] == score_key else None
+            return _Previous(items, [], score), sha
 
-    If saved, the file's record, still lists the file by that sha256, the
-    results stay unparsed and carry the recorded score. Otherwise they
-    are parsed and checked now.
-    """
-    data = raw_path.read_bytes()
+
+def _read_back(reader: Callable[[Path, str], tuple], raw_path: Path) -> _Previous:
+    """The raw file execute false takes, parsed and checked now."""
+    if not raw_path.exists():
+        raise SafereqError("execute is false and no previous raw output exists")
     with _raw_errors(raw_path):
-        text, sha = data.decode("utf-8"), hashlib.sha256(data).hexdigest()
-    del data  # a parse, now or later, holds the text alone
-    if saved is not None and saved["files"] == {"raw": [raw_path.name, sha]}:
-        items = _Unread(lambda: reader(raw_path, text)[0], saved["count"])
-        return _Previous(items, [], saved["score"]), sha
-    return _Previous(*reader(raw_path, text)), sha
+        return _Previous(*reader(raw_path, raw_path.read_bytes().decode("utf-8")))
 
 
 def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> TaskResult:
     """Run (or skip) one task and return its outcome.
 
-    run_task is the only reader and writer of the task's raw file. It
-    reads the file back for a delta reuse or for execute false, and after
-    any other body that succeeds it writes the body's record there and,
-    for a backend analysis, records the file (see the module docstring).
-    A SafereqError or OSError comes back as a Failed result and leaves a
-    .partial marker beside the raw output the task did not produce; any
-    other exception is a bug and propagates. A task that succeeds removes
-    a marker left by an earlier failure.
+    See the module docstring for the raw file, its record and delta reuse.
+    A SafereqError or OSError comes back as a Failed result, and takes back
+    what the task published; any other exception is a bug and propagates.
     """
     analysis = ANALYSES.get(task.analysis_function)
     if analysis is None:
@@ -976,26 +1000,26 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
 
     # Local analyses recompute for free; delta only guards backend work.
     reader = analysis.reader
-    delta_hit = (
-        task.delta and not ctx.force and raw_path.exists() and reader is not None and task.execute
-    )
+    keyed = reader is not None and task.execute
+    key = _task_key(ctx, task, analysis) if keyed else ""
+    delta = keyed and task.delta and not ctx.force
+    saved = load_record(trace, key, raw_path.parent) if delta else None
     if dry_run:
-        detail = f"delta: would reuse {raw_path.name}" if delta_hit else "would execute"
+        detail = f"delta: would reuse {raw_path.name}" if saved else "would execute"
         return TaskResult(task.name, STATUS_PLANNED, detail)
 
     calls_before = ctx.backend.calls
+    before = replace(ctx.reports, scores=dict(ctx.reports.scores))
     try:
         # Taken before the body reads the gold file, so a record never pairs
         # a later gold file with a score of an earlier one.
-        key = _score_key(ctx, task, analysis) if reader is not None else ""
-        previous = sha = None
-        if reader is not None and (delta_hit or not task.execute):
-            if not raw_path.exists():
-                raise SafereqError("execute is false and no previous raw output exists")
-            saved = load_record(trace, key, raw_path.parent) if delta_hit else None
-            previous, sha = _read_back(reader, raw_path, saved)
-        done = analysis.body(ctx, task, previous, delta_hit)
-        if delta_hit:
+        score_key = _score_key(ctx, task, analysis) if reader is not None else ""
+        reuse = _reused(reader, raw_path, saved, score_key) if saved else None
+        previous, sha = reuse or (None, None)
+        if reader is not None and not task.execute:
+            previous = _read_back(reader, raw_path)
+        done = analysis.body(ctx, task, previous, bool(reuse))
+        if reuse:
             result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {done.detail}")
         else:
             raw = {"task": task.name, "analysis_function": task.analysis_function, **done.record}
@@ -1003,16 +1027,17 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
             written = [raw_path, *done.files]
             result = TaskResult(task.name, STATUS_SUCCEEDED, done.detail, files=written)
             partial.unlink(missing_ok=True)
-        # Record each raw file written, and one a delta reuse had to check,
-        # so the next run trusts it. A record only spares a later run the
-        # parse; a path that is not UTF-8 cannot go into its JSON.
-        if reader is not None and not (delta_hit and isinstance(previous.items, _Unread)):
-            raw_file = {"raw": (raw_path.name, sha)}
+        # Only what the backend answered is recorded: a file execute false read
+        # back may predate the inputs of key. A record only spares a later run
+        # the calls; a path that is not UTF-8 cannot go into its JSON.
+        if keyed and not reuse:
+            facts = {"count": done.count, "score": done.score, "score_key": score_key}
             with suppress(OSError, UnicodeError):
-                record(trace, key, raw_path.parent, raw_file, count=done.count, score=done.score)
+                record(trace, key, raw_path.parent, {"raw": (raw_path.name, sha)}, **facts)
         if task.analyze:
             ctx.published[task.name] = (analysis.slot, getattr(ctx.reports, analysis.slot), sha)
     except (SafereqError, OSError) as exc:
+        ctx.reports = before  # a failed task publishes nothing
         result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
         try:
             _write_json(partial, {"task": task.name, "error": str(exc)})
@@ -1041,12 +1066,11 @@ def run_all(
     delta-skipped tasks read back included); missing parts appear as not
     run in the summary.
 
-    After writing the set, the run records its content key (report_key)
-    and each file's sha256 in <config dir>/.safereq/reports_<tag>.json.
-    A part read from or written to a raw file enters the key as that
-    file's sha256, so the key needs no row. A run that is not forced,
-    whose key matches that record and whose files still hash as
-    recorded, writes nothing and returns the recorded set, marked reused.
+    After writing the set, the run records its report_key, built from
+    the raw sha256 of each task that published, and each file's sha256
+    in <config dir>/.safereq/reports_<tag>.json. An unforced run whose
+    key matches that record and whose files still hash as recorded
+    writes nothing and returns the recorded set, marked reused.
     """
     cfg = load_config(config_path)
     if only_task is not None and all(t.name != only_task for t in cfg.tasks):
@@ -1065,14 +1089,11 @@ def run_all(
     results = [run_task(ctx, task, dry_run=dry_run) for task in selected]
 
     report_set = None
-    inputs = ctx.reports
-    parts = (inputs.classified, inputs.coverage, inputs.duplicates, inputs.contradictions)
-    if not dry_run and selected and any(part is not None for part in parts):
-        reports_dir = _out_dir(cfg, selected[-1]) / "reports"
+    if ctx.published:  # every part in ctx.reports, and none in a dry run
+        inputs, reports_dir = ctx.reports, _out_dir(cfg, selected[-1]) / "reports"
         saved = _record_path(cfg, f"reports_{ctx.version_tag}")
-        published = ctx.published.values()
-        digests = {slot: sha for slot, part, sha in published if getattr(inputs, slot) is part}
-        key = report_key(inputs, ctx.version_tag, digests)
+        published = [(name, slot, sha) for name, (slot, _, sha) in ctx.published.items()]
+        key = report_key(inputs, ctx.version_tag, published)
         if not force:
             report_set = reused_report_set(saved, key, reports_dir)
         if report_set is None:

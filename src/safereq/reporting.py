@@ -15,14 +15,13 @@ import os
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import __version__
 from .catalog import CATCH_ALL_ALIAS, FunctionCatalog
 from .classify import (
     CLASSIFIED_COLUMNS,
     ClassifiedRequirement,
-    classified_cells,
     classified_table,
 )
 from .coverage import COVERAGE_COLUMNS, CoverageMatrix, coverage_cells, gap_ranking
@@ -445,38 +444,17 @@ def emit_report_set(inputs: ReportInputs, out_dir: str | Path, version_tag: str)
 # The key of a report set
 # ---------------------------------------------------------------------------
 
-# How each ReportInputs part enters report_key, in field order.
-_KEY_CELLS = {
-    "classified": lambda rows: list(map(classified_cells, rows)),
-    "catalog": lambda catalog: list(catalog.alias_map().items()),
-    "coverage": lambda matrix: [list(matrix.totals), list(map(coverage_cells, matrix.rows))],
-    "duplicates": lambda findings: list(map(finding_cells, findings)),
-    "contradictions": lambda findings: list(map(finding_cells, findings)),
-    "scores": lambda scores: list(scores.items()),
-    "thresholds": lambda thresholds: list(thresholds.items()),
-}
 
+def report_key(
+    inputs: ReportInputs, version_tag: str, published: Iterable[tuple[str, str, str]]
+) -> str:
+    """sha256 over what emit_report_set writes from, the tag and the package version.
 
-def report_key(inputs: ReportInputs, version_tag: str, digests: Mapping[str, str] = {}) -> str:
-    """sha256 over everything emit_report_set reads, the tag and the package version.
-
-    emit_report_set writes the same bytes for inputs with the same key.
-    Each part is one C encoder call over its cells, which keeps every
-    value's type and every row's flags apart; a NUL, which JSON text
-    never holds, ends each part. A part named in digests enters as that
-    sha256 instead: the digest of the raw file the part was read from or
-    written to, which determines its cells.
+    published holds (task, ReportInputs field, sha256 of its raw file) for
+    each task that published a part, in run order: a part enters by the
+    digest of the raw file it came from, which determines it. The catalog,
+    scores and thresholds enter as they are.
     """
-    parts: list = [[version_tag, __version__]]
-    for name, cells in _KEY_CELLS.items():
-        value = getattr(inputs, name)
-        if name in digests:
-            parts.append({"sha256": digests[name]})
-        else:
-            parts.append(None if value is None else cells(value))
-    digest = hashlib.sha256()
-    for part in parts:
-        # A lone surrogate hashes here and fails the write, as it did before.
-        digest.update(_CELL_ENCODER.encode(part).encode("utf-8", "surrogatepass"))
-        digest.update(b"\0")
-    return digest.hexdigest()
+    catalog = None if inputs.catalog is None else inputs.catalog.alias_map()
+    body = [version_tag, __version__, inputs.thresholds, inputs.scores, catalog, list(published)]
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()  # dicts in their order

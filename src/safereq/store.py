@@ -11,9 +11,9 @@ the package version, so a record that was edited, or written by
 another version, is not trusted either. Writers record the digests the
 file writers took as they wrote, so recording reads no file back.
 
-The report set is recorded under its report key. run_task records the
-raw file of each backend task it writes or has to check, with the count
-of its rows or findings and its score.
+run_task records the raw file a backend task executed into under its
+task key, with its row or finding count, its score and its score key;
+run_all records the report set under its report key.
 """
 
 from __future__ import annotations

@@ -832,9 +832,9 @@ def test_a_record_that_cannot_be_written_leaves_the_run_to_succeed(tmp_path, whe
     assert second.report_set == first.report_set
 
 
-def test_a_part_whose_raw_file_was_not_written_enters_the_report_key_by_its_cells(tmp_path):
-    # b_second publishes its rows, then cannot write its raw file. b_classify,
-    # reused from its raw file, must not lend that file's digest to them.
+def test_a_task_that_fails_publishes_nothing_to_the_report_set(tmp_path):
+    # b_second publishes its rows, then cannot write its raw file. The report
+    # set holds the rows b_classify read from its raw file, never b_second's.
     config = base_config()
     for name in ("c_coverage", "d_duplicates", "e_contradictions"):
         del config[name]
@@ -842,17 +842,19 @@ def test_a_part_whose_raw_file_was_not_written_enters_the_report_key_by_its_cell
     config_path = make_project(tmp_path, config)
     (tmp_path / "second").mkdir()
     write(tmp_path / "second" / "raw", "a file where the raw directory would be")
-    run_all(config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST")
+    first = run_all(config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST")
+    assert [r.status for r in first.results] == ["Succeeded", "Failed"]
 
     edit_json(
         tmp_path / "fixtures" / "classify.json",
         lambda answer: answer["results"][0].update(Function="EN"),
     )
+    shutil.rmtree(tmp_path / "second" / "reports")
     again = rerun(tmp_path)
     assert [r.status for r in again.results] == ["Skipped", "Failed"]
     assert not again.report_set.reused
     report = (tmp_path / "second" / "reports" / "classification_TEST.csv").read_text("utf-8")
-    assert report.splitlines()[1].startswith("2000,EN,")
+    assert report.splitlines()[1].startswith("2000,NAV,")
 
 
 def test_only_task_restricts_the_run(tmp_path):
@@ -1298,7 +1300,9 @@ def test_classification_with_analyze_false_writes_raw_and_quarantine_but_publish
     assert not (results / "reports").exists()
 
 
-def test_a_delta_rerun_with_analyze_false_calls_no_backend_and_builds_no_catalog(tmp_path):
+def test_a_delta_rerun_with_analyze_false_calls_no_backend_and_builds_no_catalog(
+    tmp_path, monkeypatch
+):
     config = base_config()
     config["b_classify"]["analyze"] = False
     config_path = make_project(tmp_path, config)
@@ -1309,8 +1313,11 @@ def test_a_delta_rerun_with_analyze_false_calls_no_backend_and_builds_no_catalog
         only_task="b_classify",
     )
     assert first.results[0].files == [(tmp_path / "results/raw/b_classify_TEST.json").resolve()]
-    (tmp_path / "resources.json").unlink()  # a catalog could only come from here
 
+    def refuse(resources):
+        raise AssertionError("a catalog was built")
+
+    monkeypatch.setattr(orchestrator, "_catalog_for", refuse)
     backend = CountingBackend(MockBackend(tmp_path / "fixtures"))
     report = run_all(config_path, backend=backend, version_tag="TEST", only_task="b_classify")
     (result,) = report.results
@@ -1454,6 +1461,20 @@ def test_load_config_links_each_task_to_the_task_whose_joined_csv_it_reads(tmp_p
     config["d_duplicates"]["input_file"] = "other.csv"
     cfg = load_config(make_project(tmp_path, config))
     assert cfg.upstream == {"c_coverage": "b_classify", "e_contradictions": "b_classify"}
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    ["results/../results/joined/b_classify_joined.csv", "./results//joined/b_classify_joined.csv"],
+)
+def test_a_joined_csv_spelled_another_way_still_links_its_reader(tmp_path, spelling):
+    config = base_config()
+    config["c_coverage"]["input_file"] = spelling
+    cfg = load_config(make_project(tmp_path, config))
+    assert cfg.upstream["c_coverage"] == "b_classify"
+    # With the edge, a missing file is the upstream's missing output.
+    report = run_all(cfg.config_dir / "params.json", version_tag="TEST", only_task="c_coverage")
+    assert report.results[0].detail.startswith("missing upstream output: ")
 
 
 def test_a_task_listed_before_the_task_whose_joined_csv_it_reads_fails_at_load(tmp_path):

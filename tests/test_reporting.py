@@ -816,24 +816,45 @@ REPORT_INPUT_EDITS = {
     "scores": edit_mapping,
     "thresholds": lambda data, mapping: {} if mapping is None else edit_mapping(data, mapping),
 }
+# The parts a task publishes from its raw file: they enter the key by its digest.
+RAW_PARTS = {"classified", "coverage", "duplicates", "contradictions"}
+
+published_lists = st.lists(st.tuples(texts, texts, texts), max_size=3)
+
+
+def edit_published(data, published):
+    """One entry's task, slot or digest changed, or the last dropped; one added to none."""
+    if not published:
+        return [("b_task", "classified", "0" * 64)]
+    if data.draw(st.booleans()):
+        return published[:-1]
+    at = data.draw(st.integers(0, len(published) - 1))
+    entry = list(published[at])
+    field_at = data.draw(st.integers(0, 2))
+    entry[field_at] = changed(entry[field_at])
+    return [*published[:at], tuple(entry), *published[at + 1 :]]
 
 
 @settings(max_examples=200)
-@given(report_inputs, st.data())
-def test_an_edit_to_any_report_input_changes_the_key_and_an_equal_copy_keeps_it(inputs, data):
-    key = reporting.report_key(inputs, "V1")
-    assert reporting.report_key(copy.deepcopy(inputs), "V1") == key
+@given(report_inputs, published_lists, st.data())
+def test_an_edit_to_any_keyed_input_changes_the_key_and_an_equal_copy_keeps_it(
+    inputs, published, data
+):
+    key = reporting.report_key(inputs, "V1", published)
+    assert reporting.report_key(copy.deepcopy(inputs), "V1", list(published)) == key
     for field in dataclasses.fields(ReportInputs):
         edited = REPORT_INPUT_EDITS[field.name](data, getattr(inputs, field.name))
         edited_inputs = dataclasses.replace(inputs, **{field.name: edited})
-        assert reporting.report_key(edited_inputs, "V1") != key, field.name
+        edited_key = reporting.report_key(edited_inputs, "V1", published)
+        assert (edited_key == key) == (field.name in RAW_PARTS), field.name
+    assert reporting.report_key(inputs, "V1", edit_published(data, published)) != key
 
 
 def test_the_key_covers_the_tag_and_the_package_version(monkeypatch):
-    key = reporting.report_key(full_inputs(), "V1")
-    assert reporting.report_key(full_inputs(), "V2") != key
+    key = reporting.report_key(full_inputs(), "V1", [])
+    assert reporting.report_key(full_inputs(), "V2", []) != key
     monkeypatch.setattr(reporting, "__version__", "0.0.0-other")
-    assert reporting.report_key(full_inputs(), "V1") != key
+    assert reporting.report_key(full_inputs(), "V1", []) != key
 
 
 def test_the_key_follows_the_score_order_the_metrics_report_keeps():
@@ -841,28 +862,34 @@ def test_the_key_follows_the_score_order_the_metrics_report_keeps():
     reordered = dict(reversed(scores.items()))
     assert reordered == scores
     keys = {
-        reporting.report_key(ReportInputs(scores=mapping), "V1") for mapping in (scores, reordered)
+        reporting.report_key(ReportInputs(scores=mapping), "V1", [])
+        for mapping in (scores, reordered)
     }
     assert len(keys) == 2
 
 
 @pytest.mark.parametrize(
-    "flags, other",
-    [(("a|b",), ("a", "b")), (("",), ()), (("a",), ("a", ""))],
+    "published, other",
+    [
+        ([("a|b", "classified", "s")], [("a", "b|classified", "s")]),
+        ([], [("", "", "")]),
+        ([("a", "classified", "s"), ("b", "classified", "s")], [("a", "classified", "s")]),
+        (
+            [("a", "classified", "s"), ("b", "coverage", "t")],
+            [("b", "coverage", "t"), ("a", "classified", "s")],
+        ),
+    ],
+    ids=["split-apart", "empty-entry", "entry-dropped", "run-order"],
 )
-def test_the_key_tells_apart_flags_that_join_alike(flags, other):
-    # The tables join flags with "|", but the summary's triage reads them unjoined.
-    keys = {
-        reporting.report_key(ReportInputs(classified=[crow("1000", flags=f)]), "V1")
-        for f in (flags, other)
-    }
+def test_the_key_tells_apart_published_lists_that_join_alike(published, other):
+    keys = {reporting.report_key(ReportInputs(), "V1", entries) for entries in (published, other)}
     assert len(keys) == 2
 
 
 def recorded(tmp_path):
     """A report set emitted to tmp_path/reports and recorded; returns (record, key, set)."""
     inputs, reports = full_inputs(), tmp_path / "reports"
-    key = reporting.report_key(inputs, "V1")
+    key = reporting.report_key(inputs, "V1", [("b_task", "classified", "0" * 64)])
     report_set = emit_report_set(inputs, reports, "V1")
     record = tmp_path / ".safereq" / "reports_V1.json"
     store.write_report_record(record, key, report_set, reports)

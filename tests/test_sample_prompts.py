@@ -300,18 +300,32 @@ def test_classify_renders_resources_once_with_the_same_bytes(monkeypatch):
         ),
     ],
 )
-def test_a_malformed_raw_file_fails_its_delta_rerun(project, task, payload, route):
-    assert not run_sample(project)[0].failed
+def test_a_malformed_raw_file_fails_execute_false_and_executes_again_under_delta(
+    project, task, payload, route
+):
+    first, _ = run_sample(project)
+    assert not first.failed
     raw = project / "B_Requirements" / "results" / "raw" / f"{task}_T.json"
+    written = raw.read_bytes()
     raw.write_text(payload, encoding="utf-8")
     if route == "execute false":
         set_execute_false(project, task)
     report, _ = run_sample(project)
     by_name = {r.name: r for r in report.results}
+    if route == "delta":
+        # The file no longer hashes as recorded, so the task executes again,
+        # into the bytes it wrote first: the tasks after it stay reused.
+        calls = {r.name: r.backend_calls for r in first.results}
+        assert by_name[task].status == orchestrator.STATUS_SUCCEEDED
+        assert by_name[task].backend_calls == calls[task]
+        assert raw.read_bytes() == written
+        later = report.results[list(by_name).index(task) + 1 :]
+        assert all(r.backend_calls == 0 for r in later) and report.report_set.reused
+        return
     assert by_name[task].status == orchestrator.STATUS_FAILED
     assert by_name[task].detail.startswith(f"malformed raw file {raw}")
     assert Path(f"{raw}.partial").exists()
-    assert sum(r.backend_calls for r in report.results) == 0
+    assert by_name[task].backend_calls == 0
 
 
 class ForwardingBackend:

@@ -1,10 +1,12 @@
 """The verifying-trace store, and delta reruns that trust what it records.
 
 A rerun of an unchanged project parses no gold file and no finding,
-computes the report key from file digests and keeps the report set. Any
-one edit after a first run (a raw file edited or deleted, a gold file, a
-threshold, a lineage, a report or a record) leaves the next run with the
-outcome it has when the store is deleted first.
+computes the report key from raw-file digests and keeps the report set.
+A delta task reuses its raw file only under the key of its inputs, so
+any one edit after a first run (an input row, the instructions, the
+resources, a request or task setting, a raw file, a gold file, a
+threshold, a report or a record) leaves the rerun with the reports and
+joined files a forced run of the same edited project writes.
 """
 
 import csv
@@ -23,7 +25,10 @@ from safereq import MockBackend, orchestrator, reporting, run_all, store
 
 SAMPLE_PROJECT = Path(__file__).resolve().parent.parent / "sample_project"
 RESULTS = Path("B_Requirements") / "results"
+INPUT_CSV = Path("B_Requirements") / "input" / "safety_requirements.csv"
+DICTIONARY = Path("B_Requirements") / "data_dictionary.json"
 TAG = "T"
+RAW_TASKS = ("b_classify_requirements", "d_identify_duplicates", "e_identify_contradictions")
 
 
 def sha256(path):
@@ -215,22 +220,34 @@ def test_an_unchanged_rerun_reads_no_gold_file_and_keeps_the_report_set(
     assert stamps(project / ".safereq") == records  # no record written again
 
 
-def flip_first_gold_label(project):
-    edit_csv(project / "gold_labels.csv", lambda rows: rows[1].__setitem__(2, "_OT_"))
+def calls(report):
+    return sum(r.backend_calls for r in report.results)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [flip_first_gold_label, lambda project: shutil.rmtree(project / ".safereq")],
-    ids=["gold-edited", "store-deleted"],
-)
-def test_a_raw_file_a_rerun_had_to_check_is_trusted_by_the_next(project, monkeypatch, edit):
+def test_a_gold_edit_rescores_reused_results_without_a_backend_call(project):
     run(project)
-    edit(project)
-    checked = run(project)
+    edit_csv(project / "gold_labels.csv", lambda rows: rows[2].__setitem__(2, "_OT_"))
+    rescored = run(project)
+    statuses = [status for _, status, _ in outcome(rescored)]
+    assert statuses == ["Skipped", "Succeeded", "Skipped", "Skipped"] and calls(rescored) == 0
+    assert not rescored.report_set.reused
+    written = reports(project)
+    again = run(project)
+    assert outcome(again) == outcome(rescored) and calls(again) == 0
+    assert again.report_set.reused
+    run(project, force=True)
+    assert reports(project) == written
+
+
+def test_a_rerun_without_the_store_executes_once_and_the_next_is_trusted(project, monkeypatch):
+    first = run(project)
+    shutil.rmtree(project / ".safereq")
+    executed = run(project)
+    assert outcome(executed) == outcome(first) and calls(executed) == calls(first)
     refuse_reads_without_need(monkeypatch)
     again = run(project)
-    assert outcome(again) == outcome(checked)
+    statuses = [status for _, status, _ in outcome(again)]
+    assert statuses == ["Skipped", "Succeeded", "Skipped", "Skipped"] and calls(again) == 0
     assert again.report_set.reused
 
 
@@ -243,20 +260,151 @@ def test_reports_deleted_after_a_first_run_are_written_again_byte_for_byte(proje
     assert reports(project) == written
 
 
-def test_a_raw_file_edited_to_a_malformed_payload_fails_its_task(project):
-    run(project)
+def test_a_raw_file_edited_to_a_malformed_payload_is_executed_again(project):
+    first = run(project)
     raw = project / RESULTS / "raw" / f"d_identify_duplicates_{TAG}.json"
+    written = raw.read_bytes()
     edit_json(raw, lambda payload: payload["findings"][0].update(Relation=7))
-    statuses = {name: (status, detail) for name, status, detail in outcome(run(project))}
-    status, detail = statuses["d_identify_duplicates"]
-    assert status == "Failed" and detail.startswith("malformed raw file")
+    again = run(project)
+    statuses = {name: status for name, status, _ in outcome(again)}
+    assert statuses["d_identify_duplicates"] == "Succeeded"
+    assert statuses["e_identify_contradictions"] == "Skipped"  # the same bytes came back
+    assert raw.read_bytes() == written
+    assert again.report_set.reused and again.report_set == first.report_set
 
 
 # ---------------------------------------------------------------------------
-# Any one edit: the rerun ends as it does without the store
+# Input edits on the sample project as shipped
 # ---------------------------------------------------------------------------
 
-RAW_TASKS = ("b_classify_requirements", "d_identify_duplicates", "e_identify_contradictions")
+
+@pytest.fixture
+def sample(tmp_path):
+    target = tmp_path / "sample"
+    shutil.copytree(SAMPLE_PROJECT, target, ignore=shutil.ignore_patterns("results", ".safereq"))
+    return target
+
+
+def edit_text(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+def by_task(report):
+    return {r.name: (r.status, r.backend_calls) for r in report.results}
+
+
+def test_a_text_edit_executes_classification_alone_into_the_same_raw_file(sample):
+    first = run(sample)
+    written = reports(sample)
+    edit_text(sample / INPUT_CSV, "1000,The system will", "1000,The system shall")
+    again = run(sample)
+    assert calls(again) == 1
+    statuses = {name: status for name, (status, _) in by_task(again).items()}
+    assert statuses["b_classify_requirements"] == "Succeeded"
+    assert statuses["d_identify_duplicates"] == statuses["e_identify_contradictions"] == "Skipped"
+    assert again.report_set.reused and again.report_set == first.report_set
+    assert reports(sample) == written
+    joined = (sample / RESULTS / "joined" / "b_classify_requirements_joined.csv").read_text("utf-8")
+    assert "1000,The system shall fly" in joined and "will fly" not in joined
+
+    third = run(sample)
+    assert calls(third) == 0 and third.report_set.reused
+
+
+def test_a_deleted_row_executes_every_backend_task(sample):
+    run(sample)
+    lines = (sample / INPUT_CSV).read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("1009,")]
+    assert len(kept) == len(lines) - 1
+    (sample / INPUT_CSV).write_text("".join(kept), encoding="utf-8")
+    again = run(sample)
+    for task in RAW_TASKS:
+        status, task_calls = by_task(again)[task]
+        assert status == "Succeeded" and task_calls > 0, task
+    assert not again.report_set.reused
+    classification = (sample / RESULTS / "reports" / f"classification_{TAG}.csv").read_text("utf-8")
+    assert len(classification.splitlines()) == 1 + 9
+
+    written = reports(sample)
+    third = run(sample)
+    assert calls(third) == 0 and third.report_set.reused
+    assert reports(sample) == written
+
+
+def edit_config(project, task, **values):
+    edit_json(project / "params.json", lambda config: config[task].update(values))
+
+
+@pytest.mark.parametrize(
+    "edit, executes",
+    [
+        (lambda p: edit_text(p / INPUT_CSV, "will fly", "shall fly"), True),
+        (lambda p: edit_text(p / "B_Requirements" / "instructions.txt", "\n", "\n\n"), True),
+        (lambda p: edit_text(p / DICTIONARY, "}", ', "X": "Y"}'), True),
+        (lambda p: edit_config(p, "llm", model_id="gpt-4o"), True),
+        (lambda p: edit_config(p, "llm", temperature=0.5), True),
+        (lambda p: edit_config(p, "llm", system_context="Be terse."), True),
+        (lambda p: edit_config(p, "b_classify_requirements", dataset_name="Drones"), True),
+        (lambda p: edit_config(p, "b_classify_requirements", chunk_size=5), True),
+        (lambda p: edit_config(p, "b_classify_requirements", result_columns=["Function"]), True),
+        (lambda p: edit_config(p, "b_classify_requirements", verbose=True), False),
+        (lambda p: edit_config(p, "llm", max_retries=5), False),
+        (lambda p: edit_config(p, "b_classify_requirements", metric="stability"), False),
+    ],
+    ids=[
+        "input-text", "instructions", "resources", "model_id", "temperature", "system_context",
+        "dataset_name", "chunk_size", "result_columns", "verbose", "max_retries", "metric",
+    ],
+)
+def test_classification_executes_again_exactly_when_its_key_changes(sample, edit, executes):
+    run(sample)
+    edit(sample)
+    status, _ = by_task(run(sample))["b_classify_requirements"]
+    assert status == ("Succeeded" if executes else "Skipped")
+
+
+def test_a_raw_file_read_back_under_execute_false_is_never_recorded(sample):
+    run(sample)
+    edit_text(sample / INPUT_CSV, "will fly", "shall fly")
+    edit_config(sample, "b_classify_requirements", execute=False)
+    assert by_task(run(sample))["b_classify_requirements"] == ("Succeeded", 0)
+    edit_config(sample, "b_classify_requirements", execute=True)
+    assert by_task(run(sample))["b_classify_requirements"] == ("Succeeded", 1)
+
+
+def test_pair_tasks_execute_again_when_the_runs_catalog_changes(sample):
+    # The pair tasks read their own copy of the resources; the catalog comes
+    # from classification's, whose raw file stays the same after the edit.
+    dictionary = sample / DICTIONARY
+    shutil.copy(dictionary, sample / "pairs_dictionary.json")
+    for task in ("d_identify_duplicates", "e_identify_contradictions"):
+        edit_config(sample, task, resources="pairs_dictionary.json")
+    run(sample)
+    edit_json(dictionary, lambda resources: resources["ARCHITECTURE"]["Drone"].update(X="Drone/X"))
+    again = by_task(run(sample))
+    assert again["b_classify_requirements"] == ("Succeeded", 1)
+    assert again["d_identify_duplicates"][0] == again["e_identify_contradictions"][0] == "Succeeded"
+
+
+def test_contradictions_execute_again_when_the_duplicates_they_take_change(sample):
+    run(sample)
+    # The duplicates task executes again, as its raw file is gone, and finds one pair fewer.
+    answer = sample / "fixtures" / "duplicate_findings.json"
+    edit_json(answer, lambda findings: findings["results"].pop())
+    (sample / RESULTS / "raw" / f"d_identify_duplicates_{TAG}.json").unlink()
+    again = run(sample)
+    assert by_task(again)["b_classify_requirements"] == ("Skipped", 0)
+    for task in ("d_identify_duplicates", "e_identify_contradictions"):
+        status, task_calls = by_task(again)[task]
+        assert status == "Succeeded" and task_calls > 0, task
+
+
+# ---------------------------------------------------------------------------
+# Any one edit: the rerun ends as a forced run does
+# ---------------------------------------------------------------------------
+
 GOLD_FILES = ("gold_labels.csv", "gold_duplicates.csv", "gold_contradictions.csv")
 
 
@@ -325,9 +473,8 @@ def edit_threshold(data):
 
 def edit_lineage(data):
     alias = data.draw(st.sampled_from(["NAV", "EN", "SUP"]))
-    path = Path("B_Requirements") / "data_dictionary.json"
     return lambda project: edit_json(
-        project / path,
+        project / DICTIONARY,
         lambda resources: resources["ARCHITECTURE"]["Drone"].update({alias: "Drone/Renamed"}),
     )
 
@@ -373,8 +520,60 @@ def edit_record(data):
     return edit
 
 
+def edit_input_text(data):
+    at = data.draw(st.integers(1, 10))
+    words = data.draw(st.sampled_from(["shall", "must not", "é"]))
+    return lambda project: edit_csv(
+        project / INPUT_CSV, lambda rows: rows[at % len(rows) or 1].__setitem__(1, f"It {words}.")
+    )
+
+
+def delete_input_row(data):
+    at = data.draw(st.integers(1, 10))
+    return lambda project: edit_csv(project / INPUT_CSV, lambda rows: rows.pop(at % len(rows) or 1))
+
+
+def edit_instructions(data):
+    line = data.draw(st.sampled_from(["Be brief.", "Answer in JSON."]))
+    path = Path("B_Requirements") / "instructions.txt"
+
+    def edit(project):
+        with open(project / path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+
+    return edit
+
+
+def add_resources_alias(data):
+    alias = data.draw(st.sampled_from(["COM", "NAV2"]))
+    return lambda project: edit_json(
+        project / DICTIONARY,
+        lambda resources: resources["ARCHITECTURE"]["Drone"].update({alias: "Drone/Linking"}),
+    )
+
+
+def edit_setting(data):
+    task, key, value = data.draw(
+        st.sampled_from(
+            [
+                ("llm", "model_id", "gpt-4o"),
+                ("d_identify_duplicates", "prompt_version", "V1"),
+                ("d_identify_duplicates", "prompt_version", "V2"),
+            ]
+        )
+    )
+    return lambda project: edit_json(
+        project / "params.json", lambda config: config[task].update({key: value})
+    )
+
+
 EDITS = {
     "none": lambda data: lambda project: None,
+    "input-text": edit_input_text,
+    "input-row-deleted": delete_input_row,
+    "instructions": edit_instructions,
+    "resources-alias": add_resources_alias,
+    "setting": edit_setting,
     "raw-label": edit_raw_label,
     "raw-malformed": edit_raw_malformed,
     "raw-deleted": delete_raw,
@@ -398,13 +597,18 @@ def restore(project, files):
 
 
 def ending(report, project):
+    """Which tasks failed, the report set's files and the report and joined bytes."""
+    failed = [(r.name, r.status == "Failed") for r in report.results]
     files = None if report.report_set is None else sorted(report.report_set.files)
-    return outcome(report), files, reports(project)
+    joined = project / RESULTS / "joined"
+    return failed, files, reports(project), {p.name: p.read_bytes() for p in joined.iterdir()}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(EDITS)), data=st.data())
-def test_after_any_one_edit_a_rerun_ends_as_it_does_without_the_store(template, kind, data):
+def test_after_any_one_edit_a_rerun_ends_as_a_forced_run_of_the_same_tree_does(
+    template, kind, data
+):
     edit = EDITS[kind](data)
     with tempfile.TemporaryDirectory() as root:
         project = Path(root) / "project"
@@ -416,7 +620,6 @@ def test_after_any_one_edit_a_rerun_ends_as_it_does_without_the_store(template, 
         trusting = run(project)
         kept = ending(trusting, project)
         restore(project, edited)
-        shutil.rmtree(project / ".safereq", ignore_errors=True)
-        assert ending(run(project), project) == kept
+        assert ending(run(project, force=True), project) == kept
         if kind == "none":
-            assert trusting.report_set.reused
+            assert trusting.report_set.reused and calls(trusting) == 0
