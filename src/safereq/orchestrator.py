@@ -8,31 +8,31 @@ thresholds. Paths inside a task resolve against its project_dir, which
 itself resolves against the directory holding the config file.
 
 ANALYSES holds one Analysis per analysis function: its body, its raw
-file's reader (None for a local analysis), the task keys it reads besides
-COMMON_KEYS, the ReportInputs field it publishes and its gold pair kind.
-A key set in a task's own block that its analysis does not read fails
-load_config; defaults may carry keys for any task. A task whose
-input_file is an earlier task's joined CSV takes that task's rows as
-published in the same run, and reads the file only when it published
-none; naming the joined CSV of a task that runs later fails load_config.
+file's reader (None for a local analysis), the ReportInputs field it
+publishes, its gold pair kind, the task keys it reads besides COMMON_KEYS,
+the joined-CSV columns it reads and the other tasks' parts it takes. A key set in
+a task's own block that its analysis does not read fails load_config. A
+task whose input_file is an earlier task's joined CSV takes that task's
+rows as published in the same run, else reads the file; naming the
+joined CSV of a task that runs later fails load_config.
 
 A task's primary output is its raw file,
-<output_path>/raw/<task>_<version tag>.json; run_task alone reads and
-writes it, as the task's last write. After a backend task executes,
-run_task records the file's sha256, row or finding count and score
-under <config_dir>/.safereq/ (see store), keyed by _task_key: a digest
-of everything the file is built from. A delta task is skipped (zero
-backend calls) only while that record loads for its current key and the
-file still hashes as recorded. Its rows or findings are then published
-unparsed, and its recorded score stands while the gold file and scoring
-settings match. An upstream's rows enter a key as the upstream's raw
-sha256, so an upstream that executes again into the same bytes leaves
-its consumers skipped (early cutoff). execute false reads the file back,
-checked, and never records it. A failed task publishes nothing and
-leaves a .partial file beside the missing output; the next success
-removes it. Every file is written to a temp file beside it, synced to
-disk and moved into place, so neither a crash nor a power loss leaves a
-truncated file a later run trusts.
+<output_path>/raw/<task>_<version tag>.json, which run_task alone reads
+and writes, last. When the backend answered, run_task records the file's
+sha256, count and score under <config_dir>/.safereq/ (see store), keyed
+by _task_key. A delta task is skipped (zero backend calls) only while
+that record loads for its current key and the file hashes as recorded;
+its items are published unparsed, its score kept while the gold file is
+the same. Rows taken from an upstream enter a key as the upstream's raw
+sha256, the one it published or the one it recorded beside the joined
+CSV read instead. So an upstream that executes into the same raw file
+leaves its readers skipped (early cutoff), and a run of one task, a run
+after a failed upstream and a dry run (which publishes what a reuse
+would) key a task as a full rerun does.
+execute false reads the file back, checked, and never records it. A
+failed task publishes nothing and leaves a .partial file; the next
+success removes it. Every file is written to a temp file, synced and
+moved into place, so no crash leaves a truncated file a run trusts.
 """
 
 from __future__ import annotations
@@ -486,6 +486,10 @@ def _record_path(cfg: PipelineConfig, name: str) -> Path:
     return cfg.config_dir / ".safereq" / f"{name}.json"
 
 
+def _raw_record_path(cfg: PipelineConfig, name: str, tag: str) -> Path:
+    return _record_path(cfg, f"raw_{name}_{tag}")
+
+
 # ---------------------------------------------------------------------------
 # Shared task ingredients
 # ---------------------------------------------------------------------------
@@ -732,8 +736,11 @@ class _Done(NamedTuple):
     record: dict  # what run_task writes to the raw file; nothing on a reuse
     files: list[Path]  # the body's other files
     detail: str
-    count: int = 0  # the rows or findings in record, and their score:
-    score: float | None = None  # run_task records both beside the raw file's sha256
+    # What run_task records beside the raw file's sha256: the rows or findings
+    # in record, their score and the sha256 of the joined CSV written with them.
+    count: int = 0
+    score: float | None = None
+    joined: str | None = None
 
 
 def _write_quarantine(
@@ -767,10 +774,11 @@ def _require_input_ids(
 def _task_completeness(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    if reuse:  # publish only; run_task records nothing
+    if reuse:  # publish only
+        rows, value = previous.items, previous.score
         if task.analyze:
-            _take_rows(ctx, task, _require_catalog(ctx, task), previous.items, previous.score)
-        return _Done({}, [], f"reused {len(previous.items)} classified rows")
+            value = _take_rows(ctx, task, _require_catalog(ctx, task), rows, value)
+        return _Done({}, [], f"reused {len(rows)} classified rows", score=value)
 
     resources = _resources_payload(ctx, task)
     catalog = _require_catalog(ctx, task, resources)
@@ -796,10 +804,10 @@ def _task_completeness(
         _require_input_ids(input_path, inputs, rows)
 
     files = _write_quarantine(ctx, task, quarantined)
-    gold_value = None
+    gold_value = joined = None
     if task.analyze:
         joined_path = _joined_path(ctx.config, task)
-        _write_csv(
+        joined = _write_csv(
             joined_path,
             [task.dataset_id_column, *task.dataset_columns, *task.result_columns],
             (
@@ -818,13 +826,13 @@ def _task_completeness(
     detail = f"{len(rows)} requirements classified, {len(quarantined)} quarantined"
     if gold_value is not None:
         detail += f", accuracy {gold_value:.2f}"
-    return _Done(record, files, detail, len(rows), gold_value)
+    return _Done(record, files, detail, len(rows), gold_value, joined)
 
 
 def _task_coverage(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    classified = _classified_for(ctx, task, ("Function", "Type"))
+    classified = _classified_for(ctx, task, ANALYSES[task.analysis_function].columns)
     catalog = _require_catalog(ctx, task)
     matrix = build_matrix(classified, catalog)
     gaps = gap_ranking(matrix)
@@ -843,12 +851,13 @@ def _task_pairs(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
     analysis = ANALYSES[task.analysis_function]
-    if reuse:  # publish only; run_task records nothing
-        if task.analyze:
-            _take_findings(ctx, task, analysis, previous.items, previous.score)
-        return _Done({}, [], f"reused {len(previous.items)} findings")
+    if reuse:  # publish only
+        findings, rate = previous.items, previous.score
+        if task.analyze and (rescored := _take_findings(ctx, task, analysis, findings, rate)):
+            rate = rescored.rate
+        return _Done({}, [], f"reused {len(findings)} findings", score=rate)
 
-    classified = _classified_for(ctx, task, ("Function", "System Requirement"))
+    classified = _classified_for(ctx, task, analysis.columns)
     catalog = ctx.reports.catalog or _catalog_for(_resources_payload(ctx, task))
     clusters = cluster_by_function(classified, catalog)
 
@@ -890,9 +899,11 @@ class Analysis:
     slot: str  # the ReportInputs field it publishes when analyze is true
     gold: str  # the kind gold pairs are scored as; "" for gold labels or none
     reads: frozenset[str]  # the TaskConfig keys it reads besides COMMON_KEYS
+    columns: tuple[str, ...] = ()  # the joined-CSV columns it reads through _classified_for
     takes: frozenset[str] = frozenset()  # the ReportInputs fields other tasks published it reads
 
 
+_PAIR_COLUMNS = ("Function", "System Requirement")
 ANALYSES = {
     ANALYSIS_COMPLETENESS: Analysis(
         _task_completeness, _rows_from_raw, "classified", "",
@@ -901,14 +912,17 @@ ANALYSES = {
             " chunk_size max_items gold_file metric gold_include_type".split()
         ),
     ),
-    ANALYSIS_COVERAGE: Analysis(_task_coverage, None, "coverage", "", frozenset({"resources"})),
+    ANALYSIS_COVERAGE: Analysis(
+        _task_coverage, None, "coverage", "", frozenset({"resources"}), ("Function", "Type")
+    ),
     ANALYSIS_DUPLICATES: Analysis(
         _task_pairs, _findings_from_raw, "duplicates", KIND_DUPLICATE,
-        frozenset("delta resources prompt_version gold_file metric".split()),
+        frozenset("delta resources prompt_version gold_file metric".split()), _PAIR_COLUMNS,
     ),
     ANALYSIS_CONTRADICTIONS: Analysis(
         _task_pairs, _findings_from_raw, "contradictions", KIND_CONTRADICTION,
-        frozenset("delta resources gold_file metric".split()), frozenset({"duplicates"}),
+        frozenset("delta resources gold_file metric".split()), _PAIR_COLUMNS,
+        frozenset({"duplicates"}),
     ),
 }
 
@@ -924,27 +938,46 @@ _UNKEYED = frozenset("run delta verbose execute gold_file metric gold_include_ty
 
 def _task_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str:
     """sha256 over what a backend task's raw file is built from: the keys its
-    analysis reads but _UNKEYED, the bytes of its input, instructions and
-    resources files (an input_file a producer published in this run: its raw
-    sha256), each part it takes by raw sha256, the catalog and request settings."""
+    analysis reads but _UNKEYED; its instructions, resources and input bytes,
+    but an analysis with columns takes its upstream's rows by raw sha256
+    (_upstream_raw_sha); each part it takes by raw sha256; its catalog; the
+    request settings and the llm keys naming the backend."""
     reads = COMMON_KEYS | analysis.reads
-    producer = ctx.config.upstream.get(task.name)
+    producer = ctx.config.upstream.get(task.name) if analysis.columns else None
     published = {slot: sha for slot, _, sha in ctx.published.values()}  # the last of each slot
 
     def digest(key: str) -> str | None:
         if key == "input_file" and producer in ctx.published:
             return ctx.published[producer][2]
         with suppress(OSError):  # a file the body cannot read fails it there
-            return file_sha256(_resolve(ctx.config, task, getattr(task, key)))
+            sha = file_sha256(_resolve(ctx.config, task, getattr(task, key)))
+            return _upstream_raw_sha(ctx, producer, sha) if key == "input_file" else sha
 
+    catalog = ctx.reports.catalog
+    if catalog is None and analysis.columns:  # as a full run keys it; else the bytes suffice
+        with suppress(SafereqError, OSError):
+            catalog = _catalog_for(_resources_payload(ctx, task))
     parts = [
         {key: getattr(task, key) for key in sorted(reads - _UNKEYED)},
         [digest(key) for key in ("input_file", "instructions", "resources") if key in reads],
         [published.get(slot) for slot in sorted(analysis.takes)],
-        None if ctx.reports.catalog is None else ctx.reports.catalog.alias_map(),
+        None if catalog is None else catalog.alias_map(),
         [ctx.params.model_id, ctx.params.temperature, ctx.params.system_context],
+        [ctx.config.llm.get(name) for name in ("backend", "endpoint_url", "fixture_dir")],
     ]
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+def _upstream_raw_sha(ctx: PipelineContext, producer: str | None, joined: str) -> str:
+    """The raw sha256 producer recorded beside a joined CSV of sha256 joined, else
+    joined. That file holds the rows of that raw file, so a task reading it keys
+    them as it would had producer published them in the run."""
+    if producer is not None:
+        raw_dir = _raw_path(ctx.config, ctx.config.task(producer), ctx.version_tag).parent
+        saved = load_record(_raw_record_path(ctx.config, producer, ctx.version_tag), None, raw_dir)
+        if saved and saved.get("joined") == joined:
+            return saved["files"]["raw"][1]
+    return joined
 
 
 def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str:
@@ -994,7 +1027,7 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         raise UnknownAnalysisFunctionError(task.analysis_function)
     raw_path = _raw_path(ctx.config, task, ctx.version_tag)
     partial = Path(str(raw_path) + ".partial")
-    trace = _record_path(ctx.config, f"raw_{task.name}_{ctx.version_tag}")
+    trace = _raw_record_path(ctx.config, task.name, ctx.version_tag)
     if not task.run:
         return TaskResult(task.name, STATUS_SKIPPED, "run is false")
 
@@ -1004,9 +1037,6 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
     key = _task_key(ctx, task, analysis) if keyed else ""
     delta = keyed and task.delta and not ctx.force
     saved = load_record(trace, key, raw_path.parent) if delta else None
-    if dry_run:
-        detail = f"delta: would reuse {raw_path.name}" if saved else "would execute"
-        return TaskResult(task.name, STATUS_PLANNED, detail)
 
     calls_before = ctx.backend.calls
     before = replace(ctx.reports, scores=dict(ctx.reports.scores))
@@ -1015,11 +1045,16 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         # a later gold file with a score of an earlier one.
         score_key = _score_key(ctx, task, analysis) if reader is not None else ""
         reuse = _reused(reader, raw_path, saved, score_key) if saved else None
+        if dry_run and not reuse:
+            return TaskResult(task.name, STATUS_PLANNED, "would execute")
         previous, sha = reuse or (None, None)
         if reader is not None and not task.execute:
             previous = _read_back(reader, raw_path)
+        # A reuse publishes as a real rerun would, so a dry run plans the tasks after it alike.
         done = analysis.body(ctx, task, previous, bool(reuse))
-        if reuse:
+        if dry_run:
+            result = TaskResult(task.name, STATUS_PLANNED, f"delta: would reuse {raw_path.name}")
+        elif reuse:
             result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {done.detail}")
         else:
             raw = {"task": task.name, "analysis_function": task.analysis_function, **done.record}
@@ -1028,21 +1063,25 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
             result = TaskResult(task.name, STATUS_SUCCEEDED, done.detail, files=written)
             partial.unlink(missing_ok=True)
         # Only what the backend answered is recorded: a file execute false read
-        # back may predate the inputs of key. A record only spares a later run
-        # the calls; a path that is not UTF-8 cannot go into its JSON.
-        if keyed and not reuse:
-            facts = {"count": done.count, "score": done.score, "score_key": score_key}
+        # back may predate the inputs of key. A reuse records again only a new
+        # score. A record only spares a later run the calls and the scoring; a
+        # path that is not UTF-8 cannot go into its JSON.
+        if keyed and not dry_run and not (reuse and saved["score_key"] == score_key):
+            facts = {"count": done.count, "joined": done.joined, "score": done.score}
+            if reuse:  # the files are as recorded; only the score is new
+                facts.update(count=saved["count"], joined=saved.get("joined"))
             with suppress(OSError, UnicodeError):
-                record(trace, key, raw_path.parent, {"raw": (raw_path.name, sha)}, **facts)
+                files = {"raw": (raw_path.name, sha)}
+                record(trace, key, raw_path.parent, files, score_key=score_key, **facts)
         if task.analyze:
             ctx.published[task.name] = (analysis.slot, getattr(ctx.reports, analysis.slot), sha)
     except (SafereqError, OSError) as exc:
         ctx.reports = before  # a failed task publishes nothing
-        result = TaskResult(task.name, STATUS_FAILED, str(exc), files=[partial])
-        try:
-            _write_json(partial, {"task": task.name, "error": str(exc)})
-        except OSError:  # the marker's directory cannot be made either
-            result.files = []
+        result = TaskResult(task.name, STATUS_FAILED, str(exc))
+        with suppress(OSError):  # the marker's directory cannot be made either
+            if not dry_run:
+                _write_json(partial, {"task": task.name, "error": str(exc)})
+                result.files = [partial]
 
     result.backend_calls = ctx.backend.calls - calls_before
     if ctx.verbose or task.verbose:
@@ -1089,7 +1128,7 @@ def run_all(
     results = [run_task(ctx, task, dry_run=dry_run) for task in selected]
 
     report_set = None
-    if ctx.published:  # every part in ctx.reports, and none in a dry run
+    if ctx.published and not dry_run:  # every part in ctx.reports
         inputs, reports_dir = ctx.reports, _out_dir(cfg, selected[-1]) / "reports"
         saved = _record_path(cfg, f"reports_{ctx.version_tag}")
         published = [(name, slot, sha) for name, (slot, _, sha) in ctx.published.items()]

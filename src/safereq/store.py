@@ -12,8 +12,9 @@ another version, is not trusted either. Writers record the digests the
 file writers took as they wrote, so recording reads no file back.
 
 run_task records the raw file a backend task executed into under its
-task key, with its row or finding count, its score and its score key;
-run_all records the report set under its report key.
+task key, with its row or finding count, its score and score key and
+the sha256 of the joined CSV written with it; run_all records the report
+set under its report key.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def record(
     _write_json(path, {**body, "seal": _seal(body)})
 
 
-def load(path: Path, key: str, directory: Path) -> dict | None:
+def load(path: Path, key: str | None, directory: Path) -> dict | None:
     """The record at path, without its seal, if it is intact and was made
-    for key and directory. A missing, unreadable, malformed or edited
-    record gives None."""
+    for key (any key if None) and directory. A missing, unreadable,
+    malformed or edited record gives None."""
     try:
         body = json.loads(path.read_bytes())
         seal = body.pop("seal")
-        made_for = body["key"] == key and body["dir"] == str(directory)
+        made_for = key in (None, body["key"]) and body["dir"] == str(directory)
         return body if made_for and _seal(body) == seal else None
     except (OSError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None

@@ -725,6 +725,11 @@ def test_dry_run_after_real_run_reports_delta_reuse(tmp_path):
     details = {r.name: r.detail for r in report.results}
     assert details["b_classify"] == "delta: would reuse b_classify_TEST.json"
     assert details["c_coverage"] == "would execute"  # local analyses never skip
+    # The pair tasks key their rows and the catalog as the real rerun does.
+    assert details["d_duplicates"] == "delta: would reuse d_duplicates_TEST.json"
+    assert details["e_contradictions"] == "delta: would reuse e_contradictions_TEST.json"
+    assert report.report_set is None
+    assert [r.status for r in rerun(tmp_path).results] == ["Skipped", "Succeeded"] + ["Skipped"] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,11 @@ def test_a_malformed_raw_file_fails_execute_false_and_executes_again_under_delta
     assert by_name[task].status == orchestrator.STATUS_FAILED
     assert by_name[task].detail.startswith(f"malformed raw file {raw}")
     assert Path(f"{raw}.partial").exists()
-    assert by_name[task].backend_calls == 0
+    # The tasks after it key the rows of the joined CSV the first run wrote,
+    # so they stay reused; only contradictions, which no longer take the
+    # duplicates that task found, execute again.
+    executed = {"e_identify_contradictions"} if task == "d_identify_duplicates" else set()
+    assert {r.name for r in report.results if r.backend_calls} == executed
 
 
 class ForwardingBackend:

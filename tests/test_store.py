@@ -66,6 +66,8 @@ def test_a_record_is_loaded_and_verified_for_its_key_and_directory(tmp_path):
     assert saved["files"] == {"a": ["a.txt", sha256(data / "a.txt")]}
     assert store.verify(path, "K", data) == {"a": data / "a.txt"}
     assert store.load(path, "other", data) is None
+    assert store.load(path, None, data) == saved  # any key
+    assert store.load(path, None, tmp_path) is None
     assert store.load(path, "K", tmp_path) is None
     assert store.verify(path, "K", tmp_path) is None
 
@@ -239,6 +241,20 @@ def test_a_gold_edit_rescores_reused_results_without_a_backend_call(project):
     assert reports(project) == written
 
 
+def test_a_rescored_reuse_records_its_score_so_the_next_rerun_reads_no_gold_file(
+    project, monkeypatch
+):
+    run(project)
+    edit_csv(project / "gold_labels.csv", lambda rows: rows[2].__setitem__(2, "_OT_"))
+    for name in GOLD_FILES[1:]:
+        edit_csv(project / name, lambda rows: rows.pop())
+    rescored = run(project)
+    assert calls(rescored) == 0 and not rescored.failed
+    refuse_reads_without_need(monkeypatch)
+    again = run(project)
+    assert calls(again) == 0 and again.report_set.reused
+
+
 def test_a_rerun_without_the_store_executes_once_and_the_next_is_trusted(project, monkeypatch):
     first = run(project)
     shutil.rmtree(project / ".safereq")
@@ -337,6 +353,51 @@ def edit_config(project, task, **values):
     edit_json(project / "params.json", lambda config: config[task].update(values))
 
 
+def test_a_classification_of_an_earlier_ones_joined_csv_executes_after_a_text_edit(sample):
+    # The joined CSV's Requirements column holds the input text, which
+    # b_classify_requirements' raw file, the same after the edit, lacks.
+    joined = (RESULTS / "joined" / "b_classify_requirements_joined.csv").as_posix()
+    edit_json(
+        sample / "params.json",
+        lambda config: config.update(
+            f_reclassify={**config["b_classify_requirements"], "input_file": joined}
+        ),
+    )
+    run(sample)
+    edit_text(sample / INPUT_CSV, "1000,The system will", "1000,The system shall")
+    again = by_task(run(sample))
+    assert again["b_classify_requirements"] == again["f_reclassify"] == ("Succeeded", 1)
+    reclassified = (sample / RESULTS / "joined" / "f_reclassify_joined.csv").read_text("utf-8")
+    assert "1000,The system shall fly" in reclassified
+
+
+def test_a_pair_task_run_alone_keys_as_a_full_run_does(sample):
+    run(sample)
+    alone = run(sample, only_task="d_identify_duplicates")
+    assert by_task(alone) == {"d_identify_duplicates": ("Skipped", 0)}
+    assert by_task(run(sample, only_task="d_identify_duplicates", force=True)) == {
+        "d_identify_duplicates": ("Succeeded", 4)
+    }
+    again = run(sample)
+    assert calls(again) == 0
+    assert by_task(again)["d_identify_duplicates"] == ("Skipped", 0)
+    # A joined CSV edited by hand no longer stands for the raw file recorded beside it.
+    joined = sample / RESULTS / "joined" / "b_classify_requirements_joined.csv"
+    edit_text(joined, "The drone shall fly at high speed", "The drone shall fly slowly")
+    edited = by_task(run(sample, only_task="d_identify_duplicates"))
+    assert edited == {"d_identify_duplicates": ("Succeeded", 4)}
+
+
+def test_a_failed_classification_leaves_its_consumers_reused(sample):
+    # They read the joined CSV the last run wrote: the rows they were keyed by.
+    run(sample)
+    (sample / RESULTS / "raw" / f"b_classify_requirements_{TAG}.json").write_text("[]")
+    edit_config(sample, "b_classify_requirements", execute=False)
+    again = by_task(run(sample))
+    assert again["b_classify_requirements"] == ("Failed", 0)
+    assert again["d_identify_duplicates"] == again["e_identify_contradictions"] == ("Skipped", 0)
+
+
 @pytest.mark.parametrize(
     "edit, executes",
     [
@@ -346,6 +407,8 @@ def edit_config(project, task, **values):
         (lambda p: edit_config(p, "llm", model_id="gpt-4o"), True),
         (lambda p: edit_config(p, "llm", temperature=0.5), True),
         (lambda p: edit_config(p, "llm", system_context="Be terse."), True),
+        (lambda p: edit_config(p, "llm", backend="http", endpoint_url="http://localhost:9"), True),
+        (lambda p: edit_config(p, "llm", fixture_dir="other_fixtures"), True),
         (lambda p: edit_config(p, "b_classify_requirements", dataset_name="Drones"), True),
         (lambda p: edit_config(p, "b_classify_requirements", chunk_size=5), True),
         (lambda p: edit_config(p, "b_classify_requirements", result_columns=["Function"]), True),
@@ -355,6 +418,7 @@ def edit_config(project, task, **values):
     ],
     ids=[
         "input-text", "instructions", "resources", "model_id", "temperature", "system_context",
+        "backend", "fixture_dir",
         "dataset_name", "chunk_size", "result_columns", "verbose", "max_retries", "metric",
     ],
 )
