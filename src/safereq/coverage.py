@@ -97,6 +97,11 @@ def build_matrix(
                 is_triage_bucket=entry.alias == CATCH_ALL_ALIAS,
             )
         )
+    return matrix_of(rows)
+
+
+def matrix_of(rows: list[CoverageRow]) -> CoverageMatrix:
+    """The matrix of rows, totalled."""
     totals = (
         sum(r.n_func for r in rows),
         sum(r.n_prob for r in rows),

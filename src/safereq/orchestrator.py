@@ -8,27 +8,35 @@ thresholds. Paths inside a task resolve against its project_dir, which
 itself resolves against the directory holding the config file.
 
 ANALYSES holds one Analysis per analysis function: its body, its raw
-file's reader (None for a local analysis), the ReportInputs field it
-publishes, its gold pair kind, the task keys it reads besides COMMON_KEYS,
-the joined-CSV columns it reads and the other tasks' parts it takes. A key set in
-a task's own block that its analysis does not read fails load_config. A
-task whose input_file is an earlier task's joined CSV takes that task's
-rows as published in the same run, else reads the file; naming the
-joined CSV of a task that runs later fails load_config.
+file's reader, the ReportInputs field it publishes, its gold pair kind,
+the task keys it reads besides COMMON_KEYS, the joined-CSV columns it
+reads and the other tasks' parts it takes. An analysis that reads no
+delta is local: it calls no backend. A key set in a task's own block
+that its analysis does not read fails load_config. A task whose
+input_file is an earlier task's joined CSV takes that task's rows as
+published in the same run, else reads the file; naming the joined CSV
+of a task that runs later fails load_config.
 
 A task's primary output is its raw file,
 <output_path>/raw/<task>_<version tag>.json, which run_task alone reads
-and writes, last. When the backend answered, run_task records the file's
-sha256, count and score under <config_dir>/.safereq/ (see store), keyed
-by _task_key. A delta task is skipped (zero backend calls) only while
-that record loads for its current key and the file hashes as recorded;
-its items are published unparsed, its score kept while the gold file is
-the same. Rows taken from an upstream enter a key as the upstream's raw
-sha256, the one it published or the one it recorded beside the joined
-CSV read instead. So an upstream that executes into the same raw file
-leaves its readers skipped (early cutoff), and a run of one task, a run
-after a failed upstream and a dry run (which publishes what a reuse
-would) key a task as a full rerun does.
+and writes, last. When a backend task executes, or a local analysis
+computes, run_task records the file's sha256, count and score under
+<config_dir>/.safereq/ (see store), keyed by _task_key; classification
+lists the joined CSV it wrote beside the raw file. A delta task is
+skipped (zero backend calls) only while that record loads for its
+current key and every file it lists hashes as recorded, so a joined CSV
+deleted or edited by hand executes classification again; its items are
+published unparsed, its score kept while the gold file is the same. A
+local analysis follows the same rule under force alone: a reuse reads
+the coverage matrix back from its own raw file, writes nothing and
+reports Succeeded with the detail it reported when it computed. So an
+unchanged rerun parses no raw file of a backend task. Rows taken from
+an upstream enter a key as the upstream's raw sha256, the one it
+published or the one it recorded beside the joined CSV read instead. So
+an upstream that executes into the same raw file leaves its readers
+reused (early cutoff), and a run of one task, a run after a failed
+upstream and a dry run (which publishes what a reuse would, and says
+would reuse) key a task as a full rerun does.
 execute false reads the file back, checked, and never records it. A
 failed task publishes nothing and leaves a .partial file; the next
 success removes it. Every file is written to a temp file, synced and
@@ -64,7 +72,14 @@ from .classify import (
     classified_table,
     classify,
 )
-from .coverage import COVERAGE_COLUMNS, build_matrix, coverage_cells, gap_ranking
+from .coverage import (
+    COVERAGE_COLUMNS,
+    CoverageRow,
+    build_matrix,
+    coverage_cells,
+    gap_ranking,
+    matrix_of,
+)
 from .errors import (
     InvalidConfigError,
     MalformedJsonError,
@@ -168,6 +183,8 @@ class PipelineConfig:
     config_dir: Path
     # Each task whose input_file is an earlier task's joined CSV, and that task.
     upstream: dict[str, str] = field(default_factory=dict)
+    # Each task's project_dir, resolved against config_dir once.
+    project_dirs: dict[str, Path] = field(default_factory=dict)
 
     def task(self, name: str) -> TaskConfig:
         for task in self.tasks:
@@ -267,7 +284,7 @@ def _validate_task(t: TaskConfig, thresholds: dict, refused: set[str]) -> list[P
         need(not unknown, "result_columns", "unknown result columns: " + ", ".join(unknown))
     if "instructions" in reads and t.execute:
         need(bool(t.instructions), "instructions", "required when execute is true")
-    if analysis and analysis.reader is None:
+    if analysis and analysis.local:
         need(not t.execute, "execute", "analysis is local; must be false")
     need(t.execute or t.analyze or not t.run, "analyze", "task neither executes nor analyzes")
     return problems
@@ -382,6 +399,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         tasks=tasks, llm=llm, thresholds=thresholds, config_dir=config_path.parent.resolve()
     )
     if not problems:  # a path that holds a NUL cannot be resolved
+        config.project_dirs = {t.name: (config.config_dir / t.project_dir).resolve() for t in tasks}
         problems += _link_upstream(config)
     if problems:
         raise InvalidConfigError(problems)
@@ -462,12 +480,8 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _project_dir(cfg: PipelineConfig, task: TaskConfig) -> Path:
-    return (cfg.config_dir / task.project_dir).resolve()
-
-
 def _resolve(cfg: PipelineConfig, task: TaskConfig, relative: str) -> Path:
-    return _project_dir(cfg, task) / relative
+    return cfg.project_dirs[task.name] / relative
 
 
 def _out_dir(cfg: PipelineConfig, task: TaskConfig) -> Path:
@@ -641,9 +655,16 @@ def _findings_from_raw(path: Path, text: str) -> tuple[list[PairFinding], list[s
     return findings, notes
 
 
+def _coverage_from_raw(path: Path, text: str) -> tuple[list[CoverageRow], list]:
+    # Read only for a reuse, which has checked the file's sha256.
+    with _raw_payload(path, text) as payload:
+        rows = [CoverageRow(*map(r.__getitem__, COVERAGE_COLUMNS)) for r in payload["rows"]]
+    return rows, []
+
+
 class _Unread(Sequence):
-    """A verified raw file's rows or findings, parsed on first use, once, from
-    the text of the bytes that were hashed; its length is the recorded count."""
+    """A verified raw file's items, parsed on first use, once, from the text
+    of the bytes that were hashed; its length is the recorded count."""
 
     def __init__(self, parse: Callable[[], list], count: int):
         self._parse, self._count, self._items = parse, count, None
@@ -667,7 +688,7 @@ class _Unread(Sequence):
 class _Previous:
     """A task's results as run_task read them back from its raw file."""
 
-    items: Sequence  # classified rows or findings
+    items: Sequence  # classified rows, findings or coverage rows
     extra: list  # quarantined records or notes; empty when unparsed
     score: float | None = None  # recorded for the current gold file and settings
 
@@ -733,11 +754,11 @@ def _take_findings(
 class _Done(NamedTuple):
     """What a task body hands back to run_task."""
 
-    record: dict  # what run_task writes to the raw file; nothing on a reuse
+    record: dict  # what run_task writes to the raw file; a reuse writes none
     files: list[Path]  # the body's other files
     detail: str
-    # What run_task records beside the raw file's sha256: the rows or findings
-    # in record, their score and the sha256 of the joined CSV written with them.
+    # What run_task records beside the raw file's sha256: the items in record,
+    # their score and the sha256 of the joined CSV written with them.
     count: int = 0
     score: float | None = None
     joined: str | None = None
@@ -832,9 +853,12 @@ def _task_completeness(
 def _task_coverage(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    classified = _classified_for(ctx, task, ANALYSES[task.analysis_function].columns)
-    catalog = _require_catalog(ctx, task)
-    matrix = build_matrix(classified, catalog)
+    if reuse:  # the matrix its raw file holds; the catalog is in its key
+        matrix, catalog = matrix_of(list(previous.items)), _require_catalog(ctx, task)
+    else:
+        classified = _classified_for(ctx, task, ANALYSES[task.analysis_function].columns)
+        catalog = _require_catalog(ctx, task)
+        matrix = build_matrix(classified, catalog)
     gaps = gap_ranking(matrix)
     if task.analyze:  # catalog is the run's catalog, if it has one
         ctx.reports.coverage, ctx.reports.catalog = matrix, catalog
@@ -844,7 +868,7 @@ def _task_coverage(
         "gap_ranking": [{"Function": row.alias, "Shortfall": missing} for row, missing in gaps],
     }
     detail = f"{len(matrix.rows)} functions, {len(gaps)} with missing coverage"
-    return _Done(record, [], detail)
+    return _Done(record, [], detail, len(matrix.rows))
 
 
 def _task_pairs(
@@ -893,14 +917,19 @@ class Analysis:
 
     # (ctx, task, the raw file read back or None, reuse): a reuse only publishes.
     body: Callable[[PipelineContext, TaskConfig, _Previous | None, bool], _Done]
-    # Parses the raw file for a delta reuse and for execute false; None for a
-    # local analysis, which calls no backend and recomputes instead.
-    reader: Callable[[Path, str], tuple] | None
+    # Parses the raw file for a reuse and, for a backend analysis, for execute false.
+    reader: Callable[[Path, str], tuple]
     slot: str  # the ReportInputs field it publishes when analyze is true
     gold: str  # the kind gold pairs are scored as; "" for gold labels or none
     reads: frozenset[str]  # the TaskConfig keys it reads besides COMMON_KEYS
     columns: tuple[str, ...] = ()  # the joined-CSV columns it reads through _classified_for
     takes: frozenset[str] = frozenset()  # the ReportInputs fields other tasks published it reads
+
+    @property
+    def local(self) -> bool:
+        """Whether it calls no backend: then it reads no delta, which guards
+        backend work, and must set execute false."""
+        return "delta" not in self.reads
 
 
 _PAIR_COLUMNS = ("Function", "System Requirement")
@@ -913,7 +942,8 @@ ANALYSES = {
         ),
     ),
     ANALYSIS_COVERAGE: Analysis(
-        _task_coverage, None, "coverage", "", frozenset({"resources"}), ("Function", "Type")
+        _task_coverage, _coverage_from_raw, "coverage", "", frozenset({"resources"}),
+        ("Function", "Type"),
     ),
     ANALYSIS_DUPLICATES: Analysis(
         _task_pairs, _findings_from_raw, "duplicates", KIND_DUPLICATE,
@@ -937,7 +967,7 @@ _UNKEYED = frozenset("run delta verbose execute gold_file metric gold_include_ty
 
 
 def _task_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str:
-    """sha256 over what a backend task's raw file is built from: the keys its
+    """sha256 over what a keyed task's raw file is built from: the keys its
     analysis reads but _UNKEYED; its instructions, resources and input bytes,
     but an analysis with columns takes its upstream's rows by raw sha256
     (_upstream_raw_sha); each part it takes by raw sha256; its catalog; the
@@ -973,38 +1003,55 @@ def _upstream_raw_sha(ctx: PipelineContext, producer: str | None, joined: str) -
     joined. That file holds the rows of that raw file, so a task reading it keys
     them as it would had producer published them in the run."""
     if producer is not None:
-        raw_dir = _raw_path(ctx.config, ctx.config.task(producer), ctx.version_tag).parent
-        saved = load_record(_raw_record_path(ctx.config, producer, ctx.version_tag), None, raw_dir)
-        if saved and saved.get("joined") == joined:
+        out_dir = _out_dir(ctx.config, ctx.config.task(producer))
+        saved = load_record(_raw_record_path(ctx.config, producer, ctx.version_tag), None, out_dir)
+        if saved and saved["files"].get("joined", [None])[-1] == joined:
             return saved["files"]["raw"][1]
     return joined
 
 
 def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str:
     """What a task's score comes from besides its raw file: its analysis, the
-    gold_include_type it reads, if any, and its gold file's sha256, if readable."""
+    gold_include_type it reads, if any, and the sha256 of the gold file it
+    reads, if readable."""
     gold = None
-    if task.gold_file:
+    if task.gold_file and "gold_file" in analysis.reads:
         with suppress(OSError):
             gold = file_sha256(_resolve(ctx.config, task, task.gold_file))
     include_type = task.gold_include_type if "gold_include_type" in analysis.reads else None
     return json.dumps([task.analysis_function, include_type, gold])
 
 
+def _listed(out_dir: Path, paths: dict[str, Path], digests: dict[str, str | None]) -> dict:
+    """The files of digests as a record lists them: by label, each one's name
+    under out_dir and its sha256; a file without a digest was not written."""
+    return {
+        label: [paths[label].relative_to(out_dir).as_posix(), sha]
+        for label, sha in digests.items()
+        if sha is not None
+    }
+
+
 def _reused(
-    reader: Callable[[Path, str], tuple], raw_path: Path, saved: dict, score_key: str
+    reader: Callable[[Path, str], tuple],
+    out_dir: Path,
+    paths: dict[str, Path],
+    saved: dict,
+    score_key: str,
 ) -> tuple[_Previous, str] | None:
-    """The raw file saved records, unparsed, and its sha256; None if it no
-    longer hashes as recorded. The recorded score stands while score_key does."""
+    """The raw file saved records, unparsed, and its sha256; None unless every
+    file it lists, the raw file and a joined CSV written with it, still hashes
+    as recorded. The recorded score stands while score_key does."""
     with suppress(OSError):
-        data = raw_path.read_bytes()
-        sha = hashlib.sha256(data).hexdigest()
-        if saved["files"] == {"raw": [raw_path.name, sha]}:
+        data = paths["raw"].read_bytes()
+        digests = {label: file_sha256(paths[label]) for label in saved["files"] if label != "raw"}
+        digests["raw"] = hashlib.sha256(data).hexdigest()
+        if saved["files"] == _listed(out_dir, paths, digests):
             text = data.decode("utf-8")  # bytes a run wrote
             del data  # a later parse holds the text alone
-            items = _Unread(lambda: reader(raw_path, text)[0], saved["count"])
+            items = _Unread(lambda: reader(paths["raw"], text)[0], saved["count"])
             score = saved["score"] if saved["score_key"] == score_key else None
-            return _Previous(items, [], score), sha
+            return _Previous(items, [], score), digests["raw"]
 
 
 def _read_back(reader: Callable[[Path, str], tuple], raw_path: Path) -> _Previous:
@@ -1025,54 +1072,60 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
     analysis = ANALYSES.get(task.analysis_function)
     if analysis is None:
         raise UnknownAnalysisFunctionError(task.analysis_function)
+    out_dir = _out_dir(ctx.config, task)
     raw_path = _raw_path(ctx.config, task, ctx.version_tag)
+    paths = {"raw": raw_path, "joined": _joined_path(ctx.config, task)}  # what a record lists
     partial = Path(str(raw_path) + ".partial")
     trace = _raw_record_path(ctx.config, task.name, ctx.version_tag)
     if not task.run:
         return TaskResult(task.name, STATUS_SKIPPED, "run is false")
 
-    # Local analyses recompute for free; delta only guards backend work.
-    reader = analysis.reader
-    keyed = reader is not None and task.execute
+    # A backend task is keyed when it executes, and reused only under delta; a
+    # local analysis, which reads no delta, is always keyed and reused unless forced.
+    keyed = analysis.local or task.execute
     key = _task_key(ctx, task, analysis) if keyed else ""
-    delta = keyed and task.delta and not ctx.force
-    saved = load_record(trace, key, raw_path.parent) if delta else None
+    may_reuse = (analysis.local or task.execute and task.delta) and not ctx.force
+    saved = load_record(trace, key, out_dir) if may_reuse else None
+    via = "" if analysis.local else "delta: "
 
     calls_before = ctx.backend.calls
     before = replace(ctx.reports, scores=dict(ctx.reports.scores))
     try:
         # Taken before the body reads the gold file, so a record never pairs
         # a later gold file with a score of an earlier one.
-        score_key = _score_key(ctx, task, analysis) if reader is not None else ""
-        reuse = _reused(reader, raw_path, saved, score_key) if saved else None
+        score_key = _score_key(ctx, task, analysis)
+        reuse = _reused(analysis.reader, out_dir, paths, saved, score_key) if saved else None
         if dry_run and not reuse:
             return TaskResult(task.name, STATUS_PLANNED, "would execute")
         previous, sha = reuse or (None, None)
-        if reader is not None and not task.execute:
-            previous = _read_back(reader, raw_path)
+        if not keyed:  # a backend task that does not execute
+            previous = _read_back(analysis.reader, raw_path)
         # A reuse publishes as a real rerun would, so a dry run plans the tasks after it alike.
         done = analysis.body(ctx, task, previous, bool(reuse))
         if dry_run:
-            result = TaskResult(task.name, STATUS_PLANNED, f"delta: would reuse {raw_path.name}")
-        elif reuse:
-            result = TaskResult(task.name, STATUS_SKIPPED, f"delta: {done.detail}")
+            result = TaskResult(task.name, STATUS_PLANNED, f"{via}would reuse {raw_path.name}")
+        elif reuse:  # a local analysis reports what it reported when it computed
+            status = STATUS_SUCCEEDED if analysis.local else STATUS_SKIPPED
+            result = TaskResult(task.name, status, via + done.detail)
         else:
             raw = {"task": task.name, "analysis_function": task.analysis_function, **done.record}
             sha = _write_json(raw_path, raw)
             written = [raw_path, *done.files]
             result = TaskResult(task.name, STATUS_SUCCEEDED, done.detail, files=written)
             partial.unlink(missing_ok=True)
-        # Only what the backend answered is recorded: a file execute false read
+        # Only a file the task computed is recorded: a file execute false read
         # back may predate the inputs of key. A reuse records again only a new
-        # score. A record only spares a later run the calls and the scoring; a
+        # score. A record only spares a later run the work and the scoring; a
         # path that is not UTF-8 cannot go into its JSON.
         if keyed and not dry_run and not (reuse and saved["score_key"] == score_key):
-            facts = {"count": done.count, "joined": done.joined, "score": done.score}
             if reuse:  # the files are as recorded; only the score is new
-                facts.update(count=saved["count"], joined=saved.get("joined"))
+                files, count = saved["files"], saved["count"]
+            else:
+                files = _listed(out_dir, paths, {"raw": sha, "joined": done.joined})
+                count = done.count
+            facts = {"count": count, "score": done.score, "score_key": score_key}
             with suppress(OSError, UnicodeError):
-                files = {"raw": (raw_path.name, sha)}
-                record(trace, key, raw_path.parent, files, score_key=score_key, **facts)
+                record(trace, key, out_dir, files, **facts)
         if task.analyze:
             ctx.published[task.name] = (analysis.slot, getattr(ctx.reports, analysis.slot), sha)
     except (SafereqError, OSError) as exc:

@@ -11,10 +11,10 @@ the package version, so a record that was edited, or written by
 another version, is not trusted either. Writers record the digests the
 file writers took as they wrote, so recording reads no file back.
 
-run_task records the raw file a backend task executed into under its
-task key, with its row or finding count, its score and score key and
-the sha256 of the joined CSV written with it; run_all records the report
-set under its report key.
+run_task records the raw file a backend task executed into, or coverage
+computed, under its task key, with its item count, its score and score
+key, and the joined CSV a classification wrote with it as a second file;
+run_all records the report set under its report key.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def record(
 ) -> None:
     """Record at path that key was built into files in directory, with facts.
 
-    files gives each label's file name and sha256.
+    files gives each label's file name, relative to directory, and sha256.
 
     Raises:
         OSError: path cannot be written.

@@ -605,6 +605,18 @@ def run_project(tmp_path, **kwargs):
     return report, backend
 
 
+def test_a_run_resolves_the_config_and_each_project_dir_once(tmp_path, monkeypatch):
+    config_path = make_project(tmp_path)
+    resolved = []
+    resolve = Path.resolve
+    monkeypatch.setattr(Path, "resolve", lambda path, *a: resolved.append(path) or resolve(path, *a))
+    run_all(config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST")
+    assert len(resolved) == 1 + 4  # in load_config: the config's directory and each task's
+    assert load_config(config_path).project_dirs == dict.fromkeys(
+        ["b_classify", "c_coverage", "d_duplicates", "e_contradictions"], tmp_path.resolve()
+    )
+
+
 def test_first_run_executes_every_task(tmp_path):
     report, backend = run_project(tmp_path)
     assert [r.status for r in report.results] == ["Succeeded"] * 4
@@ -724,7 +736,9 @@ def test_dry_run_after_real_run_reports_delta_reuse(tmp_path):
     )
     details = {r.name: r.detail for r in report.results}
     assert details["b_classify"] == "delta: would reuse b_classify_TEST.json"
-    assert details["c_coverage"] == "would execute"  # local analyses never skip
+    # A local analysis is recorded too, and reused whatever delta says.
+    assert details["c_coverage"] == "would reuse c_coverage_TEST.json"
+    assert {r.status for r in report.results} == {"Planned"}
     # The pair tasks key their rows and the catalog as the real rerun does.
     assert details["d_duplicates"] == "delta: would reuse d_duplicates_TEST.json"
     assert details["e_contradictions"] == "delta: would reuse e_contradictions_TEST.json"

@@ -4,9 +4,11 @@ A rerun of an unchanged project parses no gold file and no finding,
 computes the report key from raw-file digests and keeps the report set.
 A delta task reuses its raw file only under the key of its inputs, so
 any one edit after a first run (an input row, the instructions, the
-resources, a request or task setting, a raw file, a gold file, a
-threshold, a report or a record) leaves the rerun with the reports and
-joined files a forced run of the same edited project writes.
+resources, a request or task setting, a raw file, coverage's raw file, a
+joined CSV, a gold file, a threshold, a report or a record) leaves the
+rerun with the reports, joined files and coverage raw file a forced run of
+the same edited project writes. Coverage, a local analysis, is recorded
+too, and an unchanged rerun parses no raw file of a backend task.
 """
 
 import csv
@@ -21,7 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safereq import MockBackend, orchestrator, reporting, run_all, store
+from safereq import (
+    CATCH_ALL_ALIAS,
+    ClassifiedRequirement,
+    LlmRequestParams,
+    MockBackend,
+    build_matrix,
+    catalog_from_alias_map,
+    coverage,
+    orchestrator,
+    reporting,
+    run_all,
+    store,
+)
 
 SAMPLE_PROJECT = Path(__file__).resolve().parent.parent / "sample_project"
 RESULTS = Path("B_Requirements") / "results"
@@ -29,6 +43,8 @@ INPUT_CSV = Path("B_Requirements") / "input" / "safety_requirements.csv"
 DICTIONARY = Path("B_Requirements") / "data_dictionary.json"
 TAG = "T"
 RAW_TASKS = ("b_classify_requirements", "d_identify_duplicates", "e_identify_contradictions")
+COVERAGE = "c_identify_coverage_gaps"
+JOINED_CSV = RESULTS / "joined" / "b_classify_requirements_joined.csv"
 
 
 def sha256(path):
@@ -171,8 +187,9 @@ def reports(project):
 
 
 def stamps(directory):
-    """Each file's inode and mtime: a file moved into place changes its inode."""
-    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+    """Each file's inode and mtime, at any depth: a file moved into place changes its inode."""
+    files = (p for p in directory.rglob("*") if p.is_file())
+    return {p.relative_to(directory): (p.stat().st_ino, p.stat().st_mtime_ns) for p in files}
 
 
 def outcome(report):
@@ -193,12 +210,12 @@ def edit_csv(path, edit):
         csv.writer(handle).writerows(rows)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("read without need")
+
+
 def refuse_reads_without_need(monkeypatch):
     """Fail any read of a gold file and any parse of a findings raw file."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("read without need")
-
     monkeypatch.setattr(orchestrator, "_load_gold_labels", refuse)
     monkeypatch.setattr(orchestrator, "load_gold_pairs", refuse)
     for name in (orchestrator.ANALYSIS_DUPLICATES, orchestrator.ANALYSIS_CONTRADICTIONS):
@@ -212,14 +229,37 @@ def test_an_unchanged_rerun_reads_no_gold_file_and_keeps_the_report_set(
 ):
     first = run(project, force=force)
     written, records = reports(project), stamps(project / ".safereq")
-    assert "metrics_T.json" in written and len(records) == 4
+    results = stamps(project / RESULTS)
+    assert "metrics_T.json" in written and len(records) == 5  # the four tasks and the reports
     refuse_reads_without_need(monkeypatch)
     again = run(project)
     statuses = [status for _, status, _ in outcome(again)]
     assert statuses == ["Skipped", "Succeeded", "Skipped", "Skipped"]
+    assert outcome(again)[1] == outcome(first)[1]  # coverage reports as when it computed
     assert again.report_set.reused and again.report_set == first.report_set
     assert reports(project) == written
     assert stamps(project / ".safereq") == records  # no record written again
+    assert stamps(project / RESULTS) == results  # no raw, joined or report file either
+
+
+def test_an_unchanged_rerun_parses_no_raw_file_of_a_backend_task_and_builds_no_matrix(
+    project, monkeypatch
+):
+    first = run(project)
+    backend = (
+        orchestrator.ANALYSIS_COMPLETENESS,
+        orchestrator.ANALYSIS_DUPLICATES,
+        orchestrator.ANALYSIS_CONTRADICTIONS,
+    )
+    for name in backend:
+        analysis = dataclasses.replace(orchestrator.ANALYSES[name], reader=refuse)
+        monkeypatch.setitem(orchestrator.ANALYSES, name, analysis)
+    monkeypatch.setattr(orchestrator, "build_matrix", refuse)
+    monkeypatch.setattr(coverage, "build_matrix", refuse)
+    again = run(project)
+    statuses = [status for _, status, _ in outcome(again)]
+    assert statuses == ["Skipped", "Succeeded", "Skipped", "Skipped"]
+    assert again.report_set.reused and again.report_set == first.report_set
 
 
 def calls(report):
@@ -287,6 +327,62 @@ def test_a_raw_file_edited_to_a_malformed_payload_is_executed_again(project):
     assert statuses["e_identify_contradictions"] == "Skipped"  # the same bytes came back
     assert raw.read_bytes() == written
     assert again.report_set.reused and again.report_set == first.report_set
+
+
+# ---------------------------------------------------------------------------
+# Coverage read back from its raw file
+# ---------------------------------------------------------------------------
+
+ALIASES = ["NAV", "EN", "SUP", "DM", "TD", "É1"]
+LINEAGES = ["Drone/Navigation", "Système/Énergie/Batterie", "Other", "Drone/Support"]
+
+
+@st.composite
+def classified_and_catalog(draw):
+    aliases = draw(st.lists(st.sampled_from(ALIASES), unique=True, max_size=len(ALIASES)))
+    if draw(st.booleans()):
+        aliases.append(CATCH_ALL_ALIAS)
+    lineages = st.sampled_from(LINEAGES)
+    catalog = catalog_from_alias_map({alias: draw(lineages) for alias in aliases})
+    functions = st.sampled_from([e.alias for e in catalog.entries])
+    types = st.sampled_from(["FUNC", "PROB", "_OT_", "QUAL"])
+    rows = [
+        ClassifiedRequirement(str(1000 + at), draw(functions), draw(types), 90)
+        for at in range(draw(st.integers(0, 40)))
+    ]
+    return rows, catalog
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=classified_and_catalog(), analyze=st.booleans())
+def test_the_matrix_read_back_from_the_coverage_raw_file_is_the_one_computed(drawn, analyze):
+    rows, catalog = drawn
+    task = orchestrator.TaskConfig(
+        name="c", analysis_function=orchestrator.ANALYSIS_COVERAGE, execute=False, analyze=analyze
+    )
+    config = orchestrator.PipelineConfig([task], {}, {}, Path("."), upstream={"c": "b"})
+
+    def coverage_task(previous):
+        ctx = orchestrator.PipelineContext(config, MockBackend("."), LlmRequestParams(), TAG)
+        ctx.reports.catalog, ctx.published["b"] = catalog, ("classified", rows, "")
+        done = orchestrator._task_coverage(ctx, task, previous, previous is not None)
+        return done, ctx.reports.coverage
+
+    computed, published = coverage_task(None)
+    matrix = build_matrix(rows, catalog)
+    assert published == (matrix if analyze else None)
+    # As run_task writes the raw file.
+    raw = {"task": "c", "analysis_function": task.analysis_function, **computed.record}
+    text = json.dumps(raw, indent=2, ensure_ascii=False) + "\n"
+    items, _ = orchestrator._coverage_from_raw(Path("c_T.json"), text)
+    assert len(items) == computed.count
+    read_back = coverage.matrix_of(items)
+    assert read_back == matrix  # rows, Triage flags and totals
+    assert [row.is_triage_bucket for row in read_back.rows] == [
+        e.alias == CATCH_ALL_ALIAS for e in catalog.entries
+    ]
+    reused, republished = coverage_task(orchestrator._Previous(items, []))
+    assert republished == published and reused.detail == computed.detail
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +492,36 @@ def test_a_failed_classification_leaves_its_consumers_reused(sample):
     again = by_task(run(sample))
     assert again["b_classify_requirements"] == ("Failed", 0)
     assert again["d_identify_duplicates"] == again["e_identify_contradictions"] == ("Skipped", 0)
+
+
+def test_coverage_is_reused_whatever_delta_says_and_computed_again_when_forced(sample):
+    run(sample)
+    edit_json(sample / "params.json", lambda config: config["defaults"].update(delta=False))
+    raw_dir, name = sample / RESULTS / "raw", Path(f"{COVERAGE}_{TAG}.json")
+    computed = stamps(raw_dir)[name]
+    again = by_task(run(sample))
+    assert again["b_classify_requirements"] == ("Succeeded", 1)  # into the same raw file
+    assert again[COVERAGE] == ("Succeeded", 0) and stamps(raw_dir)[name] == computed
+    run(sample, force=True)
+    assert stamps(raw_dir)[name] != computed
+
+
+@pytest.mark.parametrize("how", ["deleted", "edited"])
+def test_a_joined_csv_deleted_or_edited_by_hand_executes_classification_again(sample, how):
+    run(sample)
+    joined = sample / JOINED_CSV
+    written = joined.read_bytes()
+    if how == "deleted":
+        joined.unlink()
+    else:
+        edit_text(joined, "The drone shall fly at high speed", "The drone shall fly slowly")
+    again = by_task(run(sample))
+    assert again["b_classify_requirements"] == ("Succeeded", 1)
+    assert joined.read_bytes() == written
+    # The same raw file came back, so its readers stay reused.
+    assert again["d_identify_duplicates"] == again["e_identify_contradictions"] == ("Skipped", 0)
+    alone = by_task(run(sample, only_task="d_identify_duplicates"))
+    assert alone == {"d_identify_duplicates": ("Skipped", 0)}
 
 
 @pytest.mark.parametrize(
@@ -512,6 +638,50 @@ def delete_raw(data):
     return lambda project: (project / RESULTS / "raw" / f"{task}_{TAG}.json").unlink()
 
 
+def edit_coverage_raw(data):
+    how = data.draw(st.sampled_from(["verdict", "count", "totals", "malformed", "delete"]))
+    at = data.draw(st.integers(0, 20))
+
+    def change(payload):
+        row = payload["rows"][at % len(payload["rows"])]
+        if how == "verdict":
+            row["Verdict"] = "Complete" if row["Verdict"] != "Complete" else "Missing"
+        elif how == "count":
+            row["N_FUNC"] += 1
+        else:
+            payload["totals"][0] += 1
+
+    def edit(project):
+        raw = project / RESULTS / "raw" / f"{COVERAGE}_{TAG}.json"
+        if how == "delete":
+            raw.unlink()
+        elif how == "malformed":
+            raw.write_text("{", encoding="utf-8")
+        else:
+            edit_json(raw, change)
+
+    return edit
+
+
+def edit_joined(data):
+    # Classification executes again and writes it back; its readers stay reused.
+    column, value = data.draw(
+        st.sampled_from([(None, None), (1, "It shall hover."), (2, "EN"), (3, "_OT_")])
+    )
+    at = data.draw(st.integers(1, 10))
+
+    def change(rows):
+        rows[at % len(rows) or 1][column] = value
+
+    def edit(project):
+        if column is None:
+            (project / JOINED_CSV).unlink()
+        else:
+            edit_csv(project / JOINED_CSV, change)
+
+    return edit
+
+
 def edit_gold(data):
     name = data.draw(st.sampled_from(GOLD_FILES))
     at = data.draw(st.integers(1, 30))
@@ -559,7 +729,7 @@ def edit_report(data):
 
 
 def edit_record(data):
-    names = [f"raw_{task}_{TAG}" for task in RAW_TASKS] + [f"reports_{TAG}"]
+    names = [f"raw_{task}_{TAG}" for task in (*RAW_TASKS, COVERAGE)] + [f"reports_{TAG}"]
     name = data.draw(st.sampled_from(names))
     how = data.draw(st.sampled_from(["delete", "corrupt", "count", "score", "sha256", "key"]))
 
@@ -641,6 +811,8 @@ EDITS = {
     "raw-label": edit_raw_label,
     "raw-malformed": edit_raw_malformed,
     "raw-deleted": delete_raw,
+    "coverage-raw": edit_coverage_raw,
+    "joined": edit_joined,
     "gold": edit_gold,
     "threshold": edit_threshold,
     "lineage": edit_lineage,
@@ -661,14 +833,15 @@ def restore(project, files):
 
 
 def ending(report, project):
-    """Which tasks failed, the report set's files and the report and joined bytes."""
+    """Which tasks failed, the report set's files and the report, joined and coverage bytes."""
     failed = [(r.name, r.status == "Failed") for r in report.results]
     files = None if report.report_set is None else sorted(report.report_set.files)
-    joined = project / RESULTS / "joined"
-    return failed, files, reports(project), {p.name: p.read_bytes() for p in joined.iterdir()}
+    joined = {p.name: p.read_bytes() for p in (project / RESULTS / "joined").iterdir()}
+    covered = (project / RESULTS / "raw" / f"{COVERAGE}_{TAG}.json").read_bytes()
+    return failed, files, reports(project), joined, covered
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(sorted(EDITS)), data=st.data())
 def test_after_any_one_edit_a_rerun_ends_as_a_forced_run_of_the_same_tree_does(
     template, kind, data
