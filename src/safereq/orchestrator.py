@@ -23,24 +23,25 @@ and writes, last. When a backend task executes, or a local analysis
 computes, run_task records the file's sha256, count and score under
 <config_dir>/.safereq/ (see store), keyed by _task_key; classification
 lists the joined CSV it wrote beside the raw file. A delta task is
-skipped (zero backend calls) only while that record loads for its
-current key and every file it lists hashes as recorded, so a joined CSV
-deleted or edited by hand executes classification again; its items are
-published unparsed, its score kept while the gold file is the same. A
-local analysis follows the same rule under force alone: a reuse reads
-the coverage matrix back from its own raw file, writes nothing and
+skipped (zero backend calls) only while store.verify finds that record
+for its current key, listing the raw file and at most that joined CSV,
+each still hashing as recorded. Its items are published unparsed, its
+score kept while the gold file is the same; _raw_text reads the file
+again, checked against the sha256 verified, only if something parses
+them. A local analysis follows the same rule under force alone: a reuse
+reads the coverage matrix back from its own raw file, writes nothing and
 reports Succeeded with the detail it reported when it computed. So an
-unchanged rerun parses no raw file of a backend task. Rows taken from
-an upstream enter a key as the upstream's raw sha256, the one it
-published or the one it recorded beside the joined CSV read instead. So
-an upstream that executes into the same raw file leaves its readers
-reused (early cutoff), and a run of one task, a run after a failed
-upstream and a dry run (which publishes what a reuse would, and says
-would reuse) key a task as a full rerun does.
-execute false reads the file back, checked, and never records it. A
-failed task publishes nothing and leaves a .partial file; the next
-success removes it. Every file is written to a temp file, synced and
-moved into place, so no crash leaves a truncated file a run trusts.
+unchanged rerun reads no raw file of a backend task. Rows taken from an
+upstream enter a key as its raw sha256, the one it published or recorded
+beside the joined CSV read instead. So an upstream that executes into
+the same raw file leaves its readers reused (early cutoff), and a run of
+one task, a run after a failed upstream and a dry run (which publishes
+what a reuse would, and says would reuse) key a task as a full rerun
+does. execute false parses the file through _raw_text too, and never
+records it. A failed task publishes nothing and leaves a .partial file;
+the next success removes it. Every file is written to a temp file,
+synced and moved into place, so no crash leaves a truncated file a run
+trusts.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ from .reporting import (
     emit_report_set,
     report_key,
 )
-from .store import file_sha256, record, reused_report_set, write_report_record
+from .store import file_sha256, record, verify
 from .store import load as load_record
 from .requirements import Requirement, load_requirements, read_keyed_csv
 from .requirements import chunk as chunk_requirements
@@ -593,6 +594,22 @@ def _raw_errors(path: Path) -> Iterator[None]:
         raise MalformedRawFileError(f"malformed raw file {path}: {exc!r}") from exc
 
 
+def _raw_text(path: Path, sha: str | None = None) -> str:
+    """The text of the raw file at path; given sha, the sha256 verify took
+    of it, bytes that are gone or hash otherwise raise
+    MalformedRawFileError, so a parse reads only the bytes verified."""
+    with _raw_errors(path):
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            if sha is None:
+                raise
+            raise ValueError(f"gone since it was verified: {exc}") from exc
+        if sha not in (None, hashlib.sha256(data).hexdigest()):
+            raise ValueError(f"changed since it was verified as sha256 {sha}")
+        return data.decode("utf-8")
+
+
 @contextmanager
 def _raw_payload(path: Path, text: str) -> Iterator[dict]:
     """The JSON object in text, read from the raw file at path.
@@ -663,8 +680,8 @@ def _coverage_from_raw(path: Path, text: str) -> tuple[list[CoverageRow], list]:
 
 
 class _Unread(Sequence):
-    """A verified raw file's items, parsed on first use, once, from the text
-    of the bytes that were hashed; its length is the recorded count."""
+    """A verified raw file's items, parsed on first use, once, from its bytes
+    as _raw_text checks them; its length is the recorded count."""
 
     def __init__(self, parse: Callable[[], list], count: int):
         self._parse, self._count, self._items = parse, count, None
@@ -1005,8 +1022,9 @@ def _upstream_raw_sha(ctx: PipelineContext, producer: str | None, joined: str) -
     if producer is not None:
         out_dir = _out_dir(ctx.config, ctx.config.task(producer))
         saved = load_record(_raw_record_path(ctx.config, producer, ctx.version_tag), None, out_dir)
-        if saved and saved["files"].get("joined", [None])[-1] == joined:
-            return saved["files"]["raw"][1]
+        files = saved["files"] if saved else {}
+        if "raw" in files and files.get("joined", (None, None))[1] == joined:
+            return files["raw"][1]
     return joined
 
 
@@ -1022,44 +1040,26 @@ def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> st
     return json.dumps([task.analysis_function, include_type, gold])
 
 
-def _listed(out_dir: Path, paths: dict[str, Path], digests: dict[str, str | None]) -> dict:
-    """The files of digests as a record lists them: by label, each one's name
-    under out_dir and its sha256; a file without a digest was not written."""
-    return {
-        label: [paths[label].relative_to(out_dir).as_posix(), sha]
-        for label, sha in digests.items()
-        if sha is not None
-    }
-
-
 def _reused(
-    reader: Callable[[Path, str], tuple],
-    out_dir: Path,
-    paths: dict[str, Path],
-    saved: dict,
-    score_key: str,
+    reader: Callable[[Path, str], tuple], paths: dict[str, Path], saved: dict, score_key: str
 ) -> tuple[_Previous, str] | None:
-    """The raw file saved records, unparsed, and its sha256; None unless every
-    file it lists, the raw file and a joined CSV written with it, still hashes
-    as recorded. The recorded score stands while score_key does."""
-    with suppress(OSError):
-        data = paths["raw"].read_bytes()
-        digests = {label: file_sha256(paths[label]) for label in saved["files"] if label != "raw"}
-        digests["raw"] = hashlib.sha256(data).hexdigest()
-        if saved["files"] == _listed(out_dir, paths, digests):
-            text = data.decode("utf-8")  # bytes a run wrote
-            del data  # a later parse holds the text alone
-            items = _Unread(lambda: reader(paths["raw"], text)[0], saved["count"])
-            score = saved["score"] if saved["score_key"] == score_key else None
-            return _Previous(items, [], score), digests["raw"]
+    """The raw file of the verified record saved, unparsed, and its sha256; None unless
+    saved lists it at paths["raw"] and at most the joined CSV at paths["joined"].
+    The recorded score stands while score_key does."""
+    files = saved["files"]
+    if "raw" not in files or any(paths.get(label) != file for label, (file, _) in files.items()):
+        return None
+    raw_path, sha = files["raw"]
+    items = _Unread(lambda: reader(raw_path, _raw_text(raw_path, sha))[0], saved["count"])
+    score = saved["score"] if saved["score_key"] == score_key else None
+    return _Previous(items, [], score), sha
 
 
 def _read_back(reader: Callable[[Path, str], tuple], raw_path: Path) -> _Previous:
     """The raw file execute false takes, parsed and checked now."""
     if not raw_path.exists():
         raise SafereqError("execute is false and no previous raw output exists")
-    with _raw_errors(raw_path):
-        return _Previous(*reader(raw_path, raw_path.read_bytes().decode("utf-8")))
+    return _Previous(*reader(raw_path, _raw_text(raw_path)))
 
 
 def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> TaskResult:
@@ -1074,7 +1074,7 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         raise UnknownAnalysisFunctionError(task.analysis_function)
     out_dir = _out_dir(ctx.config, task)
     raw_path = _raw_path(ctx.config, task, ctx.version_tag)
-    paths = {"raw": raw_path, "joined": _joined_path(ctx.config, task)}  # what a record lists
+    paths = {"raw": raw_path, "joined": _joined_path(ctx.config, task)}  # what a record may list
     partial = Path(str(raw_path) + ".partial")
     trace = _raw_record_path(ctx.config, task.name, ctx.version_tag)
     if not task.run:
@@ -1085,7 +1085,7 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
     keyed = analysis.local or task.execute
     key = _task_key(ctx, task, analysis) if keyed else ""
     may_reuse = (analysis.local or task.execute and task.delta) and not ctx.force
-    saved = load_record(trace, key, out_dir) if may_reuse else None
+    saved = verify(trace, key, out_dir) if may_reuse else None
     via = "" if analysis.local else "delta: "
 
     calls_before = ctx.backend.calls
@@ -1094,7 +1094,7 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         # Taken before the body reads the gold file, so a record never pairs
         # a later gold file with a score of an earlier one.
         score_key = _score_key(ctx, task, analysis)
-        reuse = _reused(analysis.reader, out_dir, paths, saved, score_key) if saved else None
+        reuse = _reused(analysis.reader, paths, saved, score_key) if saved else None
         if dry_run and not reuse:
             return TaskResult(task.name, STATUS_PLANNED, "would execute")
         previous, sha = reuse or (None, None)
@@ -1120,8 +1120,9 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
         if keyed and not dry_run and not (reuse and saved["score_key"] == score_key):
             if reuse:  # the files are as recorded; only the score is new
                 files, count = saved["files"], saved["count"]
-            else:
-                files = _listed(out_dir, paths, {"raw": sha, "joined": done.joined})
+            else:  # a file without a digest was not written
+                written = {"raw": sha, "joined": done.joined}
+                files = {k: (paths[k], digest) for k, digest in written.items() if digest}
                 count = done.count
             facts = {"count": count, "score": done.score, "score_key": score_key}
             with suppress(OSError, UnicodeError):
@@ -1186,9 +1187,10 @@ def run_all(
         saved = _record_path(cfg, f"reports_{ctx.version_tag}")
         published = [(name, slot, sha) for name, (slot, _, sha) in ctx.published.items()]
         key = report_key(inputs, ctx.version_tag, published)
-        if not force:
-            report_set = reused_report_set(saved, key, reports_dir)
-        if report_set is None:
+        kept = None if force else verify(saved, key, reports_dir)
+        if kept:
+            report_set = ReportSet({n: file for n, (file, _) in kept["files"].items()}, reused=True)
+        else:
             try:
                 report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
             except OSError as exc:
@@ -1196,5 +1198,6 @@ def run_all(
             # The record only spares a later run the writes; without it, that run
             # writes again. A path that is not UTF-8 cannot go into its JSON.
             with suppress(OSError, UnicodeError):
-                write_report_record(saved, key, report_set, reports_dir)
+                files = {n: (file, report_set.digests[n]) for n, file in report_set.files.items()}
+                record(saved, key, reports_dir, files)
     return RunReport(results=results, report_set=report_set)

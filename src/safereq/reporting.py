@@ -66,9 +66,9 @@ class ReportInputs:
 @dataclass
 class ReportSet:
     files: dict[str, Path] = field(default_factory=dict)
-    # Each file's sha256 by report name, as it was written or verified.
+    # Each file's sha256 by report name, as it was written; empty for a kept set.
     digests: dict[str, str] = field(default_factory=dict, compare=False)
-    # True when the files on disk were kept, not written: see store.reused_report_set.
+    # True when the files on disk were kept, not written.
     reused: bool = field(default=False, compare=False)
 
     @property

@@ -892,15 +892,17 @@ def recorded(tmp_path):
     key = reporting.report_key(inputs, "V1", [("b_task", "classified", "0" * 64)])
     report_set = emit_report_set(inputs, reports, "V1")
     record = tmp_path / ".safereq" / "reports_V1.json"
-    store.write_report_record(record, key, report_set, reports)
+    files = {name: (file, report_set.digests[name]) for name, file in report_set.files.items()}
+    store.record(record, key, reports, files)
     return record, key, report_set
 
 
 def test_a_recorded_set_is_reused_while_its_files_hold(tmp_path):
     record, key, report_set = recorded(tmp_path)
-    reused = store.reused_report_set(record, key, tmp_path / "reports")
-    assert reused == report_set
-    assert reused.reused and not report_set.reused
+    kept = store.verify(record, key, tmp_path / "reports")
+    assert {name: file for name, (file, _) in kept["files"].items()} == report_set.files
+    assert {name: sha for name, (_, sha) in kept["files"].items()} == report_set.digests
+    assert not report_set.reused
     saved = json.loads(record.read_text(encoding="utf-8"))
     assert saved["key"] == key
     assert saved["files"]["summary"] == [
@@ -957,4 +959,4 @@ def _rewrite_record(record, edit):
 def test_a_spoiled_record_or_report_is_not_reused(tmp_path, spoil):
     record, key, _ = recorded(tmp_path)
     spoil(record, tmp_path / "reports")
-    assert store.reused_report_set(record, key, tmp_path / "reports") is None
+    assert store.verify(record, key, tmp_path / "reports") is None

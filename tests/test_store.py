@@ -36,6 +36,7 @@ from safereq import (
     run_all,
     store,
 )
+from safereq.errors import MalformedRawFileError
 
 SAMPLE_PROJECT = Path(__file__).resolve().parent.parent / "sample_project"
 RESULTS = Path("B_Requirements") / "results"
@@ -71,16 +72,28 @@ def recorded_file(tmp_path, text="content"):
     data.mkdir(exist_ok=True)
     (data / "a.txt").write_text(text, encoding="utf-8")
     path = tmp_path / ".safereq" / "a.json"
-    store.record(path, "K", data, {"a": ("a.txt", sha256(data / "a.txt"))}, count=3, score=87.5)
+    files = {"a": (data / "a.txt", sha256(data / "a.txt"))}
+    store.record(path, "K", data, files, count=3, score=87.5)
     return path, data
+
+
+def reseal(path, edit):
+    """Edit the record at path and seal it again, as a writer of that content would."""
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    del saved["seal"]
+    edit(saved)
+    path.write_text(json.dumps({**saved, "seal": store._seal(saved)}), encoding="utf-8")
 
 
 def test_a_record_is_loaded_and_verified_for_its_key_and_directory(tmp_path):
     path, data = recorded_file(tmp_path)
     saved = store.load(path, "K", data)
     assert saved["count"] == 3 and saved["score"] == 87.5
-    assert saved["files"] == {"a": ["a.txt", sha256(data / "a.txt")]}
-    assert store.verify(path, "K", data) == {"a": data / "a.txt"}
+    assert saved["files"] == {"a": (data / "a.txt", sha256(data / "a.txt"))}
+    assert json.loads(path.read_text(encoding="utf-8"))["files"] == {
+        "a": ["a.txt", sha256(data / "a.txt")]  # named relative to its directory
+    }
+    assert store.verify(path, "K", data) == saved
     assert store.load(path, "other", data) is None
     assert store.load(path, None, data) == saved  # any key
     assert store.load(path, None, tmp_path) is None
@@ -127,6 +140,18 @@ def test_a_record_of_another_package_version_is_not_trusted(tmp_path, monkeypatc
     path, data = recorded_file(tmp_path)
     monkeypatch.setattr(store, "__version__", "0.0.0-other")
     assert store.load(path, "K", data) is None
+
+
+@pytest.mark.parametrize("outside", [False, True], ids=["parent", "absolute"])
+def test_a_sealed_record_naming_a_file_outside_its_directory_is_not_trusted(tmp_path, outside):
+    path, data = recorded_file(tmp_path)
+    reseal(path, lambda record: None)
+    assert store.verify(path, "K", data) is not None  # the seal alone does not refuse it
+    (tmp_path / "x").write_text("content", encoding="utf-8")  # what a.txt holds
+    name = str(tmp_path / "x") if outside else "../x"
+    reseal(path, lambda record: record["files"]["a"].__setitem__(0, name))
+    assert store.load(path, "K", data) is None
+    assert store.verify(path, "K", data) is None
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +279,15 @@ def test_an_unchanged_rerun_parses_no_raw_file_of_a_backend_task_and_builds_no_m
     for name in backend:
         analysis = dataclasses.replace(orchestrator.ANALYSES[name], reader=refuse)
         monkeypatch.setitem(orchestrator.ANALYSES, name, analysis)
+    raw_text = orchestrator._raw_text
+
+    def coverage_text_alone(path, sha=None):
+        # A reused coverage task reads its matrix back from its own raw file.
+        if path.name != f"{COVERAGE}_{TAG}.json":
+            refuse()
+        return raw_text(path, sha)
+
+    monkeypatch.setattr(orchestrator, "_raw_text", coverage_text_alone)
     monkeypatch.setattr(orchestrator, "build_matrix", refuse)
     monkeypatch.setattr(coverage, "build_matrix", refuse)
     again = run(project)
@@ -305,6 +339,42 @@ def test_a_rerun_without_the_store_executes_once_and_the_next_is_trusted(project
     statuses = [status for _, status, _ in outcome(again)]
     assert statuses == ["Skipped", "Succeeded", "Skipped", "Skipped"] and calls(again) == 0
     assert again.report_set.reused
+
+
+def test_a_raw_file_changed_after_it_was_verified_fails_its_task_unparsed(project, monkeypatch):
+    run(project)
+    # Rescoring parses the reused rows, after the raw file has been verified.
+    edit_csv(project / "gold_labels.csv", lambda rows: rows[2].__setitem__(2, "_OT_"))
+    raw = project / RESULTS / "raw" / f"b_classify_requirements_{TAG}.json"
+    trace = project / ".safereq" / f"raw_b_classify_requirements_{TAG}.json"
+    verified = sha256(raw)
+    verify = orchestrator.verify
+
+    def verify_then_edit(path, *args):
+        saved = verify(path, *args)
+        if path == trace:
+            edit_json(raw, lambda payload: payload["rows"][0].update(Type="_OT_"))
+        return saved
+
+    completeness = orchestrator.ANALYSES[orchestrator.ANALYSIS_COMPLETENESS]
+    parsed = []
+
+    def reader(path, text):
+        parsed.append(text)
+        return completeness.reader(path, text)
+
+    monkeypatch.setattr(orchestrator, "verify", verify_then_edit)
+    analysis = dataclasses.replace(completeness, reader=reader)
+    monkeypatch.setitem(orchestrator.ANALYSES, orchestrator.ANALYSIS_COMPLETENESS, analysis)
+    name, status, detail = outcome(run(project))[0]
+    assert (name, status) == ("b_classify_requirements", "Failed")
+    assert detail.startswith(f"malformed raw file {raw}:") and parsed == []
+    # The one reader of raw files refuses bytes that changed, or are gone, since verify.
+    with pytest.raises(MalformedRawFileError, match="changed since it was verified"):
+        orchestrator._raw_text(raw, verified)
+    raw.unlink()
+    with pytest.raises(MalformedRawFileError, match="gone since it was verified"):
+        orchestrator._raw_text(raw, verified)
 
 
 def test_reports_deleted_after_a_first_run_are_written_again_byte_for_byte(project):
@@ -492,6 +562,27 @@ def test_a_failed_classification_leaves_its_consumers_reused(sample):
     again = by_task(run(sample))
     assert again["b_classify_requirements"] == ("Failed", 0)
     assert again["d_identify_duplicates"] == again["e_identify_contradictions"] == ("Skipped", 0)
+
+
+@pytest.mark.parametrize(
+    "relist, keyed_alike",
+    [
+        (lambda files: files.update(extra=files["raw"]), True),
+        (lambda files: files.update(copy=files.pop("raw")), False),
+    ],
+    ids=["unknown-label", "raw-under-another-label"],
+)
+def test_a_sealed_record_listing_other_files_is_not_reused_and_raises_nothing(
+    sample, relist, keyed_alike
+):
+    run(sample)
+    trace = sample / ".safereq" / f"raw_b_classify_requirements_{TAG}.json"
+    reseal(trace, lambda record: relist(record["files"]))
+    # A pair task run alone keys its rows by the raw sha256 the record lists, if any.
+    alone = by_task(run(sample, only_task="d_identify_duplicates"))
+    assert alone["d_identify_duplicates"][0] == ("Skipped" if keyed_alike else "Succeeded")
+    assert by_task(run(sample))["b_classify_requirements"] == ("Succeeded", 1)
+    assert calls(run(sample)) == 0  # the record written then is trusted
 
 
 def test_coverage_is_reused_whatever_delta_says_and_computed_again_when_forced(sample):
