@@ -38,8 +38,10 @@ the same raw file leaves its readers reused (early cutoff), and a run of
 one task, a run after a failed upstream and a dry run (which publishes
 what a reuse would, and says would reuse) key a task as a full rerun
 does. execute false parses the file through _raw_text too, and never
-records it. A failed task publishes nothing and leaves a .partial file;
-the next success removes it. Every file is written to a temp file,
+records it. A task body returns what its task publishes, and run_task
+publishes it as the last step of a task that has succeeded: a failed
+task publishes nothing and leaves a .partial file; the next success
+removes it. Every file is written to a temp file,
 synced and moved into place, so no crash leaves a truncated file a run
 trusts.
 """
@@ -53,7 +55,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from itertools import chain, zip_longest
 from operator import attrgetter
@@ -545,13 +547,19 @@ def _catalog_for(resources: dict) -> FunctionCatalog | None:
     return catalog_from_mapping(architecture)
 
 
+def _catalog(
+    ctx: PipelineContext, task: TaskConfig, resources: dict | None = None
+) -> FunctionCatalog | None:
+    """The run's catalog, else one built from resources, read from the task's file if None."""
+    return ctx.reports.catalog or _catalog_for(
+        _resources_payload(ctx, task) if resources is None else resources
+    )
+
+
 def _require_catalog(
     ctx: PipelineContext, task: TaskConfig, resources: dict | None = None
 ) -> FunctionCatalog:
-    """The run's catalog, else one built from resources, read from the task's file if None."""
-    catalog = ctx.reports.catalog or _catalog_for(
-        _resources_payload(ctx, task) if resources is None else resources
-    )
+    catalog = _catalog(ctx, task, resources)
     if catalog is None:
         raise SafereqError("no ARCHITECTURE resource configured; cannot build the function catalog")
     return catalog
@@ -715,52 +723,26 @@ def _load_gold_labels(path: Path) -> dict[str, tuple[str, str]]:
     return dict(zip(table["ReqID"], zip(table["Function"], table["Type"])))
 
 
-def _take_rows(
-    ctx: PipelineContext,
-    task: TaskConfig,
-    catalog: FunctionCatalog,
-    rows: Sequence[ClassifiedRequirement],
-    value: float | None = None,
-) -> float | None:
-    """Publish classified rows, their catalog and their accuracy.
-
-    The accuracy is value, if given; else the rows are scored against gold.
-    """
-    ctx.reports.catalog = catalog
-    ctx.reports.classified = rows
-    if not task.gold_file:
-        return None
-    if value is None:
-        gold = _load_gold_labels(_resolve(ctx.config, task, task.gold_file))
-        value = accuracy(rows, gold, include_type=task.gold_include_type)
-    ctx.reports.scores[task.metric or "classification"] = value
-    return value
+def _metric(task: TaskConfig, analysis: Analysis) -> str:
+    """The name a task's score is published and thresholded under."""
+    return task.metric or ("classification" if analysis.slot == "classified" else analysis.slot)
 
 
-def _take_findings(
-    ctx: PipelineContext,
-    task: TaskConfig,
-    analysis: Analysis,
-    findings: Sequence[PairFinding],
-    rate: float | None = None,
-) -> PairScore | None:
-    """Publish findings to the analysis' report slot and their detection rate.
+def _accuracy(
+    ctx: PipelineContext, task: TaskConfig, rows: Sequence[ClassifiedRequirement]
+) -> float:
+    """The accuracy of classified rows against the task's gold labels."""
+    gold = _load_gold_labels(_resolve(ctx.config, task, task.gold_file))
+    return accuracy(rows, gold, include_type=task.gold_include_type)
 
-    The rate is rate, if given; else the findings are scored against gold,
-    and the score is returned.
-    """
-    setattr(ctx.reports, analysis.slot, findings)
-    if not task.gold_file:
-        return None
-    metric = task.metric or analysis.slot
-    pair_score = None
-    if rate is None:
-        gold = load_gold_pairs(_resolve(ctx.config, task, task.gold_file), analysis.gold)
-        threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(metric, 80.0)
-        pair_score = score(findings, gold, threshold=threshold)
-        rate = pair_score.rate
-    ctx.reports.scores[metric] = rate
-    return pair_score
+
+def _pair_score(
+    ctx: PipelineContext, task: TaskConfig, analysis: Analysis, findings: Sequence[PairFinding]
+) -> PairScore:
+    """The score of findings against the task's gold pairs."""
+    gold = load_gold_pairs(_resolve(ctx.config, task, task.gold_file), analysis.gold)
+    threshold = {**DEFAULT_THRESHOLDS, **ctx.config.thresholds}.get(_metric(task, analysis), 80.0)
+    return score(findings, gold, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -769,16 +751,20 @@ def _take_findings(
 
 
 class _Done(NamedTuple):
-    """What a task body hands back to run_task."""
+    """What a task body hands back to run_task, which alone publishes and records it."""
 
     record: dict  # what run_task writes to the raw file; a reuse writes none
     files: list[Path]  # the body's other files
     detail: str
-    # What run_task records beside the raw file's sha256: the items in record,
-    # their score and the sha256 of the joined CSV written with them.
+    # What run_task records beside the raw file's sha256: the items, their
+    # score and the sha256 of the joined CSV written with them.
     count: int = 0
     score: float | None = None
     joined: str | None = None
+    # What run_task publishes when analyze is true: the part for the
+    # analysis' slot and, if any, the catalog that goes with it.
+    part: object = None
+    catalog: FunctionCatalog | None = None
 
 
 def _write_quarantine(
@@ -812,11 +798,13 @@ def _require_input_ids(
 def _task_completeness(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    if reuse:  # publish only
+    if reuse:  # nothing to compute or write
         rows, value = previous.items, previous.score
-        if task.analyze:
-            value = _take_rows(ctx, task, _require_catalog(ctx, task), rows, value)
-        return _Done({}, [], f"reused {len(rows)} classified rows", score=value)
+        catalog = _require_catalog(ctx, task) if task.analyze else None
+        if task.analyze and task.gold_file and value is None:
+            value = _accuracy(ctx, task, rows)
+        detail = f"reused {len(rows)} classified rows"
+        return _Done({}, [], detail, len(rows), value, part=rows, catalog=catalog)
 
     resources = _resources_payload(ctx, task)
     catalog = _require_catalog(ctx, task, resources)
@@ -854,7 +842,7 @@ def _task_completeness(
             ),
         )
         files.append(joined_path)
-        gold_value = _take_rows(ctx, task, catalog, rows)
+        gold_value = _accuracy(ctx, task, rows) if task.gold_file else None
 
     record = {
         "rows": [classified_record(row) for row in rows],
@@ -864,7 +852,7 @@ def _task_completeness(
     detail = f"{len(rows)} requirements classified, {len(quarantined)} quarantined"
     if gold_value is not None:
         detail += f", accuracy {gold_value:.2f}"
-    return _Done(record, files, detail, len(rows), gold_value, joined)
+    return _Done(record, files, detail, len(rows), gold_value, joined, rows, catalog)
 
 
 def _task_coverage(
@@ -877,30 +865,27 @@ def _task_coverage(
         catalog = _require_catalog(ctx, task)
         matrix = build_matrix(classified, catalog)
     gaps = gap_ranking(matrix)
-    if task.analyze:  # catalog is the run's catalog, if it has one
-        ctx.reports.coverage, ctx.reports.catalog = matrix, catalog
     record = {
         "rows": [dict(zip(COVERAGE_COLUMNS, coverage_cells(row))) for row in matrix.rows],
         "totals": list(matrix.totals),
         "gap_ranking": [{"Function": row.alias, "Shortfall": missing} for row, missing in gaps],
     }
     detail = f"{len(matrix.rows)} functions, {len(gaps)} with missing coverage"
-    return _Done(record, [], detail, len(matrix.rows))
+    return _Done(record, [], detail, len(matrix.rows), part=matrix, catalog=catalog)
 
 
 def _task_pairs(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
     analysis = ANALYSES[task.analysis_function]
-    if reuse:  # publish only
+    if reuse:  # nothing to compute or write
         findings, rate = previous.items, previous.score
-        if task.analyze and (rescored := _take_findings(ctx, task, analysis, findings, rate)):
-            rate = rescored.rate
-        return _Done({}, [], f"reused {len(findings)} findings", score=rate)
+        if task.analyze and task.gold_file and rate is None:
+            rate = _pair_score(ctx, task, analysis, findings).rate
+        return _Done({}, [], f"reused {len(findings)} findings", len(findings), rate, part=findings)
 
     classified = _classified_for(ctx, task, analysis.columns)
-    catalog = ctx.reports.catalog or _catalog_for(_resources_payload(ctx, task))
-    clusters = cluster_by_function(classified, catalog)
+    clusters = cluster_by_function(classified, _catalog(ctx, task))
 
     # The detectors are looked up when called, so wrapping the module-level
     # names (as a tracer does) still takes effect.
@@ -913,7 +898,8 @@ def _task_pairs(
         detection = detect_contradictions(*args, duplicates=ctx.reports.duplicates or [])
     files = _write_quarantine(ctx, task, detection.rejected)
 
-    pair_score = _take_findings(ctx, task, analysis, detection.findings) if task.analyze else None
+    scored = task.analyze and task.gold_file
+    pair_score = _pair_score(ctx, task, analysis, detection.findings) if scored else None
     versioned = "prompt_version" in analysis.reads
     record = {
         **({"prompt_version": task.prompt_version} if versioned else {}),
@@ -925,14 +911,14 @@ def _task_pairs(
     if pair_score:
         detail += f", detection rate {pair_score.rate:.2f}"
     rate = pair_score.rate if pair_score else None
-    return _Done(record, files, detail, len(detection.findings), rate)
+    return _Done(record, files, detail, len(detection.findings), rate, part=detection.findings)
 
 
 @dataclass(frozen=True)
 class Analysis:
     """What load_config and run_task know of one analysis function."""
 
-    # (ctx, task, the raw file read back or None, reuse): a reuse only publishes.
+    # (ctx, task, the raw file read back or None, reuse): a reuse writes nothing.
     body: Callable[[PipelineContext, TaskConfig, _Previous | None, bool], _Done]
     # Parses the raw file for a reuse and, for a backend analysis, for execute false.
     reader: Callable[[Path, str], tuple]
@@ -1001,9 +987,9 @@ def _task_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> str
             return _upstream_raw_sha(ctx, producer, sha) if key == "input_file" else sha
 
     catalog = ctx.reports.catalog
-    if catalog is None and analysis.columns:  # as a full run keys it; else the bytes suffice
+    if analysis.columns:  # as a full run keys it; else the bytes suffice
         with suppress(SafereqError, OSError):
-            catalog = _catalog_for(_resources_payload(ctx, task))
+            catalog = _catalog(ctx, task)
     parts = [
         {key: getattr(task, key) for key in sorted(reads - _UNKEYED)},
         [digest(key) for key in ("input_file", "instructions", "resources") if key in reads],
@@ -1020,11 +1006,12 @@ def _upstream_raw_sha(ctx: PipelineContext, producer: str | None, joined: str) -
     joined. That file holds the rows of that raw file, so a task reading it keys
     them as it would had producer published them in the run."""
     if producer is not None:
-        out_dir = _out_dir(ctx.config, ctx.config.task(producer))
-        saved = load_record(_raw_record_path(ctx.config, producer, ctx.version_tag), None, out_dir)
-        files = saved["files"] if saved else {}
-        if "raw" in files and files.get("joined", (None, None))[1] == joined:
-            return files["raw"][1]
+        task = ctx.config.task(producer)
+        trace = _raw_record_path(ctx.config, producer, ctx.version_tag)
+        saved = load_record(trace, None, _out_dir(ctx.config, task))
+        raw = _listed_raw(ctx, task, saved["files"]) if saved else None
+        if raw and saved["files"].get("joined", (None, None))[1] == joined:
+            return raw[1]
     return joined
 
 
@@ -1040,16 +1027,28 @@ def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> st
     return json.dumps([task.analysis_function, include_type, gold])
 
 
-def _reused(
-    reader: Callable[[Path, str], tuple], paths: dict[str, Path], saved: dict, score_key: str
-) -> tuple[_Previous, str] | None:
-    """The raw file of the verified record saved, unparsed, and its sha256; None unless
-    saved lists it at paths["raw"] and at most the joined CSV at paths["joined"].
-    The recorded score stands while score_key does."""
-    files = saved["files"]
+def _listed_raw(ctx: PipelineContext, task: TaskConfig, files: dict) -> tuple[Path, str] | None:
+    """The raw file a task's record lists in files, and its sha256; None unless
+    files lists the task's raw file and at most its joined CSV."""
+    paths = {"raw": _raw_path(ctx.config, task, ctx.version_tag)}
+    paths["joined"] = _joined_path(ctx.config, task)
     if "raw" not in files or any(paths.get(label) != file for label, (file, _) in files.items()):
         return None
-    raw_path, sha = files["raw"]
+    return files["raw"]
+
+
+def _reused(
+    ctx: PipelineContext,
+    task: TaskConfig,
+    reader: Callable[[Path, str], tuple],
+    saved: dict,
+    score_key: str,
+) -> tuple[_Previous, str] | None:
+    """The raw file of the verified record saved, unparsed, and its sha256; None
+    unless _listed_raw finds it. The recorded score stands while score_key does."""
+    if not (raw := _listed_raw(ctx, task, saved["files"])):
+        return None
+    raw_path, sha = raw
     items = _Unread(lambda: reader(raw_path, _raw_text(raw_path, sha))[0], saved["count"])
     score = saved["score"] if saved["score_key"] == score_key else None
     return _Previous(items, [], score), sha
@@ -1066,15 +1065,15 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
     """Run (or skip) one task and return its outcome.
 
     See the module docstring for the raw file, its record and delta reuse.
-    A SafereqError or OSError comes back as a Failed result, and takes back
-    what the task published; any other exception is a bug and propagates.
+    The body returns what the task publishes, which run_task publishes as
+    the last step of a task that has succeeded. A SafereqError or OSError
+    comes back as a Failed result; any other exception is a bug and propagates.
     """
     analysis = ANALYSES.get(task.analysis_function)
     if analysis is None:
         raise UnknownAnalysisFunctionError(task.analysis_function)
     out_dir = _out_dir(ctx.config, task)
     raw_path = _raw_path(ctx.config, task, ctx.version_tag)
-    paths = {"raw": raw_path, "joined": _joined_path(ctx.config, task)}  # what a record may list
     partial = Path(str(raw_path) + ".partial")
     trace = _raw_record_path(ctx.config, task.name, ctx.version_tag)
     if not task.run:
@@ -1089,18 +1088,16 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
     via = "" if analysis.local else "delta: "
 
     calls_before = ctx.backend.calls
-    before = replace(ctx.reports, scores=dict(ctx.reports.scores))
     try:
         # Taken before the body reads the gold file, so a record never pairs
         # a later gold file with a score of an earlier one.
         score_key = _score_key(ctx, task, analysis)
-        reuse = _reused(analysis.reader, paths, saved, score_key) if saved else None
+        reuse = _reused(ctx, task, analysis.reader, saved, score_key) if saved else None
         if dry_run and not reuse:
             return TaskResult(task.name, STATUS_PLANNED, "would execute")
         previous, sha = reuse or (None, None)
         if not keyed:  # a backend task that does not execute
             previous = _read_back(analysis.reader, raw_path)
-        # A reuse publishes as a real rerun would, so a dry run plans the tasks after it alike.
         done = analysis.body(ctx, task, previous, bool(reuse))
         if dry_run:
             result = TaskResult(task.name, STATUS_PLANNED, f"{via}would reuse {raw_path.name}")
@@ -1115,22 +1112,24 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
             partial.unlink(missing_ok=True)
         # Only a file the task computed is recorded: a file execute false read
         # back may predate the inputs of key. A reuse records again only a new
-        # score. A record only spares a later run the work and the scoring; a
-        # path that is not UTF-8 cannot go into its JSON.
+        # score, beside the files as recorded. A record only spares a later run
+        # the work and the scoring; a path that is not UTF-8 cannot go into its JSON.
         if keyed and not dry_run and not (reuse and saved["score_key"] == score_key):
-            if reuse:  # the files are as recorded; only the score is new
-                files, count = saved["files"], saved["count"]
-            else:  # a file without a digest was not written
-                written = {"raw": sha, "joined": done.joined}
-                files = {k: (paths[k], digest) for k, digest in written.items() if digest}
-                count = done.count
-            facts = {"count": count, "score": done.score, "score_key": score_key}
+            listed = {"raw": (raw_path, sha)}
+            if done.joined:  # the joined CSV written with the raw file
+                listed["joined"] = (_joined_path(ctx.config, task), done.joined)
+            facts = {"count": done.count, "score": done.score, "score_key": score_key}
             with suppress(OSError, UnicodeError):
-                record(trace, key, out_dir, files, **facts)
+                record(trace, key, out_dir, saved["files"] if reuse else listed, **facts)
+        # The one publication point. A reuse publishes as a real rerun would, so
+        # a dry run plans the tasks after it alike.
         if task.analyze:
-            ctx.published[task.name] = (analysis.slot, getattr(ctx.reports, analysis.slot), sha)
+            ctx.reports.catalog = done.catalog or ctx.reports.catalog
+            setattr(ctx.reports, analysis.slot, done.part)
+            if done.score is not None:
+                ctx.reports.scores[_metric(task, analysis)] = done.score
+            ctx.published[task.name] = (analysis.slot, done.part, sha)
     except (SafereqError, OSError) as exc:
-        ctx.reports = before  # a failed task publishes nothing
         result = TaskResult(task.name, STATUS_FAILED, str(exc))
         with suppress(OSError):  # the marker's directory cannot be made either
             if not dry_run:

@@ -852,13 +852,24 @@ def test_a_record_that_cannot_be_written_leaves_the_run_to_succeed(tmp_path, whe
 
 
 def test_a_task_that_fails_publishes_nothing_to_the_report_set(tmp_path):
-    # b_second publishes its rows, then cannot write its raw file. The report
-    # set holds the rows b_classify read from its raw file, never b_second's.
+    # b_second classifies and scores its rows, then cannot write its raw file.
+    # The report set holds the rows, lineages and scores b_classify published,
+    # never b_second's.
     config = base_config()
     for name in ("c_coverage", "d_duplicates", "e_contradictions"):
         del config[name]
-    config["b_second"] = {**config["b_classify"], "output_path": "second"}
+    config["b_second"] = {
+        **config["b_classify"],
+        "output_path": "second",
+        "resources": "resources_second.json",
+        "gold_file": "gold_second.csv",
+        "metric": "stability",
+    }
     config_path = make_project(tmp_path, config)
+    architecture = {"NAV": "Other/Steering", "EN": "Other/Power"}
+    write(tmp_path / "resources_second.json", json.dumps({"ARCHITECTURE": architecture}))
+    gold = "ReqID,Function,Type\n2000,NAV,FUNC\n2001,NAV,FUNC\n2002,EN,PROB\n2003,EN,FUNC\n"
+    write(tmp_path / "gold_second.csv", gold)
     (tmp_path / "second").mkdir()
     write(tmp_path / "second" / "raw", "a file where the raw directory would be")
     first = run_all(config_path, backend=MockBackend(tmp_path / "fixtures"), version_tag="TEST")
@@ -872,8 +883,12 @@ def test_a_task_that_fails_publishes_nothing_to_the_report_set(tmp_path):
     again = rerun(tmp_path)
     assert [r.status for r in again.results] == ["Skipped", "Failed"]
     assert not again.report_set.reused
-    report = (tmp_path / "second" / "reports" / "classification_TEST.csv").read_text("utf-8")
+    reports = tmp_path / "second" / "reports"
+    report = (reports / "classification_TEST.csv").read_text("utf-8")
     assert report.splitlines()[1].startswith("2000,NAV,")
+    allocation = (reports / "allocation_TEST.csv").read_text("utf-8")
+    assert allocation.splitlines()[1].startswith("2000,NAV,Drone/Navigation/Navigating,")
+    assert all("stability" not in path.read_text("utf-8") for path in reports.iterdir())
 
 
 def test_only_task_restricts_the_run(tmp_path):

@@ -36,6 +36,7 @@ from safereq import (
     run_all,
     store,
 )
+from safereq.cli import main
 from safereq.errors import MalformedRawFileError
 
 SAMPLE_PROJECT = Path(__file__).resolve().parent.parent / "sample_project"
@@ -377,6 +378,40 @@ def test_a_raw_file_changed_after_it_was_verified_fails_its_task_unparsed(projec
         orchestrator._raw_text(raw, verified)
 
 
+def test_a_raw_file_changed_before_the_report_set_parses_it_stops_the_run(
+    sample, monkeypatch, capsys
+):
+    # Every task is reused unparsed; the report set, written again for its
+    # deleted summary, is the first to parse classification's rows.
+    run(sample)
+    (sample / RESULTS / "reports" / f"summary_{TAG}.md").unlink()
+    raw = sample / RESULTS / "raw" / f"b_classify_requirements_{TAG}.json"
+    trace = sample / ".safereq" / f"raw_b_classify_requirements_{TAG}.json"
+    written = raw.read_bytes()
+    verify = orchestrator.verify
+
+    def verify_then_edit(path, *args):
+        saved = verify(path, *args)
+        if path == trace:
+            edit_json(raw, lambda payload: payload["rows"][0].update(Type="_OT_"))
+        return saved
+
+    monkeypatch.setattr(orchestrator, "verify", verify_then_edit)
+    with pytest.raises(MalformedRawFileError, match=f"malformed raw file {raw}:"):
+        run(sample)
+    raw.write_bytes(written)
+    assert main(["run", "--config", str(sample / "params.json"), "--version-tag", TAG]) == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed raw file {raw}:")
+
+    # The next run trusts nothing the stopped run left.
+    monkeypatch.undo()
+    again = by_task(run(sample))
+    assert again["b_classify_requirements"] == ("Succeeded", 1)
+    kept = reports(sample)
+    run(sample, force=True)
+    assert reports(sample) == kept
+
+
 def test_reports_deleted_after_a_first_run_are_written_again_byte_for_byte(project):
     run(project)
     written = reports(project)
@@ -424,23 +459,22 @@ def classified_and_catalog(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(drawn=classified_and_catalog(), analyze=st.booleans())
-def test_the_matrix_read_back_from_the_coverage_raw_file_is_the_one_computed(drawn, analyze):
+@given(drawn=classified_and_catalog())
+def test_the_matrix_read_back_from_the_coverage_raw_file_is_the_one_computed(drawn):
     rows, catalog = drawn
     task = orchestrator.TaskConfig(
-        name="c", analysis_function=orchestrator.ANALYSIS_COVERAGE, execute=False, analyze=analyze
+        name="c", analysis_function=orchestrator.ANALYSIS_COVERAGE, execute=False
     )
     config = orchestrator.PipelineConfig([task], {}, {}, Path("."), upstream={"c": "b"})
 
     def coverage_task(previous):
         ctx = orchestrator.PipelineContext(config, MockBackend("."), LlmRequestParams(), TAG)
         ctx.reports.catalog, ctx.published["b"] = catalog, ("classified", rows, "")
-        done = orchestrator._task_coverage(ctx, task, previous, previous is not None)
-        return done, ctx.reports.coverage
+        return orchestrator._task_coverage(ctx, task, previous, previous is not None)
 
-    computed, published = coverage_task(None)
+    computed = coverage_task(None)
     matrix = build_matrix(rows, catalog)
-    assert published == (matrix if analyze else None)
+    assert computed.part == matrix and computed.catalog is catalog
     # As run_task writes the raw file.
     raw = {"task": "c", "analysis_function": task.analysis_function, **computed.record}
     text = json.dumps(raw, indent=2, ensure_ascii=False) + "\n"
@@ -451,8 +485,29 @@ def test_the_matrix_read_back_from_the_coverage_raw_file_is_the_one_computed(dra
     assert [row.is_triage_bucket for row in read_back.rows] == [
         e.alias == CATCH_ALL_ALIAS for e in catalog.entries
     ]
-    reused, republished = coverage_task(orchestrator._Previous(items, []))
-    assert republished == published and reused.detail == computed.detail
+    reused = coverage_task(orchestrator._Previous(items, []))
+    assert reused.part == matrix and reused.detail == computed.detail
+
+
+@pytest.mark.parametrize("analyze", [True, False])
+def test_a_coverage_task_publishes_its_matrix_only_when_it_analyzes(tmp_path, analyze):
+    # load_config refuses a local analysis that does not analyze; run_task still honours it.
+    catalog = catalog_from_alias_map({"NAV": "Drone/Navigation", CATCH_ALL_ALIAS: "Other"})
+    rows = [ClassifiedRequirement("1000", "NAV", "FUNC", 90)]
+    task = orchestrator.TaskConfig(
+        name="c", input_file="b.csv", analysis_function=orchestrator.ANALYSIS_COVERAGE,
+        execute=False, analyze=analyze,
+    )
+    config = orchestrator.PipelineConfig(
+        [task], {}, {}, tmp_path, upstream={"c": "b"}, project_dirs={"c": tmp_path}
+    )
+    ctx = orchestrator.PipelineContext(config, MockBackend(tmp_path), LlmRequestParams(), TAG)
+    ctx.reports.catalog, ctx.published["b"] = catalog, ("classified", rows, "")
+    assert orchestrator.run_task(ctx, task).status == "Succeeded"
+    assert ctx.reports.coverage == (build_matrix(rows, catalog) if analyze else None)
+    assert list(ctx.published) == (["b", "c"] if analyze else ["b"])
+    summary = reporting.emit_report_set(ctx.reports, tmp_path / "reports", TAG).summary_path
+    assert ("## Coverage\n_Not run._" in summary.read_text(encoding="utf-8")) is not analyze
 
 
 # ---------------------------------------------------------------------------
@@ -565,22 +620,20 @@ def test_a_failed_classification_leaves_its_consumers_reused(sample):
 
 
 @pytest.mark.parametrize(
-    "relist, keyed_alike",
+    "relist",
     [
-        (lambda files: files.update(extra=files["raw"]), True),
-        (lambda files: files.update(copy=files.pop("raw")), False),
+        lambda files: files.update(extra=files["raw"]),
+        lambda files: files.update(copy=files.pop("raw")),
     ],
     ids=["unknown-label", "raw-under-another-label"],
 )
-def test_a_sealed_record_listing_other_files_is_not_reused_and_raises_nothing(
-    sample, relist, keyed_alike
-):
+def test_a_sealed_record_listing_other_files_is_not_reused_and_raises_nothing(sample, relist):
     run(sample)
     trace = sample / ".safereq" / f"raw_b_classify_requirements_{TAG}.json"
     reseal(trace, lambda record: relist(record["files"]))
-    # A pair task run alone keys its rows by the raw sha256 the record lists, if any.
+    # A pair task run alone trusts no raw sha256 such a record lists, as a full run does not.
     alone = by_task(run(sample, only_task="d_identify_duplicates"))
-    assert alone["d_identify_duplicates"][0] == ("Skipped" if keyed_alike else "Succeeded")
+    assert alone["d_identify_duplicates"][0] == "Succeeded"
     assert by_task(run(sample))["b_classify_requirements"] == ("Succeeded", 1)
     assert calls(run(sample)) == 0  # the record written then is trusted
 
