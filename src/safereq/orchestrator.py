@@ -17,33 +17,34 @@ input_file is an earlier task's joined CSV takes that task's rows as
 published in the same run, else reads the file; naming the joined CSV
 of a task that runs later fails load_config.
 
-A task's primary output is its raw file,
-<output_path>/raw/<task>_<version tag>.json, which run_task alone reads
-and writes, last. When a backend task executes, or a local analysis
-computes, run_task records the file's sha256, count and score under
-<config_dir>/.safereq/ (see store), keyed by _task_key; classification
-lists the joined CSV it wrote beside the raw file. A delta task is
+A task body only computes; run_task alone writes a task's files, those
+_task_files names, after the body has returned, scoring included: a
+classification's joined CSV, the quarantine file of the records a task
+could not use (removed when a task that knows them has none) and, last,
+the primary output <output_path>/raw/<task>_<version tag>.json. When a
+backend task executes, or a local analysis computes, run_task records
+each file it wrote with its sha256, and the count and score, under
+<config_dir>/.safereq/ (see store), keyed by _task_key. A delta task is
 skipped (zero backend calls) only while store.verify finds that record
-for its current key, listing the raw file and at most that joined CSV,
-each still hashing as recorded. Its items are published unparsed, its
-score kept while the gold file is the same; _raw_text reads the file
-again, checked against the sha256 verified, only if something parses
-them. A local analysis follows the same rule under force alone: a reuse
-reads the coverage matrix back from its own raw file, writes nothing and
-reports Succeeded with the detail it reported when it computed. So an
-unchanged rerun reads no raw file of a backend task. Rows taken from an
-upstream enter a key as its raw sha256, the one it published or recorded
-beside the joined CSV read instead. So an upstream that executes into
-the same raw file leaves its readers reused (early cutoff), and a run of
-one task, a run after a failed upstream and a dry run (which publishes
-what a reuse would, and says would reuse) key a task as a full rerun
-does. execute false parses the file through _raw_text too, and never
-records it. A task body returns what its task publishes, and run_task
-publishes it as the last step of a task that has succeeded: a failed
-task publishes nothing and leaves a .partial file; the next success
-removes it. Every file is written to a temp file,
-synced and moved into place, so no crash leaves a truncated file a run
-trusts.
+for its current key, listing the raw file and no other file but those
+of _task_files, each still hashing as recorded. Its items are published
+unparsed, its score kept while the gold file is the same; _raw_text
+reads the file again, checked against the sha256 verified, only if
+something parses them. A local analysis follows the same rule under
+force alone: a reuse reads the coverage matrix back from its own raw
+file, writes nothing and reports Succeeded with the detail it reported
+when it computed. So an unchanged rerun reads no raw file of a backend
+task. Rows taken from an upstream enter a key as its raw sha256, the one
+it published or recorded beside the joined CSV read instead. So an
+upstream that executes into the same raw file leaves its readers reused
+(early cutoff), and a run of one task, a run after a failed upstream and
+a dry run (which publishes what a reuse would, and says would reuse) key
+a task as a full rerun does. execute false parses the file through
+_raw_text too, and never records it. run_task publishes what a body
+returns as the last step of a task that has succeeded: a failed task
+writes and publishes nothing but a .partial file; the next success
+removes it. Every file is written to a temp file, synced and moved into
+place, so no crash leaves a truncated file a run trusts.
 """
 
 from __future__ import annotations
@@ -491,12 +492,18 @@ def _out_dir(cfg: PipelineConfig, task: TaskConfig) -> Path:
     return _resolve(cfg, task, task.output_path)
 
 
-def _raw_path(cfg: PipelineConfig, task: TaskConfig, tag: str) -> Path:
-    return _out_dir(cfg, task) / "raw" / f"{task.name}_{tag}.json"
-
-
 def _joined_path(cfg: PipelineConfig, task: TaskConfig) -> Path:
     return _out_dir(cfg, task) / "joined" / f"{task.name}_joined.csv"
+
+
+def _task_files(ctx: PipelineContext, task: TaskConfig) -> dict[str, Path]:
+    """The files run_task writes for a task, under the labels its record lists."""
+    out, tag = _out_dir(ctx.config, task), ctx.version_tag
+    return {
+        "raw": out / "raw" / f"{task.name}_{tag}.json",
+        "joined": _joined_path(ctx.config, task),
+        "quarantine": out / "quarantine" / f"{task.name}_{tag}.json",
+    }
 
 
 def _record_path(cfg: PipelineConfig, name: str) -> Path:
@@ -751,31 +758,21 @@ def _pair_score(
 
 
 class _Done(NamedTuple):
-    """What a task body hands back to run_task, which alone publishes and records it."""
+    """What a task body hands back to run_task, which alone writes, publishes and records it."""
 
     record: dict  # what run_task writes to the raw file; a reuse writes none
-    files: list[Path]  # the body's other files
     detail: str
-    # What run_task records beside the raw file's sha256: the items, their
-    # score and the sha256 of the joined CSV written with them.
+    # What run_task records beside the files' sha256s: the items and their score.
     count: int = 0
     score: float | None = None
-    joined: str | None = None
+    # The records the task could not use, each with its reason; None when
+    # unknown, which leaves the quarantine file as it is.
+    quarantined: Sequence[tuple[dict, str]] | None = ()
+    joined: tuple[list[str], Iterable[list]] | None = None  # header, rows made as written
     # What run_task publishes when analyze is true: the part for the
     # analysis' slot and, if any, the catalog that goes with it.
     part: object = None
     catalog: FunctionCatalog | None = None
-
-
-def _write_quarantine(
-    ctx: PipelineContext, task: TaskConfig, quarantined: list[tuple[dict, str]]
-) -> list[Path]:
-    """Write the records a task could not use, each with its reason, if any."""
-    if not quarantined:
-        return []
-    path = _out_dir(ctx.config, task) / "quarantine" / f"{task.name}_{ctx.version_tag}.json"
-    _write_json(path, [{"record": record, "reason": reason} for record, reason in quarantined])
-    return [path]
 
 
 def _require_input_ids(
@@ -798,13 +795,13 @@ def _require_input_ids(
 def _task_completeness(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
-    if reuse:  # nothing to compute or write
+    if reuse:  # nothing to compute
         rows, value = previous.items, previous.score
         catalog = _require_catalog(ctx, task) if task.analyze else None
         if task.analyze and task.gold_file and value is None:
             value = _accuracy(ctx, task, rows)
         detail = f"reused {len(rows)} classified rows"
-        return _Done({}, [], detail, len(rows), value, part=rows, catalog=catalog)
+        return _Done({}, detail, len(rows), value, part=rows, catalog=catalog)
 
     resources = _resources_payload(ctx, task)
     catalog = _require_catalog(ctx, task, resources)
@@ -829,19 +826,15 @@ def _task_completeness(
         rows, quarantined = previous.items, previous.extra
         _require_input_ids(input_path, inputs, rows)
 
-    files = _write_quarantine(ctx, task, quarantined)
     gold_value = joined = None
     if task.analyze:
-        joined_path = _joined_path(ctx.config, task)
-        joined = _write_csv(
-            joined_path,
+        joined = (
             [task.dataset_id_column, *task.dataset_columns, *task.result_columns],
             (
                 [req.req_id, *[req.extra.get(col, "") for col in task.dataset_columns], *cells]
                 for req, cells in zip(inputs, classified_table(rows, task.result_columns))
             ),
         )
-        files.append(joined_path)
         gold_value = _accuracy(ctx, task, rows) if task.gold_file else None
 
     record = {
@@ -852,7 +845,7 @@ def _task_completeness(
     detail = f"{len(rows)} requirements classified, {len(quarantined)} quarantined"
     if gold_value is not None:
         detail += f", accuracy {gold_value:.2f}"
-    return _Done(record, files, detail, len(rows), gold_value, joined, rows, catalog)
+    return _Done(record, detail, len(rows), gold_value, quarantined, joined, rows, catalog)
 
 
 def _task_coverage(
@@ -871,18 +864,18 @@ def _task_coverage(
         "gap_ranking": [{"Function": row.alias, "Shortfall": missing} for row, missing in gaps],
     }
     detail = f"{len(matrix.rows)} functions, {len(gaps)} with missing coverage"
-    return _Done(record, [], detail, len(matrix.rows), part=matrix, catalog=catalog)
+    return _Done(record, detail, len(matrix.rows), part=matrix, catalog=catalog)
 
 
 def _task_pairs(
     ctx: PipelineContext, task: TaskConfig, previous: _Previous | None, reuse: bool
 ) -> _Done:
     analysis = ANALYSES[task.analysis_function]
-    if reuse:  # nothing to compute or write
+    if reuse:  # nothing to compute
         findings, rate = previous.items, previous.score
         if task.analyze and task.gold_file and rate is None:
             rate = _pair_score(ctx, task, analysis, findings).rate
-        return _Done({}, [], f"reused {len(findings)} findings", len(findings), rate, part=findings)
+        return _Done({}, f"reused {len(findings)} findings", len(findings), rate, part=findings)
 
     classified = _classified_for(ctx, task, analysis.columns)
     clusters = cluster_by_function(classified, _catalog(ctx, task))
@@ -890,14 +883,12 @@ def _task_pairs(
     # The detectors are looked up when called, so wrapping the module-level
     # names (as a tracer does) still takes effect.
     args = (clusters, ctx.params, ctx.backend)
-    if not task.execute:
+    if not task.execute:  # the raw file read back holds no rejected records
         detection = DetectionResult(previous.items, previous.extra)
     elif analysis.gold == KIND_DUPLICATE:
         detection = detect_duplicates(*args, prompt_version=task.prompt_version)
     else:  # contradictions skip the pairs duplicates found earlier in the run
         detection = detect_contradictions(*args, duplicates=ctx.reports.duplicates or [])
-    files = _write_quarantine(ctx, task, detection.rejected)
-
     scored = task.analyze and task.gold_file
     pair_score = _pair_score(ctx, task, analysis, detection.findings) if scored else None
     versioned = "prompt_version" in analysis.reads
@@ -911,14 +902,16 @@ def _task_pairs(
     if pair_score:
         detail += f", detection rate {pair_score.rate:.2f}"
     rate = pair_score.rate if pair_score else None
-    return _Done(record, files, detail, len(detection.findings), rate, part=detection.findings)
+    quarantined = detection.rejected if task.execute else None
+    findings = detection.findings
+    return _Done(record, detail, len(findings), rate, quarantined, part=findings)
 
 
 @dataclass(frozen=True)
 class Analysis:
     """What load_config and run_task know of one analysis function."""
 
-    # (ctx, task, the raw file read back or None, reuse): a reuse writes nothing.
+    # (ctx, task, the raw file read back or None, reuse): it computes, and writes nothing.
     body: Callable[[PipelineContext, TaskConfig, _Previous | None, bool], _Done]
     # Parses the raw file for a reuse and, for a backend analysis, for execute false.
     reader: Callable[[Path, str], tuple]
@@ -1029,9 +1022,8 @@ def _score_key(ctx: PipelineContext, task: TaskConfig, analysis: Analysis) -> st
 
 def _listed_raw(ctx: PipelineContext, task: TaskConfig, files: dict) -> tuple[Path, str] | None:
     """The raw file a task's record lists in files, and its sha256; None unless
-    files lists the task's raw file and at most its joined CSV."""
-    paths = {"raw": _raw_path(ctx.config, task, ctx.version_tag)}
-    paths["joined"] = _joined_path(ctx.config, task)
+    files lists the task's raw file and no file but those of _task_files."""
+    paths = _task_files(ctx, task)
     if "raw" not in files or any(paths.get(label) != file for label, (file, _) in files.items()):
         return None
     return files["raw"]
@@ -1064,17 +1056,17 @@ def _read_back(reader: Callable[[Path, str], tuple], raw_path: Path) -> _Previou
 def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> TaskResult:
     """Run (or skip) one task and return its outcome.
 
-    See the module docstring for the raw file, its record and delta reuse.
-    The body returns what the task publishes, which run_task publishes as
-    the last step of a task that has succeeded. A SafereqError or OSError
+    See the module docstring for the task's files, its record and delta
+    reuse. The body returns what the task writes and publishes; run_task
+    writes it once the body has returned, and publishes it as the last
+    step of a task that has succeeded. A SafereqError or OSError
     comes back as a Failed result; any other exception is a bug and propagates.
     """
     analysis = ANALYSES.get(task.analysis_function)
     if analysis is None:
         raise UnknownAnalysisFunctionError(task.analysis_function)
-    out_dir = _out_dir(ctx.config, task)
-    raw_path = _raw_path(ctx.config, task, ctx.version_tag)
-    partial = Path(str(raw_path) + ".partial")
+    out_dir, paths = _out_dir(ctx.config, task), _task_files(ctx, task)
+    partial = Path(str(paths["raw"]) + ".partial")
     trace = _raw_record_path(ctx.config, task.name, ctx.version_tag)
     if not task.run:
         return TaskResult(task.name, STATUS_SKIPPED, "run is false")
@@ -1097,30 +1089,36 @@ def run_task(ctx: PipelineContext, task: TaskConfig, dry_run: bool = False) -> T
             return TaskResult(task.name, STATUS_PLANNED, "would execute")
         previous, sha = reuse or (None, None)
         if not keyed:  # a backend task that does not execute
-            previous = _read_back(analysis.reader, raw_path)
+            previous = _read_back(analysis.reader, paths["raw"])
         done = analysis.body(ctx, task, previous, bool(reuse))
         if dry_run:
-            result = TaskResult(task.name, STATUS_PLANNED, f"{via}would reuse {raw_path.name}")
+            result = TaskResult(task.name, STATUS_PLANNED, f"{via}would reuse {paths['raw'].name}")
         elif reuse:  # a local analysis reports what it reported when it computed
             status = STATUS_SUCCEEDED if analysis.local else STATUS_SKIPPED
             result = TaskResult(task.name, status, via + done.detail)
-        else:
+        else:  # each file's sha256 by label: the raw file listed first, written last
+            shas = {"raw": ""}
+            if done.joined is not None:
+                shas["joined"] = _write_csv(paths["joined"], *done.joined)
+            if done.quarantined:
+                entries = [{"record": rec, "reason": reason} for rec, reason in done.quarantined]
+                shas["quarantine"] = _write_json(paths["quarantine"], entries)
+            elif done.quarantined is not None:  # one an earlier run left
+                paths["quarantine"].unlink(missing_ok=True)
             raw = {"task": task.name, "analysis_function": task.analysis_function, **done.record}
-            sha = _write_json(raw_path, raw)
-            written = [raw_path, *done.files]
+            shas["raw"] = sha = _write_json(paths["raw"], raw)
+            files = {label: (paths[label], digest) for label, digest in shas.items()}
+            written = [paths[label] for label in shas]
             result = TaskResult(task.name, STATUS_SUCCEEDED, done.detail, files=written)
             partial.unlink(missing_ok=True)
-        # Only a file the task computed is recorded: a file execute false read
+        # Only files the task computed are recorded: a file execute false read
         # back may predate the inputs of key. A reuse records again only a new
         # score, beside the files as recorded. A record only spares a later run
         # the work and the scoring; a path that is not UTF-8 cannot go into its JSON.
         if keyed and not dry_run and not (reuse and saved["score_key"] == score_key):
-            listed = {"raw": (raw_path, sha)}
-            if done.joined:  # the joined CSV written with the raw file
-                listed["joined"] = (_joined_path(ctx.config, task), done.joined)
             facts = {"count": done.count, "score": done.score, "score_key": score_key}
             with suppress(OSError, UnicodeError):
-                record(trace, key, out_dir, saved["files"] if reuse else listed, **facts)
+                record(trace, key, out_dir, saved["files"] if reuse else files, **facts)
         # The one publication point. A reuse publishes as a real rerun would, so
         # a dry run plans the tasks after it alike.
         if task.analyze:
@@ -1153,10 +1151,10 @@ def run_all(
 ) -> RunReport:
     """Run every task in config order, then emit the assembled report set.
 
-    The report set lands under <output_path>/reports of the last selected
-    task and covers whatever artifacts the run produced (results that
-    delta-skipped tasks read back included); missing parts appear as not
-    run in the summary.
+    The report set lands under <output_path>/reports of the config's last
+    task, whichever tasks are selected, and covers whatever artifacts the
+    run produced (results that delta-skipped tasks read back included);
+    missing parts appear as not run in the summary.
 
     After writing the set, the run records its report_key, built from
     the raw sha256 of each task that published, and each file's sha256
@@ -1182,7 +1180,7 @@ def run_all(
 
     report_set = None
     if ctx.published and not dry_run:  # every part in ctx.reports
-        inputs, reports_dir = ctx.reports, _out_dir(cfg, selected[-1]) / "reports"
+        inputs, reports_dir = ctx.reports, _out_dir(cfg, cfg.tasks[-1]) / "reports"
         saved = _record_path(cfg, f"reports_{ctx.version_tag}")
         published = [(name, slot, sha) for name, (slot, _, sha) in ctx.published.items()]
         key = report_key(inputs, ctx.version_tag, published)

@@ -14,11 +14,11 @@ recording reads no file back.
 
 This module alone knows the record's layout, and verify alone hashes a
 recorded file. Callers hand record, and get from load and verify, each
-file as a path under the directory and its sha256. run_task records the
-raw file a backend task executed into, or coverage computed, under its
-task key, with its item count, its score and score key, and the joined
-CSV a classification wrote with it as a second file; run_all records the
-report set under its report key.
+file as a path under the directory and its sha256. run_task records
+every file a backend task wrote as it executed, or coverage as it
+computed, under its task key, with its item count, its score and score
+key: the raw file, and beside it a classification's joined CSV and a
+quarantine file; run_all records the report set under its report key.
 """
 
 from __future__ import annotations

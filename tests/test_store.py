@@ -47,6 +47,7 @@ TAG = "T"
 RAW_TASKS = ("b_classify_requirements", "d_identify_duplicates", "e_identify_contradictions")
 COVERAGE = "c_identify_coverage_gaps"
 JOINED_CSV = RESULTS / "joined" / "b_classify_requirements_joined.csv"
+QUARANTINE = RESULTS / "quarantine" / f"b_classify_requirements_{TAG}.json"
 
 
 def sha256(path):
@@ -550,12 +551,16 @@ def test_a_text_edit_executes_classification_alone_into_the_same_raw_file(sample
     assert calls(third) == 0 and third.report_set.reused
 
 
+def delete_row(project, req_id):
+    lines = (project / INPUT_CSV).read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(f"{req_id},")]
+    assert len(kept) == len(lines) - 1
+    (project / INPUT_CSV).write_text("".join(kept), encoding="utf-8")
+
+
 def test_a_deleted_row_executes_every_backend_task(sample):
     run(sample)
-    lines = (sample / INPUT_CSV).read_text(encoding="utf-8").splitlines(keepends=True)
-    kept = [line for line in lines if not line.startswith("1009,")]
-    assert len(kept) == len(lines) - 1
-    (sample / INPUT_CSV).write_text("".join(kept), encoding="utf-8")
+    delete_row(sample, "1009")
     again = run(sample)
     for task in RAW_TASKS:
         status, task_calls = by_task(again)[task]
@@ -650,22 +655,115 @@ def test_coverage_is_reused_whatever_delta_says_and_computed_again_when_forced(s
     assert stamps(raw_dir)[name] != computed
 
 
-@pytest.mark.parametrize("how", ["deleted", "edited"])
+def answer_an_unknown_id(project):
+    """Make the classification answer also hold a record for ReqID 9999, which is quarantined."""
+    edit_json(
+        project / "fixtures" / "classify_requirements.json",
+        lambda answer: answer["results"].append({**answer["results"][0], "ReqID": "9999"}),
+    )
+
+
+@pytest.mark.parametrize("how", ["deleted", "edited", "quarantine-deleted"])
 def test_a_joined_csv_deleted_or_edited_by_hand_executes_classification_again(sample, how):
+    answer_an_unknown_id(sample)  # so the record lists a quarantine file too
     run(sample)
-    joined = sample / JOINED_CSV
-    written = joined.read_bytes()
+    joined, quarantine = sample / JOINED_CSV, sample / QUARANTINE
+    written = joined.read_bytes(), quarantine.read_bytes()
     if how == "deleted":
         joined.unlink()
-    else:
+    elif how == "edited":
         edit_text(joined, "The drone shall fly at high speed", "The drone shall fly slowly")
+    else:
+        quarantine.unlink()
     again = by_task(run(sample))
     assert again["b_classify_requirements"] == ("Succeeded", 1)
-    assert joined.read_bytes() == written
+    assert (joined.read_bytes(), quarantine.read_bytes()) == written
     # The same raw file came back, so its readers stay reused.
     assert again["d_identify_duplicates"] == again["e_identify_contradictions"] == ("Skipped", 0)
     alone = by_task(run(sample, only_task="d_identify_duplicates"))
     assert alone == {"d_identify_duplicates": ("Skipped", 0)}
+
+
+def test_a_classification_that_fails_to_score_writes_nothing_its_consumers_read(sample):
+    with open(sample / "gold_labels.csv", "w", encoding="utf-8", newline="") as handle:
+        gold = ([str(req_id), "NAV", "FUNC"] for req_id in range(1000, 1010))
+        csv.writer(handle).writerows([["ReqID", "Function", "Type"], *gold])
+    edit_config(sample, "b_classify_requirements", gold_file="gold_labels.csv")
+    assert run(sample).failed == []
+    results, records = sample / RESULTS, sample / ".safereq"
+    files = [p for p in results.rglob("*") if p.is_file() and p.parent.name != "reports"]
+    written = {p: p.read_bytes() for p in files}
+    traces = {p: stamp for p, stamp in stamps(records).items() if p.name.startswith("raw_")}
+    # The answer still holds 1009, which is quarantined; the gold file no longer matches.
+    delete_row(sample, "1009")
+    again = run(sample)
+    failed = again.results[0]
+    assert (failed.name, failed.status) == ("b_classify_requirements", "Failed")
+    assert "gold labeling covers different ids than the rows" in failed.detail
+    assert failed.files == [results / "raw" / f"b_classify_requirements_{TAG}.json.partial"]
+    assert not (sample / QUARANTINE).exists()
+    assert {p: p.read_bytes() for p in files} == written
+    assert {p: stamps(records)[p] for p in traces} == traces
+    assert outcome(again)[1] == (COVERAGE, "Succeeded", "10 functions, 8 with missing coverage")
+    assert by_task(again)["d_identify_duplicates"] == ("Skipped", 0)
+    assert by_task(again)["e_identify_contradictions"] == ("Skipped", 0)
+
+
+def test_a_task_that_quarantines_nothing_removes_the_quarantine_file_an_earlier_run_left(sample):
+    answer = sample / "fixtures" / "classify_requirements.json"
+    kept = answer.read_bytes()
+    answer_an_unknown_id(sample)
+    run(sample)
+    assert "9999" in (sample / QUARANTINE).read_text(encoding="utf-8")
+    answer.write_bytes(kept)
+    again = run(sample, force=True)  # the fixtures' content is not in the key
+    assert again.results[0].detail == "10 requirements classified, 0 quarantined"
+    assert not (sample / QUARANTINE).exists()
+
+
+def test_a_pair_task_under_execute_false_leaves_its_quarantine_file(sample):
+    # Its raw file holds no rejected records, so it cannot tell whether there were any.
+    edit_json(
+        sample / "fixtures" / "duplicate_findings.json",
+        lambda answer: answer["results"].append({"ReqID_A": "1000"}),
+    )
+    run(sample)
+    quarantine = sample / RESULTS / "quarantine" / f"d_identify_duplicates_{TAG}.json"
+    written = quarantine.read_bytes()
+    edit_config(sample, "d_identify_duplicates", execute=False)
+    assert by_task(run(sample))["d_identify_duplicates"] == ("Succeeded", 0)
+    assert quarantine.read_bytes() == written
+
+
+def test_the_report_set_lands_under_the_configs_last_task_whichever_tasks_run(sample):
+    edit_config(sample, "e_identify_contradictions", output_path="E_results")
+    reports_dir = sample / "E_results" / "reports"
+    assert run(sample).report_set.summary_path.parent == reports_dir
+    alone = run(sample, only_task="d_identify_duplicates")
+    assert alone.report_set.summary_path.parent == reports_dir
+    assert not (sample / RESULTS / "reports").exists()
+
+
+def test_every_task_body_computes_and_writes_nothing(sample, monkeypatch):
+    run(sample)  # the joined CSV the later bodies read
+    config = orchestrator.load_config(sample / "params.json")
+    params = orchestrator.params_from_llm_config(config.llm)
+    ctx = orchestrator.PipelineContext(config, MockBackend(sample / "fixtures"), params, TAG)
+
+    def refuse_write(*args, **kwargs):
+        raise AssertionError("a task body wrote a file")
+
+    monkeypatch.setattr(orchestrator, "_write_csv", refuse_write)
+    monkeypatch.setattr(orchestrator, "_write_json", refuse_write)
+    written = stamps(sample)
+    assert {task.analysis_function for task in config.tasks} == set(orchestrator.ANALYSES)
+    for task in config.tasks:  # each executes, or computes
+        done = orchestrator.ANALYSES[task.analysis_function].body(ctx, task, None, False)
+        assert isinstance(done, orchestrator._Done), task.name
+        if done.joined is not None:
+            header, rows = done.joined
+            assert len([header, *rows]) == 1 + 10
+    assert stamps(sample) == written
 
 
 @pytest.mark.parametrize(
