@@ -14,9 +14,10 @@ import math
 import re
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from threading import Lock
@@ -76,7 +77,9 @@ class LlmRequestParams:
     backoff_start: float = 1.0  # seconds; doubles per retry
     timeout: float = 60.0
     system_context: str = DEFAULT_SYSTEM_CONTEXT
-    max_concurrency: int = 8  # in-flight calls per send_many; 1 is sequential
+    # In-flight calls per send_many; 1 is sequential. A failing first prompt
+    # may already have up to max_concurrency - 1 others sent beside it.
+    max_concurrency: int = 8
 
 
 @dataclass
@@ -537,8 +540,10 @@ def send(
     return LlmResult(raw_text=raw, usage=usage)
 
 
-# The first call of send_many must wait at least this long off-CPU, and
-# longer than it computed, before the rest go to worker threads.
+# The first call of send_many must wait at least this long, and longer
+# than the process computed meanwhile, for the rest to go on to worker
+# threads. The call runs beside the rest of the first wave, so waiting is
+# counted for the whole process: wall time minus the CPU time of all threads.
 PROBE_MIN_WAIT_S = 0.001
 
 
@@ -547,6 +552,23 @@ def _voluntary_switches() -> int | None:
     if getattr(resource, "RUSAGE_THREAD", None) is None:
         return None
     return resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw
+
+
+def _send_timed(
+    prompt: str, params: LlmRequestParams, backend: Backend, sleep: Callable[[float], None]
+) -> tuple[LlmResult, bool]:
+    """send(), and whether its backend made it wait, by PROBE_MIN_WAIT_S.
+
+    Timed on the thread that makes the call. Wall time in which a sibling
+    held the GIL is that sibling's CPU time, so it is not read as waiting.
+    """
+    switches = _voluntary_switches()
+    started, cpu = time.perf_counter(), time.process_time()
+    result = send(prompt, params, backend, sleep)
+    cpu = time.process_time() - cpu
+    waited = time.perf_counter() - started - cpu
+    blocked = switches is None or _voluntary_switches() > switches
+    return result, waited >= PROBE_MIN_WAIT_S and waited > cpu and blocked
 
 
 def send_many(
@@ -560,47 +582,43 @@ def send_many(
 
     prompts is consumed lazily: at most 2 * params.max_concurrency prompts
     or results are alive at once. params.max_concurrency bounds the calls
-    in flight; 1 is strictly sequential.
+    in flight; 1 is strictly sequential and starts no thread.
 
-    The first prompt is sent inline and timed. The rest go to a thread
-    pool only when that call waited (wall time minus thread CPU time) at
-    least PROBE_MIN_WAIT_S and longer than it computed, as a network
-    call does; a backend that never blocks stays sequential, because
-    threads would only add GIL handoffs. Where the OS counts a thread's
-    voluntary context switches, the call must also have made one: time
-    the host took the CPU away (preemption) is not waiting on a backend.
-    The first failing prompt's exception propagates; queued prompts are
-    cancelled and every worker thread has ended by the time it does.
+    The first max_concurrency prompts go to a thread pool together; the
+    first of them is timed on its worker thread. The rest follow them to
+    the pool only when, during that call, the process waited (wall time
+    minus the CPU time of all its threads) at least PROBE_MIN_WAIT_S and
+    longer than it computed, as it does on a network call. Otherwise the
+    first wave is drained in order and the rest are sent inline: a backend
+    that never blocks gains nothing from threads but GIL handoffs. Where
+    the OS counts a thread's voluntary context switches, the call must
+    also have made one: time the host took the CPU away (preemption) is
+    not waiting on a backend. The first failing prompt's exception
+    propagates, possibly after up to max_concurrency - 1 prompts behind
+    it were sent; queued prompts are cancelled and every worker thread
+    has ended by then.
     """
     limit = params.max_concurrency
     prompts = iter(prompts)
-    first = next(prompts, None)
-    if first is None:
-        return
-    switches = _voluntary_switches()
-    started, cpu_started = time.perf_counter(), time.thread_time()
-    result = send(first, params, backend, sleep)
-    cpu = time.thread_time() - cpu_started
-    waited = time.perf_counter() - started - cpu
-    blocked = switches is None or _voluntary_switches() > switches
-    yield result
-
-    if limit <= 1 or waited < PROBE_MIN_WAIT_S or waited <= cpu or not blocked:
-        for prompt in prompts:
-            yield send(prompt, params, backend, sleep)
-        return
-
-    window: deque[Future] = deque()
-    pool = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="safereq-send")
-    try:
-        for prompt in prompts:
-            window.append(pool.submit(send, prompt, params, backend, sleep))
-            if len(window) == 2 * limit:
+    wave = list(islice(prompts, limit)) if limit > 1 else []
+    if wave:
+        pool = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="safereq-send")
+        try:
+            probe = pool.submit(_send_timed, wave[0], params, backend, sleep)
+            window = deque(pool.submit(send, p, params, backend, sleep) for p in wave[1:])
+            result, waited = probe.result()
+            yield result
+            if waited:
+                for prompt in prompts:
+                    window.append(pool.submit(send, prompt, params, backend, sleep))
+                    if len(window) == 2 * limit:
+                        yield window.popleft().result()
+            while window:
                 yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    for prompt in prompts:
+        yield send(prompt, params, backend, sleep)
 
 
 def ask_many(

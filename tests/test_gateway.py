@@ -702,15 +702,19 @@ class SleepyBackend:
     def __init__(self, fail=()):
         self.in_flight = _InFlight()
         self.fail = set(fail)
-        self.threads = set()
+        self.thread_of = {}  # req_id: the thread that sent it
         self.call_count = 0
         self._lock = threading.Lock()
 
+    @property
+    def threads(self):
+        return set(self.thread_of.values())
+
     def complete(self, prompt, params):
+        req_id, _, delay = prompt.partition(":")
         with self._lock:
             self.call_count += 1
-            self.threads.add(threading.get_ident())
-        req_id, _, delay = prompt.partition(":")
+            self.thread_of[req_id] = threading.get_ident()
         with self.in_flight:
             time.sleep(float(delay or 0))
         if req_id in self.fail:
@@ -786,11 +790,68 @@ def test_send_many_leaves_no_worker_thread_behind():
     assert not _send_threads()
 
 
+@pytest.mark.parametrize("limit, n", [(8, 3), (8, 20), (3, 10)])
+def test_send_many_sends_the_first_wave_together(limit, n):
+    wave = min(limit, n)
+    # Each call of the first wave returns only once the whole wave is in it.
+    barrier = threading.Barrier(wave, timeout=5)
+
+    class Meeting(SleepyBackend):
+        def complete(self, prompt, params):
+            if int(prompt[1 : prompt.index(":")]) < wave:
+                barrier.wait()
+            return super().complete(prompt, params)
+
+    prompts = [f"r{i}:0" for i in range(n)]
+    params = LlmRequestParams(max_concurrency=limit)
+    backend = Meeting()
+    assert list(send_many(prompts, params, backend)) == [
+        send(p, params, SleepyBackend()) for p in prompts
+    ]
+    assert backend.in_flight.peak <= limit
+    assert not _send_threads()
+
+
+def test_send_many_stops_after_the_first_wave_when_the_first_prompt_fails():
+    prompts = ["r0:0"] + [f"r{i}:0.002" for i in range(1, 20)]
+    backend = SleepyBackend(fail={"r0"})
+    with pytest.raises(NotFixturedError) as exc:
+        list(send_many(prompts, LlmRequestParams(max_concurrency=4), backend))
+    assert exc.value.prompt_sha == "r0"
+    assert backend.call_count <= 4
+    assert not _send_threads()
+
+
+def test_send_many_at_concurrency_one_sends_every_prompt_on_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        pytest.fail("send_many started a thread pool at max_concurrency 1")
+
+    monkeypatch.setattr(gateway, "ThreadPoolExecutor", no_pool)
+    prompts = [f"r{i}:0.002" for i in range(10)]
+    params = LlmRequestParams(max_concurrency=1)
+    backend = SleepyBackend()
+    assert list(send_many(prompts, params, backend)) == [
+        send(p, params, SleepyBackend()) for p in prompts
+    ]
+    assert backend.threads == {threading.get_ident()}
+
+
+def _sends_the_rest_inline_after_the_first_wave(backend, delay):
+    """Send 20 prompts at max_concurrency 8 and check that calls 9-20 ran on
+    the calling thread and that the results are those of sequential send."""
+    prompts = [f"r{i}:{delay}" for i in range(20)]
+    params = LlmRequestParams(max_concurrency=8)
+    assert list(send_many(prompts, params, backend)) == [
+        send(p, params, SleepyBackend()) for p in prompts
+    ]
+    assert {backend.thread_of[f"r{i}"] for i in range(8, 20)} == {threading.get_ident()}
+
+
 def test_send_many_keeps_a_computing_backend_on_the_calling_thread(monkeypatch):
     # Both clocks the probe reads move only as the backend computes, so the
     # first call reads as pure CPU, however long the host preempts it.
     now = [0.0]
-    clocks = SimpleNamespace(perf_counter=lambda: now[0], thread_time=lambda: now[0])
+    clocks = SimpleNamespace(perf_counter=lambda: now[0], process_time=lambda: now[0])
     monkeypatch.setattr(gateway, "time", clocks)
 
     class Computing(SleepyBackend):
@@ -798,10 +859,25 @@ def test_send_many_keeps_a_computing_backend_on_the_calling_thread(monkeypatch):
             now[0] += 0.01
             return super().complete(prompt, params)
 
-    backend = Computing()
-    results = list(send_many([f"r{i}:0" for i in range(10)], LlmRequestParams(), backend))
-    assert len(results) == 10
-    assert backend.threads == {threading.get_ident()}
+    _sends_the_rest_inline_after_the_first_wave(Computing(), 0)
+
+
+def test_send_many_keeps_a_backend_computing_beside_its_siblings_on_the_calling_thread():
+    # At a short switch interval the siblings take the GIL from the first
+    # call many times, so most of its wall time is their CPU time.
+    class Burning(SleepyBackend):
+        def complete(self, prompt, params):
+            end = time.thread_time() + 0.01
+            while time.thread_time() < end:
+                pass
+            return super().complete(prompt, params)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        _sends_the_rest_inline_after_the_first_wave(Burning(), 0)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _count_voluntary_switches(monkeypatch, counts):
@@ -817,10 +893,7 @@ def test_send_many_keeps_a_preempted_backend_on_the_calling_thread(monkeypatch):
     # The first call spends its time off-CPU without once giving the CPU
     # up itself: the host took it away, so there is no backend to overlap.
     _count_voluntary_switches(monkeypatch, [5, 5])
-    backend = SleepyBackend()
-    results = list(send_many([f"r{i}:0.002" for i in range(10)], LlmRequestParams(), backend))
-    assert len(results) == 10
-    assert backend.threads == {threading.get_ident()}
+    _sends_the_rest_inline_after_the_first_wave(SleepyBackend(), 0.002)
 
 
 def test_send_many_threads_a_backend_whose_first_call_gave_up_the_cpu(monkeypatch):
