@@ -55,6 +55,7 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import date
@@ -1158,9 +1159,14 @@ def run_all(
 
     After writing the set, the run records its report_key, built from
     the raw sha256 of each task that published, and each file's sha256
-    in <config dir>/.safereq/reports_<tag>.json. An unforced run whose
-    key matches that record and whose files still hash as recorded
-    writes nothing and returns the recorded set, marked reused.
+    in <config dir>/.safereq/reports_<tag>.json. An unforced run hashes
+    the files that record lists on a worker thread as it begins, while
+    the tasks run; if its key then matches the record's and the files
+    hashed as recorded, it writes nothing and returns the recorded set,
+    marked reused. A report edited after that check and before the run
+    ends is treated as one edited just after the run. A run of every
+    task that writes the set deletes the files the record listed that
+    this set lacks.
     """
     cfg = load_config(config_path)
     if only_task is not None and all(t.name != only_task for t in cfg.tasks):
@@ -1176,20 +1182,30 @@ def run_all(
         verbose=verbose,
         reports=ReportInputs(thresholds=cfg.thresholds),
     )
-    results = [run_task(ctx, task, dry_run=dry_run) for task in selected]
+    reports_dir = _out_dir(cfg, cfg.tasks[-1]) / "reports"
+    saved = _record_path(cfg, f"reports_{ctx.version_tag}")
+    # A forced or dry run keeps no set, so it submits no check and starts no thread.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="safereq-verify") as pool:
+        check = None if force or dry_run else pool.submit(verify, saved, None, reports_dir)
+        results = [run_task(ctx, task, dry_run=dry_run) for task in selected]
+        kept = check.result() if check else None
 
     report_set = None
     if ctx.published and not dry_run:  # every part in ctx.reports
-        inputs, reports_dir = ctx.reports, _out_dir(cfg, cfg.tasks[-1]) / "reports"
-        saved = _record_path(cfg, f"reports_{ctx.version_tag}")
+        inputs = ctx.reports
         published = [(name, slot, sha) for name, (slot, _, sha) in ctx.published.items()]
         key = report_key(inputs, ctx.version_tag, published)
-        kept = None if force else verify(saved, key, reports_dir)
-        if kept:
+        if kept and kept["key"] == key:
             report_set = ReportSet({n: file for n, (file, _) in kept["files"].items()}, reused=True)
         else:
+            # A run of every task deletes the last set's files that this set lacks;
+            # a --task run's set lacks the parts of the tasks it skipped.
+            last = (kept or load_record(saved, None, reports_dir)) if only_task is None else None
             try:
                 report_set = emit_report_set(inputs, reports_dir, ctx.version_tag)
+                for file, _ in last["files"].values() if last else ():
+                    if file not in report_set.files.values():
+                        file.unlink(missing_ok=True)
             except OSError as exc:
                 raise SafereqError(f"cannot write the report set to {reports_dir}: {exc}") from exc
             # The record only spares a later run the writes; without it, that run

@@ -31,8 +31,16 @@ from . import __version__
 from .reporting import _write_json
 
 
+BLOCK_BYTES = 256 * 1024
+
+
 def file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The sha256 of the file at path, read in BLOCK_BYTES blocks, so no file is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(BLOCK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _seal(body: dict) -> str:

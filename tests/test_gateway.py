@@ -662,11 +662,13 @@ class _InFlight:
 
 def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
     in_flight = _InFlight()
+    thread_of = {}  # prompt: the thread that sent it
 
-    def post(*args, **kwargs):
+    def post(*args, json, **kwargs):
         # Blocks like a network call, so send_many dispatches to threads.
+        thread_of[json["messages"][-1]["content"]] = threading.get_ident()
         with in_flight:
-            time.sleep(0.001)
+            time.sleep(0.01)
         return _OkResponse()
 
     monkeypatch.setenv("SAFEREQ_TEST_KEY", "k")
@@ -685,6 +687,8 @@ def test_http_backend_counts_concurrent_calls_exactly(monkeypatch):
     assert backend.calls == len(prompts)
     assert [r.raw_text for r in results] == ['{"results": []}'] * len(prompts)
     assert 1 < in_flight.peak <= 8
+    # Past the first wave of 8, too, no call ran on the calling thread.
+    assert threading.get_ident() not in {thread_of[p] for p in prompts[8:]}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import hashlib
 import json
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -413,6 +414,83 @@ def test_a_raw_file_changed_before_the_report_set_parses_it_stops_the_run(
     assert reports(sample) == kept
 
 
+def reports_record(project):
+    return project / ".safereq" / f"reports_{TAG}.json"
+
+
+def test_the_report_check_runs_while_the_first_task_runs(project, monkeypatch):
+    # Each side waits for the other: the check for the first task to start, and
+    # the first task for the check to end. Run after the tasks, the check ends late.
+    first = run(project)
+    started, checked, seen, overlapped = threading.Event(), threading.Event(), [], []
+    verify, run_task = orchestrator.verify, orchestrator.run_task
+
+    def verify_once_a_task_started(path, *args):
+        if path != reports_record(project):
+            return verify(path, *args)
+        seen.append(started.wait(5))
+        try:
+            return verify(path, *args)
+        finally:
+            checked.set()
+
+    def run_task_beside_the_check(ctx, task, **kwargs):
+        if not started.is_set():
+            started.set()
+            overlapped.append(checked.wait(5))
+        return run_task(ctx, task, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "verify", verify_once_a_task_started)
+    monkeypatch.setattr(orchestrator, "run_task", run_task_beside_the_check)
+    again = run(project)
+    assert seen == [True] and overlapped == [True]
+    assert again.report_set.reused and again.report_set == first.report_set
+
+
+@pytest.mark.parametrize("how", [{"force": True}, {"dry_run": True}], ids=["forced", "dry"])
+def test_a_forced_or_dry_run_starts_no_report_check(project, monkeypatch, how):
+    run(project)
+    checked, threads = [], []
+    verify, run_task = orchestrator.verify, orchestrator.run_task
+
+    def recording_verify(path, *args):
+        checked.append(path)
+        return verify(path, *args)
+
+    def recording_run_task(ctx, task, **kwargs):
+        threads.append(threading.enumerate())
+        return run_task(ctx, task, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "verify", recording_verify)
+    monkeypatch.setattr(orchestrator, "run_task", recording_run_task)
+    before = threading.enumerate()
+    run(project, **how)
+    assert reports_record(project) not in checked
+    assert threads == [before] * 4
+
+
+def test_the_report_check_keeps_every_report_file_and_no_thread_outlives_it(project, monkeypatch):
+    first = run(project)
+    reports_dir = project / RESULTS / "reports"
+    written, kept = reports(project), stamps(reports_dir)
+    before = threading.enumerate()
+    again = run(project)
+    assert threading.enumerate() == before
+    assert again.report_set.reused and again.report_set == first.report_set
+    assert reports(project) == written and stamps(reports_dir) == kept
+
+    def body(*args):
+        raise RuntimeError("a bug in a task body")
+
+    name = orchestrator.ANALYSIS_COMPLETENESS
+    monkeypatch.setitem(
+        orchestrator.ANALYSES, name, dataclasses.replace(orchestrator.ANALYSES[name], body=body)
+    )
+    with pytest.raises(RuntimeError, match="a bug in a task body"):
+        run(project)
+    assert threading.enumerate() == before
+
+
 def test_reports_deleted_after_a_first_run_are_written_again_byte_for_byte(project):
     run(project)
     written = reports(project)
@@ -684,11 +762,16 @@ def test_a_joined_csv_deleted_or_edited_by_hand_executes_classification_again(sa
     assert alone == {"d_identify_duplicates": ("Skipped", 0)}
 
 
-def test_a_classification_that_fails_to_score_writes_nothing_its_consumers_read(sample):
-    with open(sample / "gold_labels.csv", "w", encoding="utf-8", newline="") as handle:
+def score_classification_on_every_row(project):
+    """Score classification on a gold file for ReqIDs 1000-1009; a deleted row then fails it."""
+    with open(project / "gold_labels.csv", "w", encoding="utf-8", newline="") as handle:
         gold = ([str(req_id), "NAV", "FUNC"] for req_id in range(1000, 1010))
         csv.writer(handle).writerows([["ReqID", "Function", "Type"], *gold])
-    edit_config(sample, "b_classify_requirements", gold_file="gold_labels.csv")
+    edit_config(project, "b_classify_requirements", gold_file="gold_labels.csv")
+
+
+def test_a_classification_that_fails_to_score_writes_nothing_its_consumers_read(sample):
+    score_classification_on_every_row(sample)
     assert run(sample).failed == []
     results, records = sample / RESULTS, sample / ".safereq"
     files = [p for p in results.rglob("*") if p.is_file() and p.parent.name != "reports"]
@@ -707,6 +790,25 @@ def test_a_classification_that_fails_to_score_writes_nothing_its_consumers_read(
     assert outcome(again)[1] == (COVERAGE, "Succeeded", "10 functions, 8 with missing coverage")
     assert by_task(again)["d_identify_duplicates"] == ("Skipped", 0)
     assert by_task(again)["e_identify_contradictions"] == ("Skipped", 0)
+
+
+def test_a_full_run_deletes_the_reports_its_set_no_longer_holds(sample):
+    score_classification_on_every_row(sample)
+    reports_dir = sample / RESULTS / "reports"
+    full = run(sample).report_set.files.values()
+    # A run of one task writes a set without the other parts, and deletes nothing.
+    alone = run(sample, only_task="d_identify_duplicates").report_set.files.values()
+    assert set(alone) < set(full) and all(file.exists() for file in full)
+    run(sample)
+    delete_row(sample, "1009")  # classification now fails to score, and publishes nothing
+    again = run(sample)
+    assert again.results[0].status == "Failed" and not again.report_set.reused
+    kept = set(again.report_set.files.values())
+    assert set(reports_dir.iterdir()) == kept
+    stems = ("classification", "allocation")
+    gone = {f"{stem}_{TAG}.{ext}" for stem in stems for ext in ("csv", "json")}
+    assert {file.name for file in set(full) - kept} == gone | {f"metrics_{TAG}.json"}
+    assert "## Metrics\n_Not run._" in (reports_dir / f"summary_{TAG}.md").read_text("utf-8")
 
 
 def test_a_task_that_quarantines_nothing_removes_the_quarantine_file_an_earlier_run_left(sample):
